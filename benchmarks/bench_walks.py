@@ -6,7 +6,7 @@ the Fig. 3 base substrate, comparing the fast defaults
 reference paths (``engine="sequential"``, ``ladder="subset"`` — the
 seed algorithm, kept in-tree for exactly this comparison), for each
 walk design: RW, MHRW, RWJ, S-WRW with both next-hop engines (exact
-binary search and O(1) alias tables), and the union-CSR multigraph
+keyed inverse-CDF search and O(1) alias tables), and the union-CSR multigraph
 walk. A subset of designs is additionally swept through the
 :mod:`repro.runtime` process executor at several worker counts; every
 record self-describes its executor mode and worker count (plus the
@@ -21,7 +21,7 @@ Assertions:
 
 * correctness — fast and reference sweeps are bit-for-bit identical
   (always enforced; the alias engine is bit-identical *to its own
-  sequential twin*, its statistical contract vs the binary search lives
+  sequential twin*, its statistical contract vs the keyed search lives
   in ``tests/sampling/test_equivalence.py``);
 * wall-clock — the batched+incremental sweep beats the in-tree
   sequential reference by a healthy margin (skipped under
@@ -32,10 +32,14 @@ At PR-1 time on the dev machine, against the *pre-PR seed* (whose
 observation pipeline was slower still than today's reference paths),
 the R=64, 5-rung small-preset sweep measured: RW 3.28s -> 0.30s
 (11.0x), MHRW 3.51s -> 0.34s (10.5x), RWJ 4.06s -> 0.38s (10.8x),
-S-WRW 4.70s -> 0.78s (6.0x, bounded by the vectorized binary search of
-the weighted kernel). Those figures are recorded in the JSON under
-``seed_baseline_at_pr_time``; the multigraph and alias rows have no
-seed entry (the seed had no batched path for them at all).
+S-WRW 4.70s -> 0.78s (6.0x, then bounded by a per-step Python
+bisection loop in the weighted kernel). Those figures are recorded in
+the JSON under ``seed_baseline_at_pr_time``; the multigraph and alias
+rows have no seed entry (the seed had no batched path for them at all).
+The weighted kernel has since replaced that loop with one
+``np.searchsorted`` per step over a lexicographic ``(source, local
+cumulative)`` arc key, which keeps S-WRW search bit-identical to its
+sequential twin and puts it close to the alias engine.
 """
 
 from __future__ import annotations
@@ -386,7 +390,7 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
         assert record["designs"]["rw"]["speedup_vs_reference"] >= 2.0, record
         # The alias engine must not regress S-WRW: its batched sweep
         # stays within a whisker of (and typically beats) the
-        # binary-search kernel's.
+        # keyed-search kernel's.
         swrw = record["designs"]["swrw"]["batched_incremental_seconds"]
         alias = record["designs"]["swrw-alias"]["batched_incremental_seconds"]
         assert alias <= 1.25 * swrw, record["designs"]

@@ -1,8 +1,9 @@
 """Walker alias tables for O(1) weighted next-hop sampling.
 
 The weighted walks (WRW and its S-WRW subclass) pick the next hop by
-inverse-CDF lookup over per-run local cumulative sums — O(log d) per
-step, and the dominant cost of the batched S-WRW kernel. An alias table
+inverse-CDF lookup over per-run local cumulative sums — one keyed
+``np.searchsorted`` per frontier step in the batched S-WRW kernel,
+O(log E) comparisons per walker. An alias table
 [Walker 1977; Vose 1991] answers the same categorical draw in O(1):
 split each neighbor run into ``d`` equal-probability buckets, each
 holding at most two outcomes (the bucket's own arc and one *alias*
@@ -22,7 +23,7 @@ A draw for node ``v`` with degree ``d`` consumes one uniform ``r``:
 >>> u = r * d; j = floor(u); a = indptr[v] + j
 >>> hop = indices[a] if (u - j) < prob[a] else indices[alias[a]]
 
-— the same single variate per step the binary search consumes, which
+— the same single variate per step the inverse-CDF search consumes, which
 keeps the RNG stream consumption pattern of the walk unchanged.
 
 Equivalence contract
@@ -31,7 +32,7 @@ Alias draws map the uniform variate to neighbors *differently* than the
 inverse-CDF search, so trajectories differ draw-by-draw; the contract
 is **statistical**, not bitwise: for every node the alias table encodes
 exactly the probabilities ``w_j / strength(v)`` (up to float rounding in
-table construction), so the next-hop *distribution* is the binary
+table construction), so the next-hop *distribution* is the inverse-CDF
 search's. ``tests/sampling/test_equivalence.py`` enforces this with an
 exact per-run probability reconstruction plus a chi-square test on
 sampled next-hop frequencies. The batched alias kernel, in turn, is
@@ -110,7 +111,7 @@ def build_alias_tables(
         Optional per-run totals to normalize by — pass the walk's
         precomputed strengths (the last entry of each run's local
         cumulative sum) so the alias probabilities use the *same*
-        normalizer as the binary-search path. Recomputed per run when
+        normalizer as the inverse-CDF search path. Recomputed per run when
         omitted.
 
     Construction is a vectorized Vose pass: instead of a Python

@@ -493,33 +493,34 @@ def _wrw_kernel(sampler, n, streams):
 
 
 def _wrw_search_kernel(sampler, n, streams):
+    """Inverse-CDF next hop via one keyed ``np.searchsorted`` per step.
+
+    The sampler's search key orders arcs by ``(source, local
+    cumulative)``, so searching ``cur + 1j*target`` with
+    ``side="right"`` finds, for every walker at once, the first arc of
+    its run whose cumulative exceeds the target — the sequential
+    twin's per-run ``searchsorted`` rule over the same float64 sums,
+    hence bit-identical trajectories. A target at or past the run total
+    lands on the run's end and clamps to its last arc, as in the twin.
+    """
     graph = sampler._graph
     indptr, indices = graph.indptr, graph.indices
-    cumulative = sampler._local_cumulative
+    key = sampler._search_key
     strength = sampler._strength
     total = n + sampler._burn_in
     cur, variates = _frontier_setup(sampler, streams, 1, total)
     isolated = _isolated_mask(graph.degrees())
-    last = max(len(cumulative) - 1, 0)
+    # Must stay complex128: any other dtype would make searchsorted
+    # cast (copy) the whole key on every step.
+    query = np.empty(len(streams), dtype=np.complex128)
     out = np.empty((total, len(streams)), dtype=np.int64)
     for i in range(total):
         if isolated is not None:
             _check_frontier(isolated, cur, "weighted walk")
-        lo, hi = indptr[cur], indptr[cur + 1]
-        target = variates.step(i)[0] * strength[cur]
-        # Vectorized binary search: first j in [lo, hi) with
-        # cumulative[j] > target — np.searchsorted(..., side="right")
-        # semantics, one frontier-wide predicate per halving.
-        left, right = lo.copy(), hi.copy()
-        while True:
-            active = left < right
-            if not np.any(active):
-                break
-            mid = (left + right) >> 1
-            go_right = active & (cumulative[np.minimum(mid, last)] <= target)
-            left = np.where(go_right, mid + 1, left)
-            right = np.where(active & ~go_right, mid, right)
-        cur = indices[np.minimum(left, hi - 1)]
+        query.real = cur
+        query.imag = variates.step(i)[0] * strength[cur]
+        arc = np.searchsorted(key, query, side="right")
+        cur = indices[np.minimum(arc, indptr[cur + 1] - 1)]
         out[i] = cur
     nodes = np.ascontiguousarray(out[sampler._burn_in :].T)
     return nodes, strength[nodes]
@@ -530,8 +531,9 @@ def _wrw_alias_kernel(sampler, n, streams):
 
     Same variate consumption as the search kernel (one uniform per
     step), but the uniform picks an equal-probability bucket and its
-    keep/alias outcome instead of driving a log(d) bisection — removing
-    the search loop's per-halving frontier-wide passes.
+    keep/alias outcome instead of an inverse-CDF search over the
+    cumulative weights — a handful of O(1) gathers per step instead of
+    a keyed ``searchsorted``.
     """
     graph = sampler._graph
     indptr, indices = graph.indptr, graph.indices

@@ -58,6 +58,17 @@ def _segmented_cumsum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
         idx = np.flatnonzero(position >= shift)
         out[idx] += out[idx - shift]
         shift <<= 1
+    # The doubling scan groups terms differently at each position, so a
+    # weight far below its run's total (ratios near 1e-16) can round a
+    # prefix below the one before it. A per-run running max (the same
+    # doubling scan, exact under max) restores sorted runs, which the
+    # inverse-CDF searches rely on; monotone runs come out unchanged.
+    if np.any((out[1:] < out[:-1]) & (position[1:] > 0)):
+        shift = 1
+        while shift < max_length:
+            idx = np.flatnonzero(position >= shift)
+            out[idx] = np.maximum(out[idx], out[idx - shift])
+            shift <<= 1
     return out
 
 
@@ -102,6 +113,71 @@ def _derived_local_cumulative(
         build=lambda writer: build_segmented_cumsum(writer, arc_weights, indptr),
     )
     return planes["cumsum"]
+
+
+#: Node ids at or past this bound are not exact as float64, so they
+#: cannot serve as the real part of the search key.
+_KEY_EXACT_NODES = 2**53
+
+
+def _arc_search_key(arc_sources: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
+    """Lexicographic ``(source node, local cumulative)`` key per arc.
+
+    A ``complex128`` array with ``key.real = arc_sources`` and
+    ``key.imag = cumulative``. NumPy orders complex values
+    lexicographically, so the key is sorted (sources ascend, and each
+    run's cumulative does not decrease) and one ``np.searchsorted`` of
+    ``v + 1j*t`` with ``side="right"`` lands on the first arc of ``v``'s
+    run whose local cumulative exceeds ``t`` — or on the run's end when
+    none does. That is the per-run inverse-CDF lookup for a whole
+    frontier in one call, comparing the very float64 values of
+    :func:`_segmented_cumsum`.
+    """
+    key = np.empty(len(cumulative), dtype=np.complex128)
+    key.real = arc_sources
+    key.imag = cumulative
+    return key
+
+
+def build_search_key(writer, arc_sources, cumulative, chunk_arcs=None) -> None:
+    """Chunked out-of-core twin of :func:`_arc_search_key`."""
+    from repro.graph.planes import DEFAULT_CHUNK_ARCS
+
+    if chunk_arcs is None:
+        chunk_arcs = DEFAULT_CHUNK_ARCS
+    out = writer.create("key", np.complex128, (len(cumulative),))
+    for lo in range(0, len(cumulative), chunk_arcs):
+        hi = min(lo + chunk_arcs, len(cumulative))
+        out[lo:hi] = _arc_search_key(arc_sources[lo:hi], cumulative[lo:hi])
+
+
+def _derived_search_key(graph: Graph, cumulative: np.ndarray) -> np.ndarray:
+    """The weighted walk's search key, via the derived-plane store.
+
+    Keyed on ``(indptr, cumulative)``, which fix the arc sources too;
+    under the memmap storage plane it builds chunked on disk and warm
+    runs reopen it, like the cumsum it extends.
+    """
+    from repro.graph.planes import derived_arc_sources, plane_store_for
+
+    if graph.num_nodes >= _KEY_EXACT_NODES:
+        raise SamplingError(
+            f"next_hop='search' needs fewer than 2**53 nodes, got {graph.num_nodes}"
+        )
+    # derived_arc_sources rather than graph.arc_sources: in RAM mode the
+    # sources are a temporary instead of an array pinned on the graph.
+    indptr = graph.indptr
+    store = plane_store_for(indptr, cumulative, nbytes=len(cumulative) * 16)
+    if store is None:
+        return _arc_search_key(derived_arc_sources(indptr), cumulative)
+    planes = store.get_or_build(
+        "walk-search-key",
+        sources=(indptr, cumulative),
+        build=lambda writer: build_search_key(
+            writer, derived_arc_sources(indptr), cumulative
+        ),
+    )
+    return planes["key"]
 
 
 class _WalkSampler(Sampler):
@@ -221,9 +297,12 @@ class WeightedRandomWalkSampler(_WalkSampler):
     which becomes the draw weight.
 
     ``next_hop`` selects the next-hop engine: ``"search"`` (default)
-    does an O(log d) inverse-CDF lookup over the per-run local
-    cumulative sums; ``"alias"`` answers the same categorical draw in
-    O(1) via per-run Walker alias tables (:mod:`repro.sampling.alias`).
+    does an inverse-CDF lookup over the per-run local cumulative sums,
+    which the batched kernel answers for the whole frontier with one
+    ``np.searchsorted`` over a lexicographic ``(source, cumulative)``
+    arc key (:func:`_arc_search_key`); ``"alias"`` answers the same
+    categorical draw in O(1) via per-run Walker alias tables
+    (:mod:`repro.sampling.alias`).
     Both consume one uniform variate per step, but map it to neighbors
     differently, so the two engines are *statistically* (not bitwise)
     equivalent — see the alias module's equivalence contract.
@@ -248,10 +327,10 @@ class WeightedRandomWalkSampler(_WalkSampler):
                 "arc_weights must align with graph.indices "
                 f"(shape {graph.indices.shape}, got {arc_weights.shape})"
             )
-        if len(arc_weights) and arc_weights.min() <= 0:
+        if not np.all(arc_weights > 0):
             raise SamplingError("arc weights must be strictly positive")
         self._arc_weights = arc_weights
-        # Per-run *local* cumulative weights for O(log d) next-hop
+        # Per-run *local* cumulative weights for inverse-CDF next-hop
         # sampling. Local (not global) sums keep the inverse-CDF lookup
         # exact on graphs whose total arc weight dwarfs individual run
         # weights; see _segmented_cumsum.
@@ -267,19 +346,24 @@ class WeightedRandomWalkSampler(_WalkSampler):
         else:
             self._strength = np.zeros(graph.num_nodes)
         self._next_hop = next_hop
-        if next_hop == "alias":
+        self._search_key = None
+        self._alias_tables = None
+        if next_hop == "search":
+            # Batched next hops search this key; like the cumsum it
+            # spills to (and reopens from) the derived-plane store
+            # under the memmap storage plane.
+            self._search_key = _derived_search_key(graph, self._local_cumulative)
+        else:
             from repro.sampling.alias import derived_alias_tables
 
-            # Normalize by the same per-run strengths the binary search
-            # uses, so both engines encode identical probabilities.
-            # Routed through the derived-plane store: under the memmap
-            # storage plane the tables build chunked on disk and warm
-            # runs reopen them instead of rebuilding.
+            # Normalize by the same per-run strengths the inverse-CDF
+            # search uses, so both engines encode identical
+            # probabilities. Routed through the derived-plane store:
+            # under the memmap storage plane the tables build chunked
+            # on disk and warm runs reopen them instead of rebuilding.
             self._alias_tables = derived_alias_tables(
                 graph.indptr, arc_weights, self._strength
             )
-        else:
-            self._alias_tables = None
 
     @property
     def design(self) -> str:

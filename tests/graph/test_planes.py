@@ -3,10 +3,10 @@
 Three contracts are pinned here:
 
 * **Bit identity** — every chunked out-of-core builder (arc_sources,
-  arc_labels, union-CSR merge, alias tables, walk cumsums) produces the
-  exact bytes of its one-shot in-RAM twin at any chunk size, and a
-  sweep over store-backed derivations equals the RAM sweep cold, warm,
-  and through the process executor.
+  arc_labels, union-CSR merge, alias tables, walk cumsums, walk search
+  keys) produces the exact bytes of its one-shot in-RAM twin at any
+  chunk size, and a sweep over store-backed derivations equals the RAM
+  sweep cold, warm, and through the process executor.
 * **Content addressing** — keys follow source *bytes* (not identity,
   paths, or mtimes), so a rebuilt bit-identical substrate hits the
   cache across store instances (the cross-run reuse the telemetry
@@ -46,7 +46,12 @@ from repro.runtime import faults, telemetry_scope
 from repro.runtime.sharedmem import _MMAP_TOKEN_KIND, SharedArrayPool
 from repro.sampling import StratifiedWeightedWalkSampler
 from repro.sampling.alias import build_alias_planes, build_alias_tables
-from repro.sampling.walks import _segmented_cumsum, build_segmented_cumsum
+from repro.sampling.walks import (
+    _arc_search_key,
+    _segmented_cumsum,
+    build_search_key,
+    build_segmented_cumsum,
+)
 from repro.stats import run_nrmse_sweep
 
 #: Chunk sizes every builder equivalence test sweeps — tiny (every run
@@ -284,6 +289,20 @@ def test_chunked_cumsum_bit_identical(indptr, seed):
 
 @given(indptr=_csr_indptr(), seed=st.integers(0, 2**16))
 @settings(max_examples=30, deadline=None)
+def test_chunked_search_key_bit_identical(indptr, seed):
+    gen = np.random.default_rng(seed)
+    values = gen.uniform(0.1, 3.0, size=int(indptr[-1]))
+    cumulative = _segmented_cumsum(values, indptr)
+    sources = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+    expected = _arc_search_key(sources, cumulative)
+    for chunk in CHUNKS:
+        writer = _RamWriter()
+        build_search_key(writer, sources, cumulative, chunk)
+        assert np.array_equal(writer.planes["key"], expected)
+
+
+@given(indptr=_csr_indptr(), seed=st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
 def test_chunked_alias_bit_identical(indptr, seed):
     gen = np.random.default_rng(seed)
     weights = gen.uniform(0.1, 5.0, size=int(indptr[-1]))
@@ -403,6 +422,32 @@ def test_warm_store_skips_derivation(tmp_path, monkeypatch):
     assert warm_counters["planes.hit"] >= 2
     assert warm_counters["planes.hit_bytes"] > 0
     assert _file_base(warm._local_cumulative) is not None
+
+
+def test_search_key_plane_cold_build_then_warm_hit(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_PLANE_THRESHOLD", "0")
+    ram_graph, ram_part = _world()
+    ram_key = StratifiedWeightedWalkSampler(ram_graph, ram_part)._search_key
+    assert _file_base(ram_key) is None
+    metrics_cold = tmp_path / "cold.json"
+    metrics_warm = tmp_path / "warm.json"
+    store = tmp_path / "store"
+    with graph_storage("memmap", directory=store):
+        graph, part = _world()
+        with telemetry_scope(metrics=metrics_cold):
+            cold = StratifiedWeightedWalkSampler(graph, part)
+        assert list(store.rglob("walk-search-key/*/key.npy"))
+        clear_plane_memo()
+        with telemetry_scope(metrics=metrics_warm):
+            warm = StratifiedWeightedWalkSampler(graph, part)
+    cold_counters = json.loads(metrics_cold.read_text())["counters"]
+    warm_counters = json.loads(metrics_warm.read_text())["counters"]
+    assert cold_counters["planes.built"] >= 2  # cumsum + search key
+    assert warm_counters["planes.built"] == 0
+    assert warm_counters["planes.hit"] >= 2
+    for sampler in (cold, warm):
+        assert _file_base(sampler._search_key) is not None
+        assert np.array_equal(sampler._search_key, ram_key)
 
 
 LADDER = (30, 90)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SamplingError
 from repro.generators import gnm, planted_category_graph
@@ -26,6 +28,8 @@ from repro.sampling import (
     WeightedRandomWalkSampler,
     sample_many,
 )
+from repro.sampling import walks
+from repro.sampling.walks import _arc_search_key, _segmented_cumsum
 
 
 @pytest.fixture(scope="module")
@@ -241,11 +245,132 @@ class TestWrwLocalCumsum:
                     rtol=1e-12,
                 )
 
+    def test_skewed_run_stays_sorted(self):
+        # The doubling scan rounds this run's last prefix below the one
+        # before it; the running-max pass keeps the run sorted.
+        weights = np.array([9.6e7, 0.034, 0.0076, 1e-9])
+        cumulative = _segmented_cumsum(weights, np.array([0, len(weights)]))
+        assert np.all(np.diff(cumulative) >= 0)
+        assert cumulative[-1] == pytest.approx(weights.sum(), rel=1e-15)
+
+    def test_non_positive_or_nan_weights_rejected(self):
+        graph = gnm(10, 20, rng=6)
+        for bad in (0.0, -1.0, np.nan):
+            weights = np.ones(len(graph.indices))
+            weights[3] = bad
+            with pytest.raises(SamplingError, match="strictly positive"):
+                WeightedRandomWalkSampler(graph, weights)
+
     def test_strengths_equal_run_totals(self):
         graph = gnm(40, 120, rng=2)
         weights = np.full(len(graph.indices), 3.0)
         sampler = WeightedRandomWalkSampler(graph, weights)
         assert np.allclose(sampler.strengths, 3.0 * graph.degrees())
+
+
+@st.composite
+def _weighted_csr(draw):
+    """CSR offsets plus per-arc weights skewed across 1e-12..1e12.
+
+    Zero degrees leave isolated nodes between runs; degree-1 runs and
+    long skewed runs (whose small weights vanish behind a large local
+    prefix) both occur.
+    """
+    degrees = draw(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=30)
+    )
+    indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+    exponents = draw(
+        st.lists(
+            st.floats(min_value=-12.0, max_value=12.0),
+            min_size=int(indptr[-1]),
+            max_size=int(indptr[-1]),
+        )
+    )
+    return indptr, 10.0 ** np.asarray(exponents, dtype=float)
+
+
+class TestKeyedSearch:
+    """The batched search kernel's keyed lookup is the sequential rule.
+
+    For every node ``v`` with run ``[lo, hi)`` and every target ``t``,
+    ``min(searchsorted(key, v + 1j*t, "right"), hi - 1)`` must equal
+    ``lo + min(searchsorted(cum[lo:hi], t, "right"), d - 1)`` — the
+    per-run lookup of the sequential ``sample()`` twin.
+    """
+
+    @given(csr=_weighted_csr(), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_keyed_lookup_equals_per_run_searchsorted(self, csr, seed):
+        indptr, weights = csr
+        cumulative = _segmented_cumsum(weights, indptr)
+        sources = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        key = _arc_search_key(sources, cumulative)
+        # Sorted even where skew makes the doubling scan round a prefix
+        # below its predecessor.
+        assert np.all(key[:-1] <= key[1:])
+        gen = np.random.default_rng(seed)
+        nodes, targets = [], []
+        for v in np.flatnonzero(np.diff(indptr) > 0):
+            lo, hi = indptr[v], indptr[v + 1]
+            run = cumulative[lo:hi]
+            strength = run[-1]
+            # t = 0, t = strength (u * s rounding up to the run total),
+            # exact ties with every cumulative value, their float
+            # neighbours, and ordinary u * s draws.
+            candidates = np.concatenate(
+                (
+                    [0.0, strength],
+                    run,
+                    np.nextafter(run, -np.inf),
+                    np.nextafter(run, np.inf),
+                    gen.random(4) * strength,
+                )
+            )
+            nodes.extend([v] * len(candidates))
+            targets.extend(candidates)
+        if not nodes:
+            return
+        nodes = np.asarray(nodes, dtype=np.int64)
+        targets = np.asarray(targets)
+        query = np.empty(len(nodes), dtype=np.complex128)
+        query.real = nodes
+        query.imag = targets
+        keyed = np.minimum(
+            np.searchsorted(key, query, side="right"), indptr[nodes + 1] - 1
+        )
+        for v, t, arc in zip(nodes, targets, keyed):
+            lo, hi = indptr[v], indptr[v + 1]
+            pos = np.searchsorted(cumulative[lo:hi], t, side="right")
+            assert arc == lo + min(pos, hi - lo - 1), (v, t)
+
+    def test_skewed_weights_batch_equals_sequential(self):
+        graph = gnm(120, 500, rng=3)
+        exponents = np.random.default_rng(4).uniform(
+            -12.0, 12.0, size=len(graph.indices)
+        )
+        sampler = WeightedRandomWalkSampler(graph, 10.0**exponents)
+        _assert_batch_equals_sequential(sampler, 300, 6, seed=21)
+
+    def test_search_key_layout(self, planted):
+        graph, partition = planted
+        sampler = StratifiedWeightedWalkSampler(graph, partition)
+        key = sampler._search_key
+        assert key.dtype == np.complex128
+        assert np.array_equal(key.real, graph.arc_sources)
+        assert np.array_equal(key.imag, sampler._local_cumulative)
+        assert np.all(key[:-1] <= key[1:])
+        alias = StratifiedWeightedWalkSampler(graph, partition, next_hop="alias")
+        assert alias._search_key is None
+
+    def test_node_ids_past_float64_exactness_rejected(self, monkeypatch):
+        graph = gnm(10, 20, rng=5)
+        weights = np.ones(len(graph.indices))
+        monkeypatch.setattr(walks, "_KEY_EXACT_NODES", graph.num_nodes)
+        with pytest.raises(SamplingError, match="2\\*\\*53"):
+            WeightedRandomWalkSampler(graph, weights)
+        # The alias engine builds no key and is unaffected.
+        WeightedRandomWalkSampler(graph, weights, next_hop="alias")
 
 
 class TestVariateWindows:
