@@ -1,13 +1,15 @@
 """Bench: batched multi-walker engine + incremental prefix sweeps.
 
 Times the replicated NRMSE sweep (the engine behind Figs. 3, 4, 6) on
-the Fig. 3 base substrate, comparing the fast defaults
-(``engine="batched"``, ``ladder="incremental"``) against the sequential
-reference paths (``engine="sequential"``, ``ladder="subset"`` — the
-seed algorithm, kept in-tree for exactly this comparison), for each
-walk design: RW, MHRW, RWJ, S-WRW with both next-hop engines (exact
-keyed inverse-CDF search and O(1) alias tables), and the union-CSR multigraph
-walk. A subset of designs is additionally swept through the
+the Fig. 3 base substrate, comparing the production path (batched
+frontier sampling, incremental prefix ladder) against the seed
+reference sweep :func:`tests.oracles.reference_sweep` (a per-replicate
+``sample()`` loop, re-subsetting every rung — the test oracle that pins
+the fast path bit for bit), for each walk design: RW, MHRW, RWJ, S-WRW
+with both next-hop engines (exact keyed inverse-CDF search and O(1)
+alias tables), and the union-CSR multigraph walk. The BFS / Forest
+Fire traversal rows time the batched frontier kernels against the
+per-stream sequential fallback (``_stack_sequential``). A subset of designs is additionally swept through the
 :mod:`repro.runtime` process executor at several worker counts; every
 record self-describes its executor mode and worker count (plus the
 runner's core count in the workload), so serial and multi-worker rows
@@ -23,10 +25,14 @@ Assertions:
   (always enforced; the alias engine is bit-identical *to its own
   sequential twin*, its statistical contract vs the keyed search lives
   in ``tests/sampling/test_equivalence.py``);
-* wall-clock — the batched+incremental sweep beats the in-tree
-  sequential reference by a healthy margin (skipped under
+* wall-clock — the batched+incremental sweep beats the
+  ``tests/oracles.py`` reference by a healthy margin (skipped under
   ``--skip-timing-asserts`` / ``REPRO_SKIP_TIMING`` for constrained
   runners).
+
+Run from the repository root, so ``tests.oracles`` imports::
+
+    PYTHONPATH=src python -m pytest -q -s benchmarks/bench_walks.py
 
 At PR-1 time on the dev machine, against the *pre-PR seed* (whose
 observation pipeline was slower still than today's reference paths),
@@ -64,8 +70,9 @@ from repro.sampling import (
     RandomWalkWithJumpsSampler,
     StratifiedWeightedWalkSampler,
 )
-from repro.sampling.batch import sample_streams
+from repro.sampling.batch import _stack_sequential, sample_streams
 from repro.stats import run_nrmse_sweep
+from tests.oracles import reference_sweep
 
 #: Acceptance workload: R >= 64 replicate walks, >= 5 ladder rungs.
 REPLICATIONS = 64
@@ -200,10 +207,9 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
         )
         fast_sweeps[name] = (fast_time, fast)
         ref_time, reference = _best_of(
-            lambda: run_nrmse_sweep(
+            lambda: reference_sweep(
                 graph, partition, sampler, ladder,
                 replications=REPLICATIONS, rng=0,
-                engine="sequential", ladder="subset", executor="serial",
             ),
             repeats=1,
         )
@@ -288,16 +294,14 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
                 sampler,
                 traversal_n,
                 spawn_rngs(ensure_rng(0), REPLICATIONS),
-                engine="batched",
             ),
             repeats=2 * REPEATS,
         )
         twin_time, twin = _best_of(
-            lambda: sample_streams(
+            lambda: _stack_sequential(
                 sampler,
                 traversal_n,
                 spawn_rngs(ensure_rng(0), REPLICATIONS),
-                engine="sequential",
             ),
         )
         assert np.array_equal(batched.nodes, twin.nodes), (
@@ -381,7 +385,7 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
     print(f"  -> {_JSON_PATH.name} written ({preset.name} scale)")
 
     if timing_asserts:
-        # The in-tree reference already benefits from the vectorized
+        # The oracle reference already benefits from the vectorized
         # observation pipeline, so the bar here is lower than the >=10x
         # measured against the true pre-PR-1 seed.
         for name in samplers:

@@ -54,15 +54,19 @@ choose — by construction rather than by tolerance:
    Shard assignment, worker count, cell interleaving, and completion
    order cannot reach a trajectory.
 2. **Kernels are shard-blind and schedule-blind.** A worker advances
-   its replicate block through the same batched frontier kernels
-   (:func:`repro.sampling.batch.sample_streams`), which are bit-equal
-   to the sequential samplers per stream — the PR-1/PR-2 contract this
-   layer inherits. Chunked variate windows preserve it because chunked
+   its replicate block through the same batched frontier kernels the
+   serial sweep uses (:func:`repro.sampling.batch.sample_streams`;
+   designs without a kernel run their per-stream sampler there too).
+   There is one sampling path and one ladder path; the seed
+   per-replicate sampler loop and ``subset_draws`` ladder survive only
+   as the test oracle in ``tests/oracles.py``, which pins both bit for
+   bit. Chunked variate windows preserve the equality because chunked
    ``Generator.random`` calls yield the identical value stream; a
    persistent worker running two cells' tasks in parallel threads
    preserves it because tasks share no mutable state.
 3. **Estimation rows share one code path.** Each replicate's rung rows
-   come from the same ``_rung_rows`` / prefix-ladder code the serial
+   come from the same ``_rung_rows`` /
+   :class:`~repro.stats.prefix.IncrementalPrefixLadder` code the serial
    sweep runs; rows are placed by (cell, absolute replicate index) and
    every cell is reduced by the serial reducer (including the
    cross-sample pseudo-truth reduction of the paper's Section 7.2
@@ -79,7 +83,7 @@ choose — by construction rather than by tolerance:
    Checkpoints are double-keyed: the plan directory by the plan
    manifest (experiment id + cell grid), each cell's sweep directory
    by a manifest fingerprint (seeds or pre-drawn sample digests,
-   ladder, estimator knobs, graph/partition/sampler content), so a
+   size ladder, estimator knobs, graph/partition/sampler content), so a
    stale checkpoint can never contaminate a non-matching run.
    Completed cells additionally record their sweep key in the plan's
    ``cells.json`` and persist their truth arrays, so a resumed plan
@@ -139,7 +143,8 @@ choose — by construction rather than by tolerance:
 serial-loop vs DAG at 1/2/3 workers, mid-plan kill with cells in
 flight, substrate-free replay), ``test_plan.py`` at the plan grain —
 and the golden sweep regression additionally pins the executor against
-the serial reference for every registered design.
+the serial path, and both against the ``tests/oracles.py`` reference
+sweep, for every registered design.
 """
 
 from repro.runtime.checkpoint import PlanCheckpoint, SweepCheckpoint

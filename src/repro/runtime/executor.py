@@ -97,19 +97,14 @@ from repro.runtime.pool import (
 )
 from repro.sampling.base import NodeSample, Sampler
 from repro.sampling.batch import sample_streams
-from repro.sampling.observation import (
-    InducedObservation,
-    StarObservation,
-    observe_induced,
-    observe_star,
-)
+from repro.sampling.observation import InducedObservation, StarObservation
 from repro.stats.prefix import IncrementalPrefixLadder
 from repro.stats.replication import (
     KINDS,
     SweepResult,
+    SweepSpec,
     _reduce_stacks,
     _rung_rows,
-    _subset_rung,
 )
 
 __all__ = ["ProcessSweepExecutor", "replay_sweep", "serve_shard"]
@@ -221,66 +216,6 @@ def _observations_restore(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-class _ReplicateLadder:
-    """One replicate's rung stepper inside a worker.
-
-    Wraps either ladder engine behind ``rung``/``skip``: ``rung``
-    computes a :class:`~repro.stats.prefix.RungEstimates` exactly as the
-    serial ``_ladder_rungs`` generator would; ``skip`` advances the
-    incremental multiplicity state past a checkpointed rung without
-    re-deriving estimates (an exact integer fold, so later rungs are
-    unaffected by the skip). ``observations`` seeds the ladder from a
-    checkpoint-restored ``observe_both`` pair instead of re-measuring
-    the sample.
-    """
-
-    def __init__(
-        self,
-        graph,
-        partition,
-        sample,
-        ladder,
-        n_pop,
-        mean_degree_model,
-        observations=None,
-    ):
-        self._mode = ladder
-        self._n_pop = n_pop
-        self._mean_degree_model = mean_degree_model
-        if ladder == "incremental":
-            self._state = IncrementalPrefixLadder(
-                graph, partition, sample, observations=observations
-            )
-        elif observations is not None:
-            # observe_both output is identical to the two separate
-            # observe_* calls, so restored pairs serve the subset
-            # reference ladder too.
-            self._induced, self._star = observations
-        else:
-            self._star = observe_star(graph, partition, sample)
-            self._induced = observe_induced(graph, partition, sample)
-
-    @property
-    def observations(self) -> tuple[InducedObservation, StarObservation]:
-        """The full-sample (induced, star) pair backing this ladder."""
-        if self._mode == "incremental":
-            return self._state.observations
-        return self._induced, self._star
-
-    def rung(self, size: int):
-        if self._mode == "incremental":
-            return self._state.estimates(
-                size, self._n_pop, mean_degree_model=self._mean_degree_model
-            )
-        return _subset_rung(
-            self._star, self._induced, size, self._n_pop, self._mean_degree_model
-        )
-
-    def skip(self, size: int) -> None:
-        if self._mode == "incremental":
-            self._state.fold(size)
-
-
 def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
     """Serve one shard task: obtain the owned replicates, then answer
     rung commands until told to stop.
@@ -342,9 +277,7 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
             collector, "sample", cat="worker",
             task=task_label, replicates=len(shard_ids), n=cfg["n"],
         ):
-            batch = sample_streams(
-                sampler, cfg["n"], streams, engine=cfg["engine"]
-            )
+            batch = sample_streams(sampler, cfg["n"], streams)
             samples = batch.replicates()
         if ("kill", "sample") in {
             tuple(d) for d in (cfg.get("faults") or ())
@@ -360,19 +293,17 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
             send("sampled", None, None)
     restored = world.get("observations")
     names = tuple(partition.names)
+    spec = cfg["spec"]
     with telemetry.span_in(
         collector, "observe", cat="worker",
         task=task_label, replicates=len(samples),
         restored=restored is not None,
     ):
         ladders = [
-            _ReplicateLadder(
+            IncrementalPrefixLadder(
                 graph,
                 partition,
                 sample,
-                cfg["ladder"],
-                cfg["n_pop"],
-                cfg["mean_degree_model"],
                 observations=(
                     None
                     if restored is None
@@ -389,7 +320,6 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
     else:
         send("observed", None)
     truth_sizes = cfg["truth_sizes"]
-    plugin = cfg["weight_size_plugin"]
     kill_rungs = {
         directive[1]
         for directive in map(tuple, cfg.get("faults") or ())
@@ -425,7 +355,7 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
                 task=task_label, rung=si, size=size,
             ):
                 for ladder in ladders:
-                    ladder.skip(size)
+                    ladder.fold(size)
             send("skipped", si)
         elif command == "rung":
             with telemetry.span_in(
@@ -433,7 +363,15 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
                 task=task_label, rung=si, size=size,
             ):
                 rows = [
-                    _rung_rows(ladder.rung(size), plugin, truth_sizes)
+                    _rung_rows(
+                        ladder.estimates(
+                            size,
+                            cfg["n_pop"],
+                            mean_degree_model=spec.mean_degree_model,
+                        ),
+                        spec.weight_size_plugin,
+                        truth_sizes,
+                    )
                     for ladder in ladders
                 ]
             send(
@@ -952,44 +890,21 @@ class ProcessSweepExecutor:
         graph,
         partition,
         sampler: Sampler,
-        sizes: np.ndarray,
+        spec: SweepSpec,
         replications: int,
         rng,
-        *,
-        engine: str = "batched",
-        ladder: str = "incremental",
-        weight_size_plugin: str = "star",
-        mean_degree_model: str = "per-category",
     ) -> SweepResult:
-        """Run one sweep; same contract as the serial ``run_nrmse_sweep``."""
-        if replications < 1:
-            raise EstimationError(
-                f"replications must be positive, got {replications}"
-            )
-        if engine not in ("batched", "sequential"):
-            raise EstimationError(
-                f"unknown engine {engine!r}; use 'batched' or 'sequential'"
-            )
-        if ladder not in ("incremental", "subset"):
-            raise EstimationError(
-                f"unknown ladder {ladder!r}; use 'incremental' or 'subset'"
-            )
-        if weight_size_plugin not in ("star", "induced", "true"):
-            raise EstimationError(
-                f"unknown weight_size_plugin {weight_size_plugin!r}"
-            )
-        if mean_degree_model not in ("per-category", "global"):
-            raise EstimationError(
-                f"unknown mean_degree_model {mean_degree_model!r}; "
-                "use 'per-category' or 'global'"
-            )
-        sizes = np.asarray(sizes, dtype=np.int64)
+        """Run one sweep; same contract as the serial ``run_nrmse_sweep``.
+
+        ``spec`` and ``replications`` arrive validated by
+        :func:`~repro.stats.replication.run_nrmse_sweep`.
+        """
+        sizes = spec.sizes
         n = int(sizes[-1])
         seeds = spawn_seeds(ensure_rng(rng), replications)
         truth = true_category_graph(graph, partition)
         checkpoint = self._open_checkpoint(
-            graph, partition, sampler, sizes, replications, seeds,
-            engine, ladder, weight_size_plugin, mean_degree_model,
+            graph, partition, sampler, spec, replications, seeds
         )
         self.last_checkpoint = checkpoint
         if checkpoint is not None:
@@ -1030,7 +945,6 @@ class ProcessSweepExecutor:
                 "shard": [int(i) for i in shard],
                 "seeds": [seeds[i] for i in shard],
                 "n": n,
-                "engine": engine,
                 "want_samples": persist_samples,
                 "samples": (
                     None
@@ -1042,13 +956,9 @@ class ProcessSweepExecutor:
         return self._drive(
             graph,
             partition,
-            sizes,
+            spec,
             replications,
             truth,
-            "exact",
-            ladder,
-            weight_size_plugin,
-            mean_degree_model,
             checkpoint,
             observations,
             cached_rungs,
@@ -1063,12 +973,7 @@ class ProcessSweepExecutor:
         graph,
         partition,
         samples,
-        sizes: np.ndarray,
-        *,
-        weight_size_plugin: str = "star",
-        mean_degree_model: str = "per-category",
-        truth_mode: str = "exact",
-        ladder: str = "incremental",
+        spec: SweepSpec,
     ) -> SweepResult:
         """Run one pre-drawn sweep; same contract as the serial
         ``run_nrmse_sweep_from_samples``.
@@ -1079,31 +984,15 @@ class ProcessSweepExecutor:
         ladder/estimation phase. Rows are placed by absolute replicate
         index and reduced by the serial reducer, so the result is
         bit-identical to the serial path for any worker count.
+        ``spec`` and ``samples`` arrive validated by
+        :func:`~repro.stats.replication.run_nrmse_sweep_from_samples`.
         """
         samples = list(samples)
         replications = len(samples)
-        if replications < 1:
-            raise EstimationError("need at least one replicate sample")
-        if ladder not in ("incremental", "subset"):
-            raise EstimationError(
-                f"unknown ladder {ladder!r}; use 'incremental' or 'subset'"
-            )
-        if weight_size_plugin not in ("star", "induced", "true"):
-            raise EstimationError(
-                f"unknown weight_size_plugin {weight_size_plugin!r}"
-            )
-        if mean_degree_model not in ("per-category", "global"):
-            raise EstimationError(
-                f"unknown mean_degree_model {mean_degree_model!r}; "
-                "use 'per-category' or 'global'"
-            )
-        if truth_mode not in ("exact", "cross-sample"):
-            raise EstimationError(f"unknown truth_mode {truth_mode!r}")
-        sizes = np.asarray(sizes, dtype=np.int64)
+        sizes = spec.sizes
         truth = true_category_graph(graph, partition)
         checkpoint = self._open_predrawn_checkpoint(
-            graph, partition, samples, sizes,
-            ladder, weight_size_plugin, mean_degree_model, truth_mode,
+            graph, partition, samples, spec
         )
         self.last_checkpoint = checkpoint
         if checkpoint is not None:
@@ -1133,13 +1022,9 @@ class ProcessSweepExecutor:
         return self._drive(
             graph,
             partition,
-            sizes,
+            spec,
             replications,
             truth,
-            truth_mode,
-            ladder,
-            weight_size_plugin,
-            mean_degree_model,
             checkpoint,
             observations,
             cached_rungs,
@@ -1153,13 +1038,9 @@ class ProcessSweepExecutor:
         self,
         graph,
         partition,
-        sizes: np.ndarray,
+        spec: SweepSpec,
         replications: int,
         truth,
-        truth_mode: str,
-        ladder: str,
-        weight_size_plugin: str,
-        mean_degree_model: str,
         checkpoint: "SweepCheckpoint | None",
         observations: "list[dict] | None",
         cached_rungs: dict,
@@ -1174,6 +1055,7 @@ class ProcessSweepExecutor:
         # survive on the instance as stale diagnostics.
         self.failover_log = []
         sweep_label = self.label or "sweep"
+        sizes = spec.sizes
         r, k, c = replications, len(sizes), partition.num_categories
         size_stacks = {kind: np.full((r, k, c), np.nan) for kind in KINDS}
         weight_stacks = {kind: np.full((r, k, c, c), np.nan) for kind in KINDS}
@@ -1190,7 +1072,7 @@ class ProcessSweepExecutor:
                         size_stacks, weight_stacks, si, cached_rungs[si]
                     )
                 return _reduce_stacks(
-                    sizes, size_stacks, weight_stacks, truth, truth_mode
+                    sizes, size_stacks, weight_stacks, truth, spec.truth_mode
                 )
 
         num_workers = min(self.workers, replications)
@@ -1247,9 +1129,7 @@ class ProcessSweepExecutor:
                         )
                         cfg = {
                             "n_pop": graph.num_nodes,
-                            "ladder": ladder,
-                            "weight_size_plugin": weight_size_plugin,
-                            "mean_degree_model": mean_degree_model,
+                            "spec": spec,
                             "truth_sizes": truth.sizes,
                             "want_observations": want_observations,
                             **make_cfg(shard),
@@ -1341,15 +1221,14 @@ class ProcessSweepExecutor:
                 sharedmem.release(local_pool.block_names)
 
         return _reduce_stacks(
-            sizes, size_stacks, weight_stacks, truth, truth_mode
+            sizes, size_stacks, weight_stacks, truth, spec.truth_mode
         )
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
     def _open_checkpoint(
-        self, graph, partition, sampler, sizes, replications, seeds,
-        engine, ladder, weight_size_plugin, mean_degree_model,
+        self, graph, partition, sampler, spec, replications, seeds
     ) -> "SweepCheckpoint | None":
         if self.checkpoint_root is None:
             return None
@@ -1357,12 +1236,10 @@ class ProcessSweepExecutor:
             "mode": "fresh",
             "design": sampler.design,
             "replications": int(replications),
-            "sizes": [int(s) for s in sizes],
+            "sizes": [int(s) for s in spec.sizes],
             "seeds": seeds,
-            "engine": engine,
-            "ladder": ladder,
-            "weight_size_plugin": weight_size_plugin,
-            "mean_degree_model": mean_degree_model,
+            "weight_size_plugin": spec.weight_size_plugin,
+            "mean_degree_model": spec.mean_degree_model,
             "graph": _array_digest(graph.indptr, graph.indices),
             "partition": _array_digest(partition.labels),
             "categories": list(partition.names),
@@ -1386,19 +1263,17 @@ class ProcessSweepExecutor:
         }
 
     def _open_predrawn_checkpoint(
-        self, graph, partition, samples, sizes,
-        ladder, weight_size_plugin, mean_degree_model, truth_mode,
+        self, graph, partition, samples, spec
     ) -> "SweepCheckpoint | None":
         if self.checkpoint_root is None:
             return None
         manifest = {
             "mode": "predrawn",
             "replications": len(samples),
-            "sizes": [int(s) for s in sizes],
-            "ladder": ladder,
-            "weight_size_plugin": weight_size_plugin,
-            "mean_degree_model": mean_degree_model,
-            "truth_mode": truth_mode,
+            "sizes": [int(s) for s in spec.sizes],
+            "weight_size_plugin": spec.weight_size_plugin,
+            "mean_degree_model": spec.mean_degree_model,
+            "truth_mode": spec.truth_mode,
             "graph": _array_digest(graph.indptr, graph.indices),
             "partition": _array_digest(partition.labels),
             "categories": list(partition.names),

@@ -269,7 +269,6 @@ def sample_streams(
     sampler: Sampler,
     n: int,
     streams: list[np.random.Generator],
-    engine: str = "batched",
 ) -> BatchNodeSample:
     """Draw one replicate per *explicit* RNG stream.
 
@@ -278,17 +277,13 @@ def sample_streams(
     sweep passes the generators reconstructed from ``seeds[i..j]`` and
     gets exactly the rows ``sample_many`` would have produced for those
     replicates — stream identity, not shard assignment, determines the
-    trajectory. With ``engine="sequential"`` (or for designs without a
-    kernel) each stream runs the per-replicate reference sampler.
+    trajectory. Designs without a kernel run the per-replicate sampler
+    on each stream.
     """
     if not streams:
         raise SamplingError("need at least one replicate stream")
-    if engine not in ("batched", "sequential"):
-        raise SamplingError(
-            f"unknown engine {engine!r}; use 'batched' or 'sequential'"
-        )
     sampler._check_size(n)
-    kernel = registered_kernel(sampler) if engine == "batched" else None
+    kernel = registered_kernel(sampler)
     if kernel is not None:
         nodes, weights = kernel(sampler, n, streams)
         return BatchNodeSample(

@@ -6,6 +6,7 @@ from repro.stats.percentiles import percentile_edge, positive_weight_pairs
 from repro.stats.prefix import IncrementalPrefixLadder, RungEstimates
 from repro.stats.replication import (
     SweepResult,
+    SweepSpec,
     run_nrmse_sweep,
     run_nrmse_sweep_from_samples,
 )
@@ -19,6 +20,7 @@ __all__ = [
     "percentile_edge",
     "positive_weight_pairs",
     "SweepResult",
+    "SweepSpec",
     "IncrementalPrefixLadder",
     "RungEstimates",
     "run_nrmse_sweep",

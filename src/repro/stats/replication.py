@@ -8,33 +8,37 @@ estimator families on each truncation, and reduce to element-wise NRMSE
 
 Performance architecture
 ------------------------
-Both hot phases run on fast paths by default, each with a slow
-reference twin kept for equivalence testing and benchmarking:
+A sweep runs one path, with both hot phases on their fast engines:
 
-* **Sampling** — ``engine="batched"`` draws all R replicates through
+* **Sampling** draws all R replicates through
   :meth:`~repro.sampling.base.Sampler.sample_many`, which advances walk
   designs as one vectorized frontier (:mod:`repro.sampling.batch`);
-  ``engine="sequential"`` is the seed per-replicate loop. The two are
-  bit-for-bit identical per replicate stream.
-* **The ladder** — ``ladder="incremental"`` folds each rung's new draws
-  into running prefix aggregates
-  (:class:`~repro.stats.prefix.IncrementalPrefixLadder`);
-  ``ladder="subset"`` re-subsets every rung from scratch via
-  ``subset_draws``. Again bit-for-bit identical estimates.
+  designs without a kernel fall back to a per-stream loop.
+* **The ladder** folds each rung's new draws into running prefix
+  aggregates (:class:`~repro.stats.prefix.IncrementalPrefixLadder`)
+  instead of re-subsetting every rung from scratch.
 
-A third axis, orthogonal to both, shards the R replicates across
-*processes*: ``executor="process"`` hands the sweep to the
-:mod:`repro.runtime` executor, which publishes the graph arrays once
-via shared memory, reconstructs each replicate's RNG stream from its
-spawned seed (so shard assignment cannot change a trajectory), and
-reduces the per-replicate estimate rows exactly as the serial path
-does — the resulting :class:`SweepResult` is bit-identical for any
-worker count, and supports rung-level checkpoint/resume. Both entry
-points ride it: :func:`run_nrmse_sweep` shards sampling *and* the
-ladder, while :func:`run_nrmse_sweep_from_samples` (pre-drawn crawls)
-ships the replicate samples through shared memory and shards the
-ladder phase alone. Each resolves executor/workers/checkpoint/resume
-from its arguments, then the ambient runtime configuration
+The seed algorithms — a per-replicate ``sample()`` loop and a ladder
+that re-subsets every rung via ``subset_draws`` — live on as the test
+oracle in ``tests/oracles.py``, which pins both fast phases bit for bit.
+
+The sweep knobs (sample-size ladder, estimator plug-in, mean-degree
+model, truth mode) are validated once, by :class:`SweepSpec`, before
+anything is sampled or dispatched.
+
+A second axis shards the R replicates across *processes*:
+``executor="process"`` hands the sweep to the :mod:`repro.runtime`
+executor, which publishes the graph arrays once via shared memory,
+reconstructs each replicate's RNG stream from its spawned seed (so
+shard assignment cannot change a trajectory), and reduces the
+per-replicate estimate rows exactly as the serial path does — the
+resulting :class:`SweepResult` is bit-identical for any worker count,
+and supports rung-level checkpoint/resume. Both entry points ride it:
+:func:`run_nrmse_sweep` shards sampling *and* the ladder, while
+:func:`run_nrmse_sweep_from_samples` (pre-drawn crawls) ships the
+replicate samples through shared memory and shards the ladder phase
+alone. Each resolves executor/workers/checkpoint/resume from its
+arguments, then the ambient runtime configuration
 (:func:`repro.runtime.runtime_options`, the ``REPRO_*`` environment),
 identically.
 """
@@ -44,26 +48,63 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from repro.core.category_size import estimate_sizes_induced, estimate_sizes_star
-from repro.core.edge_weight import estimate_weights_induced, estimate_weights_star
 from repro.exceptions import EstimationError
 from repro.graph.adjacency import Graph
 from repro.graph.category_graph import CategoryGraph, true_category_graph
 from repro.graph.partition import CategoryPartition
-from repro.rng import ensure_rng, spawn_rngs
+from repro.rng import ensure_rng
 from repro.sampling.base import NodeSample, Sampler
-from repro.sampling.observation import observe_induced, observe_star
 from repro.stats.errors import nanmean_rows, nrmse_stack
 from repro.stats.prefix import IncrementalPrefixLadder, RungEstimates
 
-__all__ = ["SweepResult", "run_nrmse_sweep", "run_nrmse_sweep_from_samples"]
+__all__ = [
+    "SweepResult",
+    "SweepSpec",
+    "run_nrmse_sweep",
+    "run_nrmse_sweep_from_samples",
+]
 
 #: The two measurement scenarios compared throughout the paper.
 KINDS = ("induced", "star")
+
+
+@dataclass(frozen=True, eq=False)
+class SweepSpec:
+    """The validated knobs of one replicated sweep.
+
+    Built once by each public entry point, before anything is sampled,
+    observed, or dispatched, so a bad knob fails with the same
+    :class:`~repro.exceptions.EstimationError` on every executor.
+    ``sizes`` is normalized to the sorted, de-duplicated ``int64``
+    ladder.
+    """
+
+    sizes: np.ndarray
+    weight_size_plugin: str = "star"
+    mean_degree_model: str = "per-category"
+    truth_mode: str = "exact"
+
+    def __post_init__(self) -> None:
+        sizes = np.asarray(
+            sorted(set(int(s) for s in self.sizes)), dtype=np.int64
+        )
+        if len(sizes) == 0 or sizes[0] < 1:
+            raise EstimationError("sample_sizes must be positive integers")
+        object.__setattr__(self, "sizes", sizes)
+        if self.weight_size_plugin not in ("star", "induced", "true"):
+            raise EstimationError(
+                f"unknown weight_size_plugin {self.weight_size_plugin!r}"
+            )
+        if self.mean_degree_model not in ("per-category", "global"):
+            raise EstimationError(
+                f"unknown mean_degree_model {self.mean_degree_model!r}; "
+                "use 'per-category' or 'global'"
+            )
+        if self.truth_mode not in ("exact", "cross-sample"):
+            raise EstimationError(f"unknown truth_mode {self.truth_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +162,6 @@ def run_nrmse_sweep(
     rng: "np.random.Generator | int | None" = None,
     weight_size_plugin: str = "star",
     mean_degree_model: str = "per-category",
-    engine: str = "batched",
-    ladder: str = "incremental",
     executor: "str | object | None" = None,
     workers: int | None = None,
     checkpoint: "str | os.PathLike | None" = None,
@@ -135,19 +174,13 @@ def run_nrmse_sweep(
     sampler_factory:
         The sampler, or a zero-argument callable creating it. Walk
         starts still differ per replication: each replicate consumes its
-        own spawned RNG stream.
+        own spawned RNG stream, and all replicates are drawn at once
+        through :meth:`~repro.sampling.base.Sampler.sample_many`.
     weight_size_plugin:
         Which size estimates feed Eq. (9)/(16): ``"star"`` (paper
         default; falls back to induced for categories the star size
         estimator cannot resolve), ``"induced"``, or ``"true"``
         (oracle, for ablations).
-    engine:
-        ``"batched"`` (default) draws all replicates at once through
-        :meth:`~repro.sampling.base.Sampler.sample_many`;
-        ``"sequential"`` is the per-replicate reference loop. Replicate
-        trajectories are bit-for-bit identical either way.
-    ladder:
-        Forwarded to :func:`run_nrmse_sweep_from_samples`.
     executor:
         ``"serial"`` (in-process, the default), ``"process"`` (the
         :mod:`repro.runtime` shared-memory multi-process executor), or
@@ -165,63 +198,26 @@ def run_nrmse_sweep(
         serial executor; rejected alongside an executor *instance*,
         which already carries its own configuration.
     """
-    sizes = _validated_sizes(sample_sizes)
-    gen = ensure_rng(rng)
-    if engine not in ("batched", "sequential"):
+    spec = SweepSpec(sample_sizes, weight_size_plugin, mean_degree_model)
+    if replications < 1:
         raise EstimationError(
-            f"unknown engine {engine!r}; use 'batched' or 'sequential'"
+            f"replications must be positive, got {replications}"
         )
-    sampler_or_factory = sampler_factory
+    gen = ensure_rng(rng)
     from repro.runtime.config import resolve_executor  # deferred: cycle
 
     active = resolve_executor(executor, workers, checkpoint, resume)
-    if active is not None:
-        sampler = (
-            sampler_or_factory
-            if isinstance(sampler_or_factory, Sampler)
-            else sampler_or_factory()
-        )
-        return active.run(
-            graph,
-            partition,
-            sampler,
-            sizes,
-            replications,
-            gen,
-            engine=engine,
-            ladder=ladder,
-            weight_size_plugin=weight_size_plugin,
-            mean_degree_model=mean_degree_model,
-        )
-    if engine == "batched":
-        sampler = (
-            sampler_or_factory
-            if isinstance(sampler_or_factory, Sampler)
-            else sampler_or_factory()
-        )
-        samples = list(sampler.sample_many(int(sizes[-1]), replications, rng=gen))
-    else:
-        samples = []
-        for stream in spawn_rngs(gen, replications):
-            sampler = (
-                sampler_or_factory
-                if isinstance(sampler_or_factory, Sampler)
-                else sampler_or_factory()
-            )
-            samples.append(sampler.sample(int(sizes[-1]), rng=stream))
-    return run_nrmse_sweep_from_samples(
-        graph,
-        partition,
-        samples,
-        sizes,
-        weight_size_plugin=weight_size_plugin,
-        mean_degree_model=mean_degree_model,
-        ladder=ladder,
-        # The executor decision was already made above; without this the
-        # ambient configuration would re-route the ladder phase of an
-        # explicitly serial sweep through the process executor.
-        executor="serial",
+    sampler = (
+        sampler_factory
+        if isinstance(sampler_factory, Sampler)
+        else sampler_factory()
     )
+    if active is not None:
+        return active.run(graph, partition, sampler, spec, replications, gen)
+    samples = list(
+        sampler.sample_many(int(spec.sizes[-1]), replications, rng=gen)
+    )
+    return _serial_sweep(graph, partition, samples, spec)
 
 
 def run_nrmse_sweep_from_samples(
@@ -232,7 +228,6 @@ def run_nrmse_sweep_from_samples(
     weight_size_plugin: str = "star",
     mean_degree_model: str = "per-category",
     truth_mode: str = "exact",
-    ladder: str = "incremental",
     executor: "str | object | None" = None,
     workers: int | None = None,
     checkpoint: "str | os.PathLike | None" = None,
@@ -247,10 +242,6 @@ def run_nrmse_sweep_from_samples(
     all samples" — scoring each estimator kind against the average of
     its own full-length estimates, which measures variance but not bias.
 
-    ``ladder="incremental"`` (default) computes each rung as a delta
-    update of running prefix aggregates; ``ladder="subset"`` re-subsets
-    every rung via ``subset_draws``. Estimates are bit-for-bit identical.
-
     ``executor``/``workers``/``checkpoint``/``resume`` mirror
     :func:`run_nrmse_sweep` exactly: ``None`` defers to the ambient
     runtime configuration (:func:`repro.runtime.runtime_options`, then
@@ -259,37 +250,32 @@ def run_nrmse_sweep_from_samples(
     fresh-draw path — with the same bit-identical-for-any-worker-count
     contract and rung-level checkpoint/resume.
     """
-    sizes = _validated_sizes(sample_sizes)
+    spec = SweepSpec(
+        sample_sizes, weight_size_plugin, mean_degree_model, truth_mode
+    )
     if not samples:
         raise EstimationError("need at least one replicate sample")
-    if any(s.size < sizes[-1] for s in samples):
+    if any(s.size < spec.sizes[-1] for s in samples):
         raise EstimationError(
-            f"every sample must have at least {sizes[-1]} draws for this sweep"
-        )
-    if weight_size_plugin not in ("star", "induced", "true"):
-        raise EstimationError(
-            f"unknown weight_size_plugin {weight_size_plugin!r}"
-        )
-    if truth_mode not in ("exact", "cross-sample"):
-        raise EstimationError(f"unknown truth_mode {truth_mode!r}")
-    if ladder not in ("incremental", "subset"):
-        raise EstimationError(
-            f"unknown ladder {ladder!r}; use 'incremental' or 'subset'"
+            f"every sample must have at least {spec.sizes[-1]} draws "
+            "for this sweep"
         )
     from repro.runtime.config import resolve_executor  # deferred: cycle
 
     active = resolve_executor(executor, workers, checkpoint, resume)
     if active is not None:
-        return active.run_from_samples(
-            graph,
-            partition,
-            list(samples),
-            sizes,
-            weight_size_plugin=weight_size_plugin,
-            mean_degree_model=mean_degree_model,
-            truth_mode=truth_mode,
-            ladder=ladder,
-        )
+        return active.run_from_samples(graph, partition, list(samples), spec)
+    return _serial_sweep(graph, partition, samples, spec)
+
+
+def _serial_sweep(
+    graph: Graph,
+    partition: CategoryPartition,
+    samples: Sequence[NodeSample],
+    spec: SweepSpec,
+) -> SweepResult:
+    """Run every replicate's prefix ladder in-process and reduce."""
+    sizes = spec.sizes
     truth = true_category_graph(graph, partition)
     n_pop = graph.num_nodes
     c = partition.num_categories
@@ -304,19 +290,22 @@ def run_nrmse_sweep_from_samples(
         "sweep.serial", cat="driver", replicates=r, rungs=k
     ):
         for rep, sample in enumerate(samples):
-            rungs = _ladder_rungs(
-                graph, partition, sample, sizes, ladder, n_pop,
-                mean_degree_model,
-            )
-            for si, rung in enumerate(rungs):
-                rows = _rung_rows(rung, weight_size_plugin, truth.sizes)
+            ladder = IncrementalPrefixLadder(graph, partition, sample)
+            for si, size in enumerate(sizes):
+                rung = ladder.estimates(
+                    int(size), n_pop, mean_degree_model=spec.mean_degree_model
+                )
+                rows = _rung_rows(rung, spec.weight_size_plugin, truth.sizes)
                 size_stacks["induced"][rep, si] = rows[0]
                 size_stacks["star"][rep, si] = rows[1]
                 weight_stacks["induced"][rep, si] = rows[2]
                 weight_stacks["star"][rep, si] = rows[3]
+            # Free this replicate's observations before the next ladder
+            # is built, so peak memory holds one replicate's, not two.
+            del ladder
 
     return _reduce_stacks(
-        sizes, size_stacks, weight_stacks, truth, truth_mode
+        sizes, size_stacks, weight_stacks, truth, spec.truth_mode
     )
 
 
@@ -375,52 +364,6 @@ def _reduce_stacks(
     )
 
 
-def _subset_rung(
-    star_full,
-    induced_full,
-    size: int,
-    n_pop: float,
-    mean_degree_model: str,
-) -> RungEstimates:
-    """One rung of the ``ladder="subset"`` reference path."""
-    prefix = np.arange(int(size))
-    star_obs = star_full.subset_draws(prefix)
-    induced_obs = induced_full.subset_draws(prefix)
-    return RungEstimates(
-        sizes_induced=estimate_sizes_induced(induced_obs, n_pop),
-        sizes_star=estimate_sizes_star(
-            star_obs, n_pop, mean_degree_model=mean_degree_model
-        ),
-        weights_induced=estimate_weights_induced(induced_obs),
-        weights_star=partial(estimate_weights_star, star_obs),
-    )
-
-
-def _ladder_rungs(
-    graph: Graph,
-    partition: CategoryPartition,
-    sample: NodeSample,
-    sizes: np.ndarray,
-    ladder: str,
-    n_pop: float,
-    mean_degree_model: str,
-):
-    """Yield :class:`~repro.stats.prefix.RungEstimates` per ladder rung."""
-    if ladder == "incremental":
-        incremental = IncrementalPrefixLadder(graph, partition, sample)
-        for size in sizes:
-            yield incremental.estimates(
-                int(size), n_pop, mean_degree_model=mean_degree_model
-            )
-    else:
-        star_full = observe_star(graph, partition, sample)
-        induced_full = observe_induced(graph, partition, sample)
-        for size in sizes:
-            yield _subset_rung(
-                star_full, induced_full, size, n_pop, mean_degree_model
-            )
-
-
 def _rung_rows(
     rung: RungEstimates,
     weight_size_plugin: str,
@@ -461,9 +404,3 @@ def _plugin_sizes(
     # star with induced fallback where the star estimator is undefined
     return np.where(np.isfinite(sizes_star), sizes_star, sizes_induced)
 
-
-def _validated_sizes(sample_sizes: Sequence[int]) -> np.ndarray:
-    sizes = np.asarray(sorted(set(int(s) for s in sample_sizes)), dtype=np.int64)
-    if len(sizes) == 0 or sizes[0] < 1:
-        raise EstimationError("sample_sizes must be positive integers")
-    return sizes

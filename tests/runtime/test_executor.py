@@ -103,30 +103,6 @@ def test_process_executor_bit_identical_for_any_worker_count(
     )
 
 
-def test_reference_engine_and_ladder_also_shard_exactly(world):
-    """The executor is orthogonal to engine/ladder selection."""
-    graph, partition, relation = world
-    kwargs = dict(
-        sample_sizes=LADDER,
-        replications=REPLICATIONS,
-        rng=SEED,
-        engine="sequential",
-        ladder="subset",
-    )
-    serial = run_nrmse_sweep(
-        graph, partition, RandomWalkSampler(graph), executor="serial", **kwargs
-    )
-    parallel = run_nrmse_sweep(
-        graph,
-        partition,
-        RandomWalkSampler(graph),
-        executor="process",
-        workers=3,
-        **kwargs,
-    )
-    assert_sweeps_equal(serial, parallel, "sequential+subset")
-
-
 def test_workers_beyond_replications_are_clamped(world, serial_sweeps):
     graph, partition, relation = world
     parallel = run_nrmse_sweep(
@@ -205,6 +181,79 @@ def test_worker_failures_surface_with_their_traceback(world):
         )
 
 
+class _NoDrawSampler(UniformIndependenceSampler):
+    """A sampler that fails the test if a sweep ever draws from it."""
+
+    def sample(self, n, rng=None):
+        raise AssertionError("sampled despite an invalid sweep")
+
+    def sample_many(self, n, replications, rng=None):
+        raise AssertionError("sampled despite an invalid sweep")
+
+
+#: case -> (entry point, overrides, the exact EstimationError message)
+BAD_SWEEPS = {
+    "replications=0": (
+        "fresh", {"replications": 0}, "replications must be positive, got 0"
+    ),
+    "sample_sizes=(0,)": (
+        "fresh", {"sample_sizes": (0,)}, "sample_sizes must be positive integers"
+    ),
+    "weight_size_plugin": (
+        "fresh",
+        {"weight_size_plugin": "bogus"},
+        "unknown weight_size_plugin 'bogus'",
+    ),
+    "mean_degree_model": (
+        "fresh",
+        {"mean_degree_model": "bogus"},
+        "unknown mean_degree_model 'bogus'; use 'per-category' or 'global'",
+    ),
+    "predrawn mean_degree_model": (
+        "predrawn",
+        {"mean_degree_model": "bogus"},
+        "unknown mean_degree_model 'bogus'; use 'per-category' or 'global'",
+    ),
+    "truth_mode": (
+        "predrawn", {"truth_mode": "bogus"}, "unknown truth_mode 'bogus'"
+    ),
+    "samples shorter than the top rung": (
+        "predrawn",
+        {"sample_sizes": (40, LADDER[-1] + 1)},
+        f"every sample must have at least {LADDER[-1] + 1} draws for this sweep",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_bad_sweep_inputs_fail_alike_before_any_work(executor, case, world):
+    """Every executor rejects a bad sweep with the same named error,
+    before a replicate is drawn or a worker is dispatched."""
+    from repro.stats import run_nrmse_sweep_from_samples
+
+    graph, partition, relation = world
+    mode, overrides, message = BAD_SWEEPS[case]
+    if mode == "fresh":
+        kwargs = dict(
+            sample_sizes=LADDER, replications=REPLICATIONS, rng=SEED
+        )
+        kwargs.update(overrides)
+        sweep = run_nrmse_sweep
+        source = _NoDrawSampler(graph)
+    else:
+        kwargs = dict(sample_sizes=LADDER)
+        kwargs.update(overrides)
+        sweep = run_nrmse_sweep_from_samples
+        source = [
+            UniformIndependenceSampler(graph).sample(LADDER[-1], rng=seed)
+            for seed in range(2)
+        ]
+    with pytest.raises(EstimationError) as raised:
+        sweep(graph, partition, source, executor=executor, **kwargs)
+    assert str(raised.value) == message
+
+
 def test_invalid_executor_arguments_rejected(world):
     graph, partition, relation = world
     with pytest.raises(EstimationError, match="unknown executor"):
@@ -219,18 +268,6 @@ def test_invalid_executor_arguments_rejected(world):
         )
     with pytest.raises(EstimationError, match="workers must be >= 1"):
         ProcessSweepExecutor(workers=0)
-    with pytest.raises(EstimationError, match="unknown ladder"):
-        run_nrmse_sweep(
-            graph,
-            partition,
-            RandomWalkSampler(graph),
-            LADDER,
-            replications=REPLICATIONS,
-            rng=SEED,
-            executor="process",
-            workers=1,
-            ladder="bogus",
-        )
 
 
 def test_executor_instance_rejects_conflicting_knobs(world):
@@ -279,17 +316,6 @@ def test_bare_process_knobs_imply_the_process_executor(world, serial_sweeps):
         workers=2,
     )
     assert_sweeps_equal(serial_sweeps["rw"], parallel, "implied process")
-
-
-def test_sample_streams_rejects_unknown_engines(world):
-    from repro.rng import spawn_rngs
-    from repro.sampling.batch import sample_streams
-
-    graph, partition, relation = world
-    with pytest.raises(SamplingError, match="unknown engine"):
-        sample_streams(
-            RandomWalkSampler(graph), 10, spawn_rngs(0, 2), engine="Batched"
-        )
 
 
 def test_malformed_workers_env_names_the_variable(monkeypatch):

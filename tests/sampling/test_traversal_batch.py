@@ -25,7 +25,7 @@ from repro.sampling.traversal import _FF_DRAW_HORIZON
 
 def _assert_batched_matches_twins(sampler, n, replications, seed):
     streams = spawn_rngs(ensure_rng(seed), replications)
-    batched = sample_streams(sampler, n, streams, engine="batched")
+    batched = sample_streams(sampler, n, streams)
     twins = spawn_rngs(ensure_rng(seed), replications)
     for r, stream in enumerate(twins):
         reference = sampler.sample(n, rng=stream)

@@ -1,11 +1,12 @@
-"""Golden regression: fast sweep paths vs the sequential reference.
+"""Golden regression: fast sweep paths vs the seed reference sweep.
 
-``run_nrmse_sweep`` defaults to the fast engines
-(``engine="batched"``, ``ladder="incremental"``); the seed algorithms
-survive as ``engine="sequential"`` / ``ladder="subset"``. On a fixed
-seed and preset-sized world, the two paths must produce **bit-identical**
-NRMSE surfaces for every design — including the multigraph union-CSR
-walk and the alias-table S-WRW, whose kernels are exercised end-to-end
+``run_nrmse_sweep`` runs the fast paths only (batched frontier
+sampling, incremental prefix ladder); the seed algorithms survive as
+the test oracle :func:`tests.oracles.reference_sweep` (a per-replicate
+``sample()`` loop, re-subsetting every rung). On a fixed seed and
+preset-sized world, the two must produce **bit-identical** NRMSE
+surfaces for every design — including the multigraph union-CSR walk
+and the alias-table S-WRW, whose kernels are exercised end-to-end
 through the full estimator stack here (the unit-level contracts live in
 ``tests/sampling/test_equivalence.py``).
 
@@ -29,6 +30,7 @@ from repro.sampling import (
     UniformIndependenceSampler,
 )
 from repro.stats import run_nrmse_sweep
+from tests.oracles import reference_sweep
 
 LADDER = (40, 120, 360)
 REPLICATIONS = 6
@@ -67,15 +69,13 @@ def test_fast_sweep_bit_identical_to_sequential_subset(name, world):
         replications=REPLICATIONS,
         rng=SEED,
     )
-    reference = run_nrmse_sweep(
+    reference = reference_sweep(
         graph,
         partition,
         factory(graph, partition, relation),
         LADDER,
         replications=REPLICATIONS,
         rng=SEED,
-        engine="sequential",
-        ladder="subset",
     )
     assert np.array_equal(fast.sample_sizes, reference.sample_sizes)
     for kind in ("induced", "star"):

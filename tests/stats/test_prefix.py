@@ -8,6 +8,10 @@ Two contracts from ``repro.stats.prefix``:
   estimates bit-for-bit equal to the :mod:`repro.core` estimator
   families evaluated on those subset observations — for all four
   families, across designs.
+
+``TestSweepEquivalence`` lifts the second contract to whole sweeps:
+both entry points match the seed reference sweeps of
+``tests/oracles.py`` bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.stats import (
     run_nrmse_sweep,
     run_nrmse_sweep_from_samples,
 )
+from tests.oracles import reference_sweep, reference_sweep_from_samples
 
 LADDER = (37, 150, 600, 2000)
 
@@ -189,11 +194,9 @@ class TestSweepEquivalence:
         walks = [
             RandomWalkSampler(graph).sample(2000, rng=seed) for seed in range(5)
         ]
-        fast = run_nrmse_sweep_from_samples(
-            graph, partition, walks, LADDER, ladder="incremental"
-        )
-        reference = run_nrmse_sweep_from_samples(
-            graph, partition, walks, LADDER, ladder="subset"
+        fast = run_nrmse_sweep_from_samples(graph, partition, walks, LADDER)
+        reference = reference_sweep_from_samples(
+            graph, partition, walks, LADDER
         )
         for kind in ("induced", "star"):
             assert _eq(fast.size_nrmse[kind], reference.size_nrmse[kind])
@@ -213,15 +216,13 @@ class TestSweepEquivalence:
             replications=6,
             rng=0,
         )
-        reference = run_nrmse_sweep(
+        reference = reference_sweep(
             graph,
             partition,
             lambda: RandomWalkSampler(graph),
             LADDER,
             replications=6,
             rng=0,
-            engine="sequential",
-            ladder="subset",
         )
         for kind in ("induced", "star"):
             assert _eq(fast.size_nrmse[kind], reference.size_nrmse[kind])
@@ -240,16 +241,3 @@ class TestSweepEquivalence:
         assert _eq(
             by_instance.size_nrmse["star"], by_factory.size_nrmse["star"]
         )
-
-    def test_unknown_engine_and_ladder_rejected(self, model):
-        graph, partition = model
-        with pytest.raises(EstimationError, match="engine"):
-            run_nrmse_sweep(
-                graph, partition, RandomWalkSampler(graph), (100,),
-                replications=2, engine="banana",
-            )
-        walks = [RandomWalkSampler(graph).sample(200, rng=0)]
-        with pytest.raises(EstimationError, match="ladder"):
-            run_nrmse_sweep_from_samples(
-                graph, partition, walks, (100,), ladder="banana"
-            )
