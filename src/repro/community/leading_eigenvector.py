@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
@@ -124,10 +123,7 @@ def _split_group(
     def b_matvec(x: np.ndarray) -> np.ndarray:
         return sub @ x - k_g * (np.dot(k_g, x) / two_m) - diag_correction * x
 
-    operator = spla.LinearOperator(
-        (len(group), len(group)), matvec=b_matvec, dtype=np.float64
-    )
-    vector = _leading_eigenvector(operator, b_matvec, len(group), gen)
+    vector = _leading_eigenvector(b_matvec, len(group), gen)
     if vector is None:
         return None
     signs = vector >= 0
@@ -149,14 +145,14 @@ def _split_group(
 
 
 def _leading_eigenvector(
-    operator: spla.LinearOperator,
-    matvec,
-    size: int,
-    gen: np.random.Generator,
+    matvec, size: int, gen: np.random.Generator
 ) -> np.ndarray | None:
     """Most-positive eigenpair; Lanczos with a power-iteration fallback."""
+    import scipy.sparse.linalg as spla  # deferred: costs ~0.1 s to import
+
     if size > 2:
         start = gen.standard_normal(size)
+        operator = spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
         try:
             values, vectors = spla.eigsh(
                 operator, k=1, which="LA", v0=start, maxiter=max(300, 20 * size),

@@ -38,9 +38,9 @@ from repro.exceptions import GenerationError
 from repro.generators.configuration import power_law_degree_sequence
 from repro.graph.adjacency import Graph
 from repro.graph.builder import GraphBuilder
-from repro.graph.operations import connected_components
+from repro.graph.operations import bridge_components, bridge_edges
 from repro.graph.partition import CategoryPartition
-from repro.graph.storage import DEFAULT_CHUNK_ARCS, chunk_edges, edge_chunks
+from repro.graph.storage import DEFAULT_CHUNK_ARCS, chunk_edges
 from repro.rng import ensure_rng
 
 __all__ = [
@@ -285,7 +285,7 @@ def build_facebook_world(
         builder.add_edges(block)
 
     graph = builder.build()
-    graph = _bridge_to_giant(graph, gen)
+    graph = bridge_components(graph, gen)
 
     # ------------------------------------------------------------------
     # Category partitions.
@@ -353,7 +353,7 @@ def emit_arcs(
         for block in _edge_blocks(cfg, gen, state):
             shadow.add_edges(block)
             yield from chunk_edges(block, chunk_size)
-        extra = _stray_bridges(shadow.build(), gen)
+        extra = bridge_edges(shadow.build(), gen)
         if len(extra):
             yield from chunk_edges(extra, chunk_size)
 
@@ -506,37 +506,3 @@ def _college_overlay(
     if not edges:
         return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(edges)
-
-
-def _stray_bridges(graph: Graph, gen: np.random.Generator) -> np.ndarray:
-    """One random edge from each stray component to the giant one."""
-    comp = connected_components(graph)
-    num_components = int(comp.max()) + 1 if len(comp) else 0
-    if num_components <= 1:
-        return np.empty((0, 2), dtype=np.int64)
-    counts = np.bincount(comp)
-    giant = int(np.argmax(counts))
-    giant_nodes = np.flatnonzero(comp == giant)
-    extra = []
-    for c in range(num_components):
-        if c == giant:
-            continue
-        members = np.flatnonzero(comp == c)
-        u = int(members[gen.integers(0, len(members))])
-        v = int(giant_nodes[gen.integers(0, len(giant_nodes))])
-        extra.append((u, v))
-    return np.asarray(extra, dtype=np.int64)
-
-
-def _bridge_to_giant(graph: Graph, gen: np.random.Generator) -> Graph:
-    """Attach stray components to the giant one (walkers need connectivity)."""
-    extra = _stray_bridges(graph, gen)
-    if not len(extra):
-        return graph
-    builder = GraphBuilder(graph.num_nodes)
-    # Windowed re-add instead of one O(|E|) edge_array materialization,
-    # so the rebuild stays bounded under a memmap storage scope.
-    for chunk in edge_chunks(graph):
-        builder.add_edges(chunk)
-    builder.add_edges(extra)
-    return builder.build()

@@ -31,9 +31,9 @@ from repro.exceptions import GenerationError
 from repro.generators.regular import random_regular_edges
 from repro.graph.adjacency import Graph
 from repro.graph.builder import GraphBuilder
-from repro.graph.operations import connected_components
+from repro.graph.operations import bridge_components, bridge_edges
 from repro.graph.partition import CategoryPartition
-from repro.graph.storage import DEFAULT_CHUNK_ARCS, chunk_edges, edge_chunks
+from repro.graph.storage import DEFAULT_CHUNK_ARCS, chunk_edges
 from repro.rng import ensure_rng
 
 __all__ = [
@@ -191,7 +191,7 @@ def emit_planted_arcs(
                 shadow.add_edges(block)
             yield from chunk_edges(block, chunk_size)
         if shadow is not None:
-            extra = _bridge_edges(shadow.build(), gen)
+            extra = bridge_edges(shadow.build(), gen)
             if len(extra):
                 yield from chunk_edges(extra, chunk_size)
 
@@ -242,7 +242,7 @@ def _generate(
 
     # 3. Bridge stray components if requested.
     if config.connect:
-        graph = _bridge_components(graph, gen)
+        graph = bridge_components(graph, gen)
 
     partition = CategoryPartition(
         labels, names=[f"C{size}" for size in _unique_names(sizes)]
@@ -270,59 +270,19 @@ def _inter_category_edges(
 ) -> np.ndarray:
     """``count`` distinct edges whose endpoints carry different labels."""
     n = len(labels)
-    if count == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    seen: set[tuple[int, int]] = set()
-    out = np.empty((count, 2), dtype=np.int64)
-    filled = 0
-    # Vectorised batches with rejection of intra pairs and duplicates.
-    while filled < count:
-        batch = max(1024, 2 * (count - filled))
+    out = np.empty(0, dtype=np.int64)
+    # Vectorised batches with rejection of intra pairs and duplicates:
+    # each batch accepts, in draw order, the first occurrence of every
+    # key not accepted before, until ``count`` keys are in.
+    while len(out) < count:
+        batch = max(1024, 2 * (count - len(out)))
         us = gen.integers(0, n, size=batch)
         vs = gen.integers(0, n, size=batch)
         ok = labels[us] != labels[vs]
-        for u, v in zip(us[ok], vs[ok]):
-            key = (min(int(u), int(v)), max(int(u), int(v)))
-            if key in seen:
-                continue
-            seen.add(key)
-            out[filled] = key
-            filled += 1
-            if filled == count:
-                break
-    return out
-
-
-def _bridge_edges(graph: Graph, gen: np.random.Generator) -> np.ndarray:
-    """One random edge from each stray component to the giant one."""
-    comp = connected_components(graph)
-    num_components = int(comp.max()) + 1 if len(comp) else 0
-    if num_components <= 1:
-        return np.empty((0, 2), dtype=np.int64)
-    counts = np.bincount(comp)
-    giant = int(np.argmax(counts))
-    giant_nodes = np.flatnonzero(comp == giant)
-    extra = []
-    for c in range(num_components):
-        if c == giant:
-            continue
-        members = np.flatnonzero(comp == c)
-        u = int(members[gen.integers(0, len(members))])
-        v = int(giant_nodes[gen.integers(0, len(giant_nodes))])
-        extra.append((u, v))
-    return np.asarray(extra, dtype=np.int64)
-
-
-def _bridge_components(graph: Graph, gen: np.random.Generator) -> Graph:
-    """Connect stray components to the giant one with single random edges."""
-    extra = _bridge_edges(graph, gen)
-    if not len(extra):
-        return graph
-    builder = GraphBuilder(graph.num_nodes)
-    # Re-add the existing edges in bounded windows rather than through
-    # one O(|E|) edge_array materialization — under a memmap storage
-    # scope this keeps the rebuild's peak memory at the chunk size.
-    for chunk in edge_chunks(graph):
-        builder.add_edges(chunk)
-    builder.add_edges(extra)
-    return builder.build()
+        us, vs = us[ok], vs[ok]
+        keys = np.minimum(us, vs) * np.int64(n) + np.maximum(us, vs)
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+        keys = keys[~np.isin(keys, out)]
+        out = np.concatenate((out, keys[: count - len(out)]))
+    return np.column_stack(np.divmod(out, n))

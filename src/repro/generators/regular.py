@@ -78,7 +78,10 @@ def random_regular_edges(
         bad = np.flatnonzero(loops | dup)
         if len(bad) == 0:
             return edges
-        good_keys = set(int(key) for key in keys[~(loops | dup)])
+        # Keys of the round's good edges, sorted, plus the keys swaps
+        # add; stale keys of swapped-out edges stay present.
+        good_keys = sorted_keys[~(loops[order] | dup_sorted)]
+        added: set[int] = set()
         # Swap each bad edge with a random partner edge: (a,b),(c,d) ->
         # (a,d),(c,b). Accept the swap only if both new edges are simple
         # and not already present.
@@ -95,17 +98,26 @@ def random_regular_edges(
                 e2 = (min(c, b), max(c, b))
                 k1 = e1[0] * n + e1[1]
                 k2 = e2[0] * n + e2[1]
-                if a == d or c == b or k1 == k2 or k1 in good_keys or k2 in good_keys:
+                if a == d or c == b or k1 == k2 or _present(good_keys, added, k1, k2):
                     continue
                 edges[idx] = e1
                 edges[j] = e2
-                good_keys.add(k1)
-                good_keys.add(k2)
+                added.add(k1)
+                added.add(k2)
                 break
     raise GenerationError(
         f"could not repair pairing-model defects for n={n}, k={k}; "
         "the parameters are too close to a complete graph"
     )
+
+
+def _present(sorted_keys: np.ndarray, added: set, *keys: int) -> bool:
+    """Whether any of ``keys`` is in ``sorted_keys`` or in ``added``."""
+    for key in keys:
+        pos = int(np.searchsorted(sorted_keys, key))
+        if key in added or (pos < len(sorted_keys) and sorted_keys[pos] == key):
+            return True
+    return False
 
 
 def emit_regular_arcs(

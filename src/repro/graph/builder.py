@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GraphError
+from repro.graph import storage
 from repro.graph.adjacency import Graph
 
 __all__ = ["GraphBuilder"]
@@ -48,8 +49,6 @@ class GraphBuilder:
         self._num_nodes = int(num_nodes)
         self._chunks: list[np.ndarray] = []
         self._num_added = 0
-        from repro.graph import storage  # deferred: avoids an import cycle
-
         self._streaming = (
             storage.StreamingCSRBuilder(self._num_nodes)
             if storage.active_storage_mode() == "memmap"
@@ -104,21 +103,17 @@ class GraphBuilder:
         if not self._chunks:
             return Graph.empty(n)
         raw = np.concatenate(self._chunks)
-        # Canonicalise each edge as (min, max) and deduplicate.
+        # Canonicalise each edge as the key lo * n + hi and deduplicate.
         lo = np.minimum(raw[:, 0], raw[:, 1])
         hi = np.maximum(raw[:, 0], raw[:, 1])
-        keys = lo * np.int64(n) + hi
-        unique_keys = np.unique(keys)
-        lo = unique_keys // n
-        hi = unique_keys % n
-        # Symmetrise: each edge contributes two directed arcs.
-        src = np.concatenate((lo, hi))
-        dst = np.concatenate((hi, lo))
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
+        lo, hi = np.divmod(storage.unique_keys(lo * np.int64(n) + hi), n)
+        # Symmetrise: each edge contributes two directed arcs. The arcs
+        # are distinct, so sorting their src * n + dst keys is the
+        # lexicographic (src, dst) order.
+        arcs = np.concatenate((lo * np.int64(n) + hi, hi * np.int64(n) + lo))
+        arcs.sort()
+        src, dst = np.divmod(arcs, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         # Invariants hold by construction; skip the O(N·d) re-validation.
         return Graph(indptr, dst, validate=False)

@@ -6,12 +6,16 @@ cross-checking in tests); all hot paths run on the CSR container.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
 from repro.graph.partition import CategoryPartition
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["to_networkx", "from_networkx"]
 
@@ -21,6 +25,8 @@ def to_networkx(
 ) -> nx.Graph:
     """Convert to an ``nx.Graph``; category names go to a ``category``
     node attribute when a partition is given."""
+    import networkx as nx  # deferred: costs ~0.2 s to import
+
     out = nx.Graph()
     out.add_nodes_from(range(graph.num_nodes))
     out.add_edges_from(map(tuple, graph.edge_array()))
@@ -45,6 +51,8 @@ def from_networkx(nx_graph: nx.Graph) -> tuple[Graph, CategoryPartition | None]:
     in insertion order. If every node carries a ``category`` attribute, a
     partition is reconstructed from it. Self-loops are dropped.
     """
+    import networkx as nx
+
     if nx_graph.is_directed() or nx_graph.is_multigraph():
         raise GraphError("only simple undirected NetworkX graphs are supported")
     nodes = list(nx_graph.nodes())

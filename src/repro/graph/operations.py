@@ -1,7 +1,7 @@
 """Structural operations on :class:`~repro.graph.adjacency.Graph`.
 
 Connected components, induced subgraphs, degree statistics, and the
-connectivity checks that random-walk samplers rely on.
+connectivity checks and bridges that random-walk samplers rely on.
 """
 
 from __future__ import annotations
@@ -12,8 +12,12 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
+from repro.graph.builder import GraphBuilder
+from repro.graph.storage import edge_chunks
 
 __all__ = [
+    "bridge_components",
+    "bridge_edges",
     "connected_components",
     "is_connected",
     "largest_component",
@@ -25,28 +29,71 @@ __all__ = [
 
 
 def connected_components(graph: Graph) -> np.ndarray:
-    """Component id per node (ids are ``0..num_components-1``).
+    """Component id per node, numbered in order of each component's
+    smallest node (ids are ``0..num_components-1``).
 
-    Iterative BFS over the CSR arrays — no recursion, linear time.
+    Min-label hooking plus pointer jumping: each round hooks every root
+    under the smallest root it shares an edge with, then flattens the
+    trees to stars, so each root is the smallest node of its tree.
     """
     n = graph.num_nodes
-    comp = np.full(n, -1, dtype=np.int64)
-    indptr, indices = graph.indptr, graph.indices
-    current = 0
-    stack: list[int] = []
-    for start in range(n):
-        if comp[start] != -1:
+    indptr = np.asarray(graph.indptr)
+    dst = np.asarray(graph.indices)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    half = src < dst
+    src, dst = src[half], dst[half]
+    parent = np.arange(n, dtype=np.int64)
+    while True:
+        root_src, root_dst = parent[src], parent[dst]
+        cross = root_src != root_dst
+        if not cross.any():
+            break
+        # Edges inside one star never cross again; drop them.
+        src, dst = src[cross], dst[cross]
+        lo = np.minimum(root_src[cross], root_dst[cross])
+        hi = np.maximum(root_src[cross], root_dst[cross])
+        np.minimum.at(parent, hi, lo)
+        while not np.array_equal(parent, grand := parent[parent]):
+            parent = grand
+    roots = parent == np.arange(n)
+    return (np.cumsum(roots) - 1)[parent]
+
+
+def bridge_edges(graph: Graph, gen: np.random.Generator) -> np.ndarray:
+    """One random edge from each stray component to the giant one; in
+    component id order, one draw picks its endpoint, then one the giant's."""
+    comp = connected_components(graph)
+    num_components = int(comp.max()) + 1 if len(comp) else 0
+    if num_components <= 1:
+        return np.empty((0, 2), dtype=np.int64)
+    counts = np.bincount(comp)
+    giant = int(np.argmax(counts))
+    # Members of component c, ascending: members[starts[c]:starts[c + 1]].
+    members = np.argsort(comp, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    giant_nodes = members[starts[giant] : starts[giant + 1]]
+    extra = []
+    for c in range(num_components):
+        if c == giant:
             continue
-        comp[start] = current
-        stack.append(start)
-        while stack:
-            v = stack.pop()
-            for u in indices[indptr[v] : indptr[v + 1]]:
-                if comp[u] == -1:
-                    comp[u] = current
-                    stack.append(int(u))
-        current += 1
-    return comp
+        u = int(members[starts[c] + gen.integers(0, int(counts[c]))])
+        v = int(giant_nodes[gen.integers(0, len(giant_nodes))])
+        extra.append((u, v))
+    return np.asarray(extra, dtype=np.int64)
+
+
+def bridge_components(graph: Graph, gen: np.random.Generator) -> Graph:
+    """``graph`` plus the :func:`bridge_edges` that make it connected."""
+    extra = bridge_edges(graph, gen)
+    if not len(extra):
+        return graph
+    builder = GraphBuilder(graph.num_nodes)
+    # Re-add the edges in bounded windows, not one O(|E|) edge_array, so
+    # under a memmap storage scope peak memory stays at the chunk size.
+    for chunk in edge_chunks(graph):
+        builder.add_edges(chunk)
+    builder.add_edges(extra)
+    return builder.build()
 
 
 def is_connected(graph: Graph) -> bool:
@@ -80,7 +127,8 @@ def induced_subgraph(graph: Graph, nodes: np.ndarray) -> Graph:
     ``nodes`` must be unique. The mapping follows the order of ``nodes``.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    if len(np.unique(nodes)) != len(nodes):
+    ordered = np.sort(nodes)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise GraphError("induced_subgraph requires unique node ids")
     if len(nodes) and (nodes.min() < 0 or nodes.max() >= graph.num_nodes):
         raise GraphError("induced_subgraph received ids outside the graph")

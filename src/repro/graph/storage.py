@@ -81,6 +81,7 @@ __all__ = [
     "save_csr",
     "storage_root",
     "stream_graph",
+    "unique_keys",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -401,6 +402,19 @@ def open_csr(directory: "str | os.PathLike", *, verify: bool = False) -> MemmapC
 # ----------------------------------------------------------------------
 # Chunk helpers
 # ----------------------------------------------------------------------
+def unique_keys(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` for an int64 key array, sorting ``keys`` in place.
+
+    One sort plus an adjacent-difference mask; NumPy 2.x's hash-based
+    ``np.unique`` is tens of times slower on large integer arrays.
+    """
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def chunk_edges(edges: np.ndarray, chunk_size: int) -> Iterator[np.ndarray]:
     """Yield ``edges`` re-sliced into blocks of at most ``chunk_size``."""
     if chunk_size < 1:
@@ -519,7 +533,7 @@ class StreamingCSRBuilder:
     def _spill(self) -> None:
         if not self._pending:
             return
-        keys = np.unique(np.concatenate(self._pending))
+        keys = unique_keys(np.concatenate(self._pending))
         self._pending = []
         self._pending_len = 0
         path = self._spill_root() / f"run-{len(self._runs):06d}.npy"

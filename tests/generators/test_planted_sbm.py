@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from repro.generators import (
     planted_partition_graph,
     stochastic_block_model,
 )
+from repro.generators.planted import _inter_category_edges
 from repro.graph import cut_matrix, is_connected
+from tests.oracles import reference_inter_category_edges
 
 
 class TestPaperConstants:
@@ -95,6 +99,56 @@ class TestPlantedModel:
         b = planted_category_graph(k=6, scale=50, rng=9)
         assert a[0] == b[0]
         assert np.array_equal(a[1].labels, b[1].labels)
+
+
+#: sha256 over the little-endian int64 bytes of (indptr, indices,
+#: partition labels), keyed by (k, alpha, scale, seed). The last two
+#: configs bridge stray components (2 and 711 of them before bridging).
+PLANTED_DIGESTS = [
+    ((5, 0.5, 200, 0), "a7d7a4c2bc8a515e2c537271e649938c37ba3fdbeb67c23b453b7882918685ab"),
+    ((10, 0.3, 50, 7), "bae27488b52178ab92b09e3afa932b9695421c90272a3d567cf0473b7ee9fc26"),
+    ((49, 1.0, 200, 0), "725f6cdb09ee3c11ee9bf5bd7d09bafc2e9dce68d5e0b4343665da8ece73408e"),
+    ((20, 0.5, 10, 0), "ce6e3e5862969b69191e24d3566854f1177aacf12dada86e421df4e7cbb1e507"),
+    ((3, 0.5, 100, 0), "7f452f910aa988c2da7d24ad2c3910e903eda2e1fab90ac6440dd4c1069f6f5a"),
+    ((1, 0.5, 50, 0), "d087ececc65e8487fcc8af5b00231f098a1bf79762cfbe69c64c8055e94960c3"),
+]
+
+
+class TestPlantedPins:
+    """Absolute anchors: the planted model's bytes for fixed seeds, so a
+    change in any generator's RNG consumption cannot drift silently."""
+
+    @pytest.mark.parametrize(("config", "digest"), PLANTED_DIGESTS)
+    def test_planted_bytes_pinned(self, config, digest):
+        k, alpha, scale, seed = config
+        graph, partition = planted_category_graph(
+            k=k, alpha=alpha, scale=scale, rng=seed
+        )
+        h = hashlib.sha256()
+        for arr in (graph.indptr, graph.indices, partition.labels):
+            h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        ("sizes", "count", "seed"),
+        [
+            ((20, 20, 20), 1000, 0),
+            ((5, 300), 40, 1),
+            ((50, 50), 0, 2),
+            ((3, 7, 90), 900, 3),
+        ],
+    )
+    def test_inter_category_edges_match_reference(self, sizes, count, seed):
+        """Same accepted edges, in the same order, and the same RNG
+        state afterwards as the per-edge rejection loop."""
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        fast_gen = np.random.default_rng(seed)
+        ref_gen = np.random.default_rng(seed)
+        fast = _inter_category_edges(labels, count, fast_gen)
+        ref = reference_inter_category_edges(labels, count, ref_gen)
+        np.testing.assert_array_equal(fast, ref)
+        assert fast.dtype == ref.dtype and fast.shape == (count, 2)
+        assert fast_gen.integers(1 << 62) == ref_gen.integers(1 << 62)
 
 
 class TestSbm:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graph import (
@@ -15,6 +17,48 @@ from repro.graph import (
     is_connected,
     largest_component,
 )
+from repro.graph.operations import bridge_components, bridge_edges
+from tests.oracles import reference_components
+
+
+def _relabelled(n, edges, perm):
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return Graph.from_edges(n, perm[edges] if len(edges) else edges)
+
+
+@st.composite
+def component_graphs(draw):
+    """Random graphs: sparse ones with isolated nodes, unions of many
+    small cliques, and paths, each under a random node relabelling."""
+    kind = draw(st.sampled_from(["sparse", "cliques", "path"]))
+    if kind == "sparse":
+        n = draw(st.integers(min_value=0, max_value=40))
+        node = st.integers(0, max(n - 1, 0))
+        pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+        edges = [(u, v) for u, v in pairs if u != v]
+    elif kind == "cliques":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=15))
+        n = sum(sizes)
+        edges = []
+        start = 0
+        for size in sizes:
+            edges += [
+                (start + i, start + j) for i in range(size) for j in range(i + 1, size)
+            ]
+            start += size
+    else:
+        n = draw(st.integers(min_value=1, max_value=60))
+        edges = [(i, i + 1) for i in range(n - 1)]
+    perm = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    return _relabelled(n, edges, perm)
+
+
+@given(component_graphs())
+@settings(max_examples=120, deadline=None)
+def test_components_match_bfs_reference(graph):
+    np.testing.assert_array_equal(
+        connected_components(graph), reference_components(graph)
+    )
 
 
 class TestComponents:
@@ -37,6 +81,25 @@ class TestComponents:
     def test_single_node(self):
         assert is_connected(Graph.empty(1))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_graphs_match_reference(self, n):
+        g = Graph.empty(n)
+        comp = connected_components(g)
+        assert comp.dtype == np.int64
+        np.testing.assert_array_equal(comp, reference_components(g))
+
+    def test_long_shuffled_path_matches_reference(self):
+        n = 2_000
+        perm = np.random.default_rng(0).permutation(n)
+        g = _relabelled(n, [(i, i + 1) for i in range(n - 1)], perm)
+        np.testing.assert_array_equal(
+            connected_components(g), reference_components(g)
+        )
+
+    def test_ids_follow_smallest_node(self):
+        g = Graph.from_edges(6, [(5, 1), (4, 0), (2, 3)])
+        assert list(connected_components(g)) == [0, 1, 2, 2, 0, 1]
+
     def test_largest_component(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
         sub, ids = largest_component(g)
@@ -48,6 +111,24 @@ class TestComponents:
         sub, ids = largest_component(Graph.empty(0))
         assert sub.num_nodes == 0
         assert len(ids) == 0
+
+
+class TestBridging:
+    def test_connected_graph_needs_no_bridge(self, triangle_pair):
+        gen = np.random.default_rng(0)
+        assert bridge_edges(triangle_pair, gen).shape == (0, 2)
+        assert bridge_components(triangle_pair, gen) is triangle_pair
+
+    def test_one_edge_per_stray_component(self):
+        g = Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (4, 5), (7, 8)])
+        extra = bridge_edges(g, np.random.default_rng(3))
+        comp = connected_components(g)
+        assert len(extra) == 3  # components {4, 5}, {6}, {7, 8}
+        assert sorted(comp[extra[:, 0]].tolist()) == [1, 2, 3]
+        assert set(extra[:, 1].tolist()) <= {0, 1, 2, 3}
+        bridged = bridge_components(g, np.random.default_rng(3))
+        assert is_connected(bridged)
+        assert bridged.num_edges == g.num_edges + 3
 
 
 class TestInducedSubgraph:

@@ -13,6 +13,8 @@ from repro.graph import (
     cut_matrix,
     true_category_graph,
 )
+from repro.graph.storage import unique_keys
+from tests.oracles import reference_csr
 
 
 @st.composite
@@ -88,6 +90,30 @@ def test_builder_incremental_equals_batch(case):
     for u, v in edges:
         builder.add_edge(u, v)
     assert builder.build() == batch
+
+
+@given(edge_lists(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=60)
+def test_builder_matches_unique_lexsort_reference(case, chunks):
+    """Duplicate and reversed edges, added in several chunks, build the
+    same CSR bytes as the np.unique + lexsort reference."""
+    n, edges = case
+    raw = edges + [(v, u) for u, v in edges[::2]] + edges[:3]
+    builder = GraphBuilder(n)
+    for chunk in np.array_split(np.asarray(raw, dtype=np.int64).reshape(-1, 2), chunks):
+        builder.add_edges(chunk)
+    graph = builder.build()
+    indptr, indices = reference_csr(n, raw)
+    assert (graph.indptr.dtype, graph.indices.dtype) == (indptr.dtype, indices.dtype)
+    np.testing.assert_array_equal(graph.indptr, indptr)
+    np.testing.assert_array_equal(graph.indices, indices)
+
+
+@given(st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=80))
+@settings(max_examples=60)
+def test_unique_keys_matches_np_unique(values):
+    keys = np.asarray(values, dtype=np.int64)
+    np.testing.assert_array_equal(unique_keys(keys.copy()), np.unique(keys))
 
 
 @given(graphs_with_partitions())

@@ -1,4 +1,4 @@
-"""Reference sweeps: the seed algorithms the fast sweep paths are pinned to.
+"""Reference twins: the seed algorithms the fast paths are pinned to.
 
 Production sweeps (:func:`repro.stats.run_nrmse_sweep` and
 :func:`~repro.stats.run_nrmse_sweep_from_samples`) draw every replicate
@@ -17,8 +17,17 @@ Rows and reduction reuse the production ``_rung_rows`` and
 ``_reduce_stacks``, so any divergence points at sampling or at the
 ladder. The fast paths must match these sweeps bit for bit
 (``tests/stats/test_golden_sweep.py``, ``tests/stats/test_prefix.py``,
-``benchmarks/bench_walks.py``). Import as ``tests.oracles`` with the
-repository root on ``sys.path`` (``python -m pytest`` from the root).
+``benchmarks/bench_walks.py``).
+
+The substrate build keeps its seed twins here too: the ``np.unique`` +
+``lexsort`` CSR build, the per-node BFS component labelling, and the
+per-edge rejection loop that draws the planted model's inter-category
+edges (``tests/graph/test_operations.py``,
+``tests/graph/test_properties.py``,
+``tests/generators/test_planted_sbm.py``).
+
+Import as ``tests.oracles`` with the repository root on ``sys.path``
+(``python -m pytest`` from the root).
 """
 
 from __future__ import annotations
@@ -41,7 +50,13 @@ from repro.stats.replication import (
     _rung_rows,
 )
 
-__all__ = ["reference_sweep", "reference_sweep_from_samples"]
+__all__ = [
+    "reference_components",
+    "reference_csr",
+    "reference_inter_category_edges",
+    "reference_sweep",
+    "reference_sweep_from_samples",
+]
 
 
 def reference_sweep(
@@ -121,3 +136,70 @@ def _subset_rung(star_full, induced_full, size, n_pop, mean_degree_model):
         weights_induced=estimate_weights_induced(induced_obs),
         weights_star=partial(estimate_weights_star, star_obs),
     )
+
+
+def reference_csr(num_nodes, edges):
+    """``(indptr, indices)`` of the simple graph on ``edges``: canonical
+    keys deduplicated with ``np.unique``, arcs ordered by ``lexsort``."""
+    n = int(num_nodes)
+    raw = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(raw[:, 0], raw[:, 1])
+    hi = np.maximum(raw[:, 0], raw[:, 1])
+    unique_keys = np.unique(lo * np.int64(n) + hi)
+    lo = unique_keys // n
+    hi = unique_keys % n
+    src = np.concatenate((lo, hi))
+    dst = np.concatenate((hi, lo))
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src[order] + 1, 1)
+    return np.cumsum(indptr), dst[order]
+
+
+def reference_components(graph):
+    """Component id per node by iterative BFS from each unvisited node
+    in id order (ids are ``0..num_components-1``)."""
+    n = graph.num_nodes
+    comp = np.full(n, -1, dtype=np.int64)
+    indptr, indices = graph.indptr, graph.indices
+    current = 0
+    stack = []
+    for start in range(n):
+        if comp[start] != -1:
+            continue
+        comp[start] = current
+        stack.append(start)
+        while stack:
+            v = stack.pop()
+            for u in indices[indptr[v] : indptr[v + 1]]:
+                if comp[u] == -1:
+                    comp[u] = current
+                    stack.append(int(u))
+        current += 1
+    return comp
+
+
+def reference_inter_category_edges(labels, count, gen):
+    """``count`` distinct inter-label edges, accepted one draw at a time
+    from the same ``gen.integers`` batches as the production face."""
+    n = len(labels)
+    if count == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    seen = set()
+    out = np.empty((count, 2), dtype=np.int64)
+    filled = 0
+    while filled < count:
+        batch = max(1024, 2 * (count - filled))
+        us = gen.integers(0, n, size=batch)
+        vs = gen.integers(0, n, size=batch)
+        ok = labels[us] != labels[vs]
+        for u, v in zip(us[ok], vs[ok]):
+            key = (min(int(u), int(v)), max(int(u), int(v)))
+            if key in seen:
+                continue
+            seen.add(key)
+            out[filled] = key
+            filled += 1
+            if filled == count:
+                break
+    return out

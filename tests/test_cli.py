@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -101,3 +106,21 @@ class TestExperimentCommand:
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert main(["experiment", "table1", "--workers", value]) == 1
         assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    """networkx and scipy.sparse.linalg load only when a run needs them."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, repro.cli; heavy = ('networkx', 'scipy.sparse.linalg'); "
+        "print(sorted(m for m in heavy if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
