@@ -25,7 +25,28 @@ import numpy as np
 
 from repro.exceptions import GraphError
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "gather_runs"]
+
+
+def gather_runs(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of a CSR with offsets ``indptr``, in one gather.
+
+    Returns the int64 offsets of the gathered CSR, whose row ``i`` is
+    source row ``rows[i]``, and the source position of each entry.
+    """
+    starts = indptr[rows].astype(np.int64)
+    lengths = indptr[rows + 1] - starts
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    # Entry j of row i sits at starts[i] + j: shift one flat arange by
+    # each row's start minus its output offset.
+    return offsets, np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 class Graph:
@@ -45,12 +66,13 @@ class Graph:
         guarantee the invariants pass ``False``.
     """
 
-    __slots__ = ("_indptr", "_indices", "_num_edges", "_arc_sources")
+    __slots__ = ("_indptr", "_indices", "_num_edges", "_arc_sources", "_upper_edges")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, *, validate: bool = True):
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
         self._arc_sources = None
+        self._upper_edges = None
         if indptr.ndim != 1 or indices.ndim != 1:
             raise GraphError("indptr and indices must be one-dimensional arrays")
         if len(indptr) == 0 or indptr[0] != 0:
@@ -120,16 +142,12 @@ class Graph:
     @property
     def indptr(self) -> np.ndarray:
         """Read-only view of the CSR offsets array."""
-        view = self._indptr.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._indptr)
 
     @property
     def indices(self) -> np.ndarray:
         """Read-only view of the CSR neighbor array."""
-        view = self._indices.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._indices)
 
     def degree(self, v: int) -> int:
         """Degree of node ``v``."""
@@ -156,17 +174,25 @@ class Graph:
             from repro.graph.planes import derived_arc_sources
 
             self._arc_sources = derived_arc_sources(self._indptr)
-        view = self._arc_sources.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._arc_sources)
+
+    @property
+    def upper_edges(self) -> np.ndarray:
+        """The ``u < v`` arcs in CSR order, as a ``(2, |E|)`` array ``[u, v]``.
+
+        int32 when ``N < 2**31``. Cached like :attr:`arc_sources`,
+        through the same plane store. Read-only view.
+        """
+        if self._upper_edges is None:
+            from repro.graph.planes import derived_upper_edges
+
+            self._upper_edges = derived_upper_edges(self._indptr, self._indices)
+        return _read_only(self._upper_edges)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of ``v`` (read-only array view)."""
         self._check_node(v)
-        view = self._indices[self._indptr[v] : self._indptr[v + 1]]
-        view = view.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._indices[self._indptr[v] : self._indptr[v + 1]])
 
     def gather_neighborhoods(
         self, nodes: np.ndarray
@@ -191,17 +217,8 @@ class Graph:
             raise GraphError(
                 "gather_neighborhoods received node ids outside the graph"
             )
-        starts = self._indptr[nodes]
-        lengths = self._indptr[nodes + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), lengths
-        # Position j of run i maps to arc starts[i] + j: shift a flat
-        # arange by each run's (start - cumulative-output-offset).
-        first = np.zeros(len(nodes), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=first[1:])
-        arcs = np.repeat(starts - first, lengths) + np.arange(total, dtype=np.int64)
-        return self._indices[arcs], lengths
+        offsets, arcs = gather_runs(self._indptr, nodes)
+        return self._indices[arcs], np.diff(offsets)
 
     def has_edge(self, u: int, v: int) -> bool:
         """True when the undirected edge ``{u, v}`` exists.
@@ -244,20 +261,14 @@ class Graph:
     # ------------------------------------------------------------------
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate undirected edges as ``(u, v)`` with ``u < v``."""
-        for u in range(self.num_nodes):
-            run = self._indices[self._indptr[u] : self._indptr[u + 1]]
-            for v in run[np.searchsorted(run, u, side="right") :]:
-                yield (u, int(v))
+        return map(tuple, self.upper_edges.T.tolist())
 
     def edge_array(self) -> np.ndarray:
         """All undirected edges as an ``(|E|, 2)`` array with ``u < v``.
 
         Vectorised; preferred over :meth:`edges` for bulk work.
         """
-        n = self.num_nodes
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
-        mask = src < self._indices
-        return np.column_stack((src[mask], self._indices[mask]))
+        return np.ascontiguousarray(self.upper_edges.T, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Constructors

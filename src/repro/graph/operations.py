@@ -134,13 +134,9 @@ def induced_subgraph(graph: Graph, nodes: np.ndarray) -> Graph:
         raise GraphError("induced_subgraph received ids outside the graph")
     remap = np.full(graph.num_nodes, -1, dtype=np.int64)
     remap[nodes] = np.arange(len(nodes))
-    edges = graph.edge_array()
-    if len(edges):
-        mask = (remap[edges[:, 0]] >= 0) & (remap[edges[:, 1]] >= 0)
-        kept = np.column_stack((remap[edges[mask, 0]], remap[edges[mask, 1]]))
-    else:
-        kept = np.empty((0, 2), dtype=np.int64)
-    return Graph.from_edges(len(nodes), kept)
+    u, v = remap[graph.upper_edges]
+    kept = (u >= 0) & (v >= 0)
+    return Graph.from_edges(len(nodes), np.column_stack((u[kept], v[kept])))
 
 
 def degree_histogram(graph: Graph) -> np.ndarray:

@@ -10,6 +10,7 @@ is the second half of the paper's input: together with a
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -19,6 +20,10 @@ from repro.graph.adjacency import Graph
 from repro.rng import ensure_rng
 
 __all__ = ["CategoryPartition"]
+
+#: Serializes neighbor-histogram builds, so concurrent plan driver
+#: threads observing through one partition build each histogram once.
+_HISTOGRAM_LOCK = threading.Lock()
 
 
 class CategoryPartition:
@@ -38,7 +43,7 @@ class CategoryPartition:
         inferred from the labels when omitted.
     """
 
-    __slots__ = ("_labels", "_names", "_num_categories", "_sizes", "_arc_label_cache")
+    __slots__ = ("_labels", "_names", "_num_categories", "_sizes", "_histogram_cache")
 
     def __init__(
         self,
@@ -73,7 +78,7 @@ class CategoryPartition:
         self._num_categories = int(num_categories)
         self._sizes = np.bincount(labels, minlength=num_categories).astype(np.int64)
         self._sizes.flags.writeable = False
-        self._arc_label_cache = None
+        self._histogram_cache = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -135,25 +140,31 @@ class CategoryPartition:
             return self._names
         return tuple(f"C{i}" for i in range(self._num_categories))
 
-    def arc_labels(self, graph: Graph) -> np.ndarray:
-        """Category of the destination of every arc of ``graph``.
+    def neighbor_histogram(
+        self, graph: Graph
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's neighbor-category histogram on ``graph``, as a CSR.
 
-        ``labels[graph.indices]``, cached for the most recent graph —
-        replicated observation passes over one substrate reuse it
-        instead of re-gathering per replicate. Under
-        ``graph_storage("memmap")`` the gather runs chunked through the
-        derived-plane store of :mod:`repro.graph.planes` and the result
-        is a file-backed mapping. Read-only view.
+        ``(indptr, categories, counts)``: node ``v``'s neighbors fall in
+        ``categories[indptr[v]:indptr[v+1]]`` (ascending) with
+        multiplicities ``counts[...]``, in compact dtypes. Star
+        observations and :func:`~repro.graph.category_graph.cut_matrix`
+        gather its rows. Cached for the most recent graph; derived
+        through the plane store of :mod:`repro.graph.planes`. Read-only.
         """
-        cache = self._arc_label_cache
-        if cache is None or cache[0] is not graph:
-            from repro.graph.planes import derived_arc_labels
+        self._check_graph(graph)
+        with _HISTOGRAM_LOCK:
+            cache = self._histogram_cache
+            if cache is None or cache[0] is not graph:
+                from repro.graph.planes import derived_neighbor_histogram
 
-            values = derived_arc_labels(self._labels, graph.indices)
-            if values.flags.writeable:
-                values.flags.writeable = False
-            self._arc_label_cache = (graph, values)
-        return self._arc_label_cache[1]
+                planes = derived_neighbor_histogram(
+                    self._labels, self._num_categories, graph.indptr, graph.indices
+                )
+                for plane in planes:
+                    plane.flags.writeable = False
+                cache = self._histogram_cache = (graph, planes)
+        return cache[1]
 
     def category_of(self, v: int) -> int:
         """Category index of node ``v``."""

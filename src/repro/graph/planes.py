@@ -2,8 +2,9 @@
 
 The out-of-core CSR plane (:mod:`repro.graph.storage`) bounded the
 *base* arrays, but every array derived from them — ``arc_sources``,
-``arc_labels``, the union-multigraph merge, alias tables, per-run
-weight cumulatives — still materialized in RAM at first use, which is
+the upper-edge list and neighbor-category histograms that observations
+gather, the union-multigraph merge, alias tables, per-run weight
+cumulatives — still materialized in RAM at first use, which is
 exactly the memory (and startup-time) wall of a weighted-walk sweep at
 web scale. This module closes that gap with a content-addressed store
 for derived arrays in the same plane format:
@@ -61,6 +62,7 @@ import tempfile
 import threading
 from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib import format as _npy_format
@@ -80,11 +82,13 @@ __all__ = [
     "DEFAULT_PLANE_THRESHOLD",
     "DerivedPlaneStore",
     "PlaneWriter",
-    "build_arc_labels",
     "build_arc_sources",
+    "build_neighbor_histogram",
+    "build_upper_edges",
     "clear_plane_memo",
-    "derived_arc_labels",
     "derived_arc_sources",
+    "derived_neighbor_histogram",
+    "derived_upper_edges",
     "node_blocks",
     "plane_store_at",
     "plane_store_for",
@@ -646,38 +650,109 @@ def derived_arc_sources(
     return planes["arc_sources"]
 
 
-def build_arc_labels(
-    writer: PlaneWriter,
-    labels: np.ndarray,
-    indices: np.ndarray,
-    chunk_arcs: int = DEFAULT_CHUNK_ARCS,
+def _derive(name: str, sources: tuple, nbytes: int, build, **params) -> dict:
+    """Run a chunked ``build(writer)`` through the store or, handing it a
+    writer of zeroed RAM arrays, in memory: one program for both paths."""
+    store = plane_store_for(*sources, nbytes=nbytes)
+    if store is not None:
+        return store.get_or_build(name, sources=sources, build=build, params=params)
+    planes: dict[str, np.ndarray] = {}
+    build(SimpleNamespace(create=lambda plane, dtype, shape: planes.setdefault(
+        plane, np.zeros(shape, dtype=dtype)
+    )))
+    return planes
+
+
+def build_upper_edges(writer, indptr, indices, chunk_arcs=DEFAULT_CHUNK_ARCS) -> None:
+    """The ``(2, |E|)`` plane of ``u < v`` edges in CSR order (row 0 is
+    ``u``, row 1 ``v``), int32 when the node ids fit."""
+    dtype = np.int32 if len(indptr) <= 2**31 else np.int64
+    out = writer.create("upper_edges", dtype, (2, len(indices) // 2))
+    at = 0
+    for first, stop, lo, hi in node_blocks(indptr, chunk_arcs):
+        sources = np.repeat(
+            np.arange(first, stop), np.diff(np.asarray(indptr[first : stop + 1]))
+        )
+        targets = np.asarray(indices[lo:hi])
+        upper = sources < targets
+        count = int(np.count_nonzero(upper))
+        out[:, at : at + count] = sources[upper], targets[upper]
+        at += count
+
+
+def derived_upper_edges(indptr, indices, chunk_arcs=DEFAULT_CHUNK_ARCS) -> np.ndarray:
+    """The upper-edge plane of a simple undirected CSR, via the store."""
+    planes = _derive(
+        "upper-edges",
+        (indptr, indices),
+        len(indices) * 4,
+        lambda writer: build_upper_edges(writer, indptr, indices, chunk_arcs),
+    )
+    return planes["upper_edges"]
+
+
+def _histogram_block(labels, num_categories, indptr, indices, block):
+    """Block-local ``(rows, categories, counts)`` of the neighbor histogram:
+    sorted ``row * C + label`` keys, one entry per run of equal keys."""
+    first, stop, lo, hi = block
+    keys = np.repeat(
+        np.arange(stop - first, dtype=np.int64) * num_categories,
+        np.diff(np.asarray(indptr[first : stop + 1])),
+    )
+    keys += labels[np.asarray(indices[lo:hi])]
+    keys.sort()
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    rows, categories = np.divmod(keys[starts], num_categories)
+    return rows, categories, np.diff(starts, append=len(keys))
+
+
+def build_neighbor_histogram(
+    writer, labels, num_categories, indptr, indices, chunk_arcs=DEFAULT_CHUNK_ARCS
 ) -> None:
-    """Chunked out-of-core twin of the ``labels[indices]`` gather."""
-    if chunk_arcs < 1:
-        raise StorageError(f"chunk_arcs must be >= 1, got {chunk_arcs}")
-    labels = np.asanyarray(labels)
-    out = writer.create("arc_labels", labels.dtype, (len(indices),))
-    for start in range(0, len(indices), chunk_arcs):
-        block = np.asarray(indices[start : start + chunk_arcs])
-        out[start : start + len(block)] = labels[block]
+    """Every node's neighbor-category histogram, as a CSR of planes.
+
+    Node ``v``'s neighbors fall in ``categories[indptr[v]:indptr[v+1]]``
+    (ascending) with multiplicities ``counts[...]``; each plane takes
+    the smallest dtype that holds its values. A first pass over the
+    node blocks sizes the rows and a second fills them; a graph that
+    is one block is histogrammed once.
+    """
+    graph = (np.asarray(labels), num_categories, indptr, indices)
+    blocks = list(node_blocks(indptr, chunk_arcs))
+    out_indptr = writer.create(
+        "indptr", np.int32 if len(indices) < 2**31 else np.int64, len(indptr)
+    )
+    max_count = 0
+    for block in blocks:
+        first, stop = block[:2]
+        rows, _, counts = result = _histogram_block(*graph, block)
+        out_indptr[first + 1 : stop + 1] = int(out_indptr[first]) + np.cumsum(
+            np.bincount(rows, minlength=stop - first)
+        )
+        max_count = max(max_count, int(counts.max(initial=0)))
+    total = int(out_indptr[-1])
+    categories = writer.create(
+        "categories", np.min_scalar_type(max(num_categories - 1, 0)), total
+    )
+    counts = writer.create("counts", np.min_scalar_type(max_count), total)
+    for block in blocks:
+        if len(blocks) > 1:
+            result = _histogram_block(*graph, block)
+        lo, hi = int(out_indptr[block[0]]), int(out_indptr[block[1]])
+        categories[lo:hi], counts[lo:hi] = result[1:]
 
 
-def derived_arc_labels(
-    labels: np.ndarray,
-    indices: np.ndarray,
-    chunk_arcs: int = DEFAULT_CHUNK_ARCS,
-) -> np.ndarray:
-    """Destination-category label of every arc, via the plane store."""
-    labels = np.asanyarray(labels)
-    indices = np.asanyarray(indices)
-    store = plane_store_for(
-        labels, indices, nbytes=len(indices) * labels.dtype.itemsize
+def derived_neighbor_histogram(
+    labels, num_categories, indptr, indices, chunk_arcs=DEFAULT_CHUNK_ARCS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, categories, counts)`` of the neighbor histogram, via the store."""
+    planes = _derive(
+        "neighbor-histogram",
+        (labels, indptr, indices),
+        len(indices) * 4,
+        lambda writer: build_neighbor_histogram(
+            writer, labels, num_categories, indptr, indices, chunk_arcs
+        ),
+        num_categories=int(num_categories),
     )
-    if store is None:
-        return labels[indices]
-    planes = store.get_or_build(
-        "arc-labels",
-        sources=(labels, indices),
-        build=lambda writer: build_arc_labels(writer, labels, indices, chunk_arcs),
-    )
-    return planes["arc_labels"]
+    return planes["indptr"], planes["categories"], planes["counts"]

@@ -428,31 +428,18 @@ def edge_chunks(
 ) -> Iterator[np.ndarray]:
     """Stream a graph's undirected edges (``u < v``) in bounded blocks.
 
-    The out-of-core twin of
-    :meth:`~repro.graph.adjacency.Graph.edge_array`: arc windows are
-    gathered ``chunk_size`` at a time, so a memmap-backed graph is
-    re-emitted without ever residing in RAM.
+    ``(m, 2)`` windows of
+    :attr:`~repro.graph.adjacency.Graph.upper_edges`, ``chunk_size``
+    edges at a time; under memmap storage that plane is file-backed, so
+    a memmap-backed graph is re-emitted without ever residing in RAM.
     """
     if chunk_size < 1:
         raise StorageError(f"chunk_size must be >= 1, got {chunk_size}")
-    indptr = graph.indptr
-    indices = graph.indices
-    n = graph.num_nodes
-    node = 0
-    while node < n:
-        stop = int(np.searchsorted(indptr, int(indptr[node]) + chunk_size, "right")) - 1
-        stop = min(max(stop, node + 1), n)
-        lo, hi = int(indptr[node]), int(indptr[stop])
-        if hi > lo:
-            window = np.asarray(indices[lo:hi])
-            src = np.repeat(
-                np.arange(node, stop, dtype=np.int64),
-                np.diff(np.asarray(indptr[node : stop + 1])),
-            )
-            mask = src < window
-            if mask.any():
-                yield np.column_stack((src[mask], window[mask]))
-        node = stop
+    upper = graph.upper_edges
+    for start in range(0, upper.shape[1], chunk_size):
+        yield np.ascontiguousarray(
+            upper[:, start : start + chunk_size].T, dtype=np.int64
+        )
 
 
 # ----------------------------------------------------------------------

@@ -67,11 +67,13 @@ choose — by construction rather than by tolerance:
 3. **Estimation rows share one code path.** Each replicate's rung rows
    come from the same ``_rung_rows`` /
    :class:`~repro.stats.prefix.IncrementalPrefixLadder` code the serial
-   sweep runs; rows are placed by (cell, absolute replicate index) and
-   every cell is reduced by the serial reducer (including the
-   cross-sample pseudo-truth reduction of the paper's Section 7.2
-   convention). No float is added in a different order, whichever
-   cells were in flight together.
+   sweep runs, over observations gathered from the same observation
+   planes (the driver builds them once and ships them in the payload);
+   rows are placed by (cell, absolute replicate index) and every cell
+   is reduced by the serial reducer (including the cross-sample
+   pseudo-truth reduction of the paper's Section 7.2 convention). No
+   float is added in a different order, whichever cells were in flight
+   together.
 4. **Resume is exact — and substrate-free when possible.**
    Checkpointed rungs are replayed from disk while workers fold their
    integer multiplicity state forward

@@ -97,7 +97,11 @@ from repro.runtime.pool import (
 )
 from repro.sampling.base import NodeSample, Sampler
 from repro.sampling.batch import sample_streams
-from repro.sampling.observation import InducedObservation, StarObservation
+from repro.sampling.observation import (
+    InducedObservation,
+    StarObservation,
+    observation_planes,
+)
 from repro.stats.prefix import IncrementalPrefixLadder
 from repro.stats.replication import (
     KINDS,
@@ -125,9 +129,9 @@ def _array_digest(*arrays: np.ndarray) -> str:
 class _FingerprintPickler(pickle.Pickler):
     """Canonicalizing pickler for sampler fingerprints.
 
-    Lazily-computed caches (``Graph._arc_sources``, a partition's arc
-    label cache) make naive ``pickle.dumps`` bytes depend on what was
-    *called* before fingerprinting, not on what the sampler *is*. This
+    Lazily-computed caches (``Graph._arc_sources``, a partition's
+    neighbor histogram) make naive ``pickle.dumps`` bytes depend on what
+    was *called* before fingerprinting, not on what the sampler *is*. This
     pickler replaces graphs, partitions, and raw arrays with content
     digests, so equal samplers always fingerprint equally and a resumed
     run finds its checkpoint.
@@ -1075,6 +1079,11 @@ class ProcessSweepExecutor:
                     sizes, size_stacks, weight_stacks, truth, spec.truth_mode
                 )
 
+        if observations is None:
+            # Built before pickling, so the planes ride every shard's
+            # payload and no worker rebuilds them.
+            with telemetry.span("observe.planes", cat="driver", task=sweep_label):
+                observation_planes(graph, partition)
         num_workers = min(self.workers, replications)
         shards = np.array_split(np.arange(replications), num_workers)
         want_observations = checkpoint is not None and observations is None

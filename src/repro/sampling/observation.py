@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import SamplingError
-from repro.graph.adjacency import Graph
+from repro.graph.adjacency import Graph, gather_runs
 from repro.graph.partition import CategoryPartition
 from repro.sampling.base import NodeSample
 
@@ -38,6 +38,7 @@ __all__ = [
     "observe_induced",
     "observe_star",
     "observe_both",
+    "observation_planes",
 ]
 
 
@@ -219,131 +220,70 @@ def observe_induced(
     graph: Graph, partition: CategoryPartition, sample: NodeSample
 ) -> InducedObservation:
     """Measure a sample under induced subgraph sampling."""
-    base, position = _compress(graph, partition, sample)
-    position = _ensure_position(graph, base["distinct_nodes"], position)
-    return InducedObservation(
-        induced_edges=_induced_edges(graph, position), **base
-    )
+    return _observe(graph, partition, sample, star=False)[0]
 
 
 def observe_star(
     graph: Graph, partition: CategoryPartition, sample: NodeSample
 ) -> StarObservation:
     """Measure a sample under (labeled) star sampling."""
-    base, position = _compress(graph, partition, sample)
-    position = _ensure_position(graph, base["distinct_nodes"], position)
-    return StarObservation(
-        **_star_fields(graph, partition, base["distinct_nodes"], position),
-        **base,
-    )
+    return _observe(graph, partition, sample, induced=False)[1]
 
 
 def observe_both(
     graph: Graph, partition: CategoryPartition, sample: NodeSample
 ) -> tuple[InducedObservation, StarObservation]:
-    """Both measurement scenarios of one sample, sharing one compression.
-
-    The draw-list compression and the membership scan over the graph's
-    arc list are the heavy parts of both ``observe_*`` functions; sweep
-    harnesses that need both views (every NRMSE ladder does) should
-    build them together. Results are identical to the two separate calls.
-    """
-    base, position = _compress(graph, partition, sample)
-    position = _ensure_position(graph, base["distinct_nodes"], position)
-    source_rows = (
-        position[graph.arc_sources] if len(graph.indices) else None
-    )
-    induced = InducedObservation(
-        induced_edges=_induced_edges(graph, position, source_rows), **base
-    )
-    star = StarObservation(
-        **_star_fields(
-            graph, partition, base["distinct_nodes"], position, source_rows
-        ),
-        **base,
-    )
-    return induced, star
+    """Both measurement scenarios of one sample (what every sweep ladder
+    needs); identical to the two separate calls."""
+    return _observe(graph, partition, sample)
 
 
-def _ensure_position(
-    graph: Graph, distinct: np.ndarray, position: np.ndarray | None
-) -> np.ndarray:
-    """Node id -> distinct row map (-1 for unsampled nodes)."""
-    if position is None:
-        position = np.full(graph.num_nodes, -1, dtype=np.int64)
-        position[distinct] = np.arange(len(distinct))
-    return position
+def observation_planes(graph: Graph, partition: CategoryPartition) -> tuple:
+    """The sample-independent planes every ``observe_*`` call gathers:
+    ``graph.upper_edges`` and ``partition.neighbor_histogram(graph)``,
+    each built on first use and cached."""
+    return graph.upper_edges, partition.neighbor_histogram(graph)
 
 
-def _induced_edges(
-    graph: Graph, position: np.ndarray, source_rows: np.ndarray | None = None
-) -> np.ndarray:
-    """Edges among distinct nodes (rows into the distinct table).
-
-    One membership mask over the graph's arc list: arcs whose source is
-    unsampled map to -1, and requiring ``dest row > source row`` both
-    filters unsampled destinations and keeps each undirected edge once
-    — no per-node Python loop.
-    """
-    if not len(graph.indices):
-        return np.empty((0, 2), dtype=np.int64)
-    if source_rows is None:
-        source_rows = position[graph.arc_sources]
-    dest_rows = position[graph.indices]
-    kept = np.flatnonzero((source_rows >= 0) & (dest_rows > source_rows))
-    return np.column_stack((source_rows.take(kept), dest_rows.take(kept)))
-
-
-def _star_fields(
+def _observe(
     graph: Graph,
     partition: CategoryPartition,
-    distinct: np.ndarray,
-    position: np.ndarray,
-    source_rows: np.ndarray | None = None,
-) -> dict:
-    """Neighbor-category CSR histogram fields of a star observation.
+    sample: NodeSample,
+    induced: bool = True,
+    star: bool = True,
+) -> tuple["InducedObservation | None", "StarObservation | None"]:
+    """Compress the draws, then gather the requested views from the planes.
 
-    Built from one pass over the graph's arc list: arcs owned by
-    sampled nodes are keyed by (distinct row, neighbor category) and
-    histogrammed.
+    Distinct rows ascend with node id, so for two sampled nodes
+    ``row(v) > row(u)`` exactly when ``v > u``: masking the upper-edge
+    plane by membership lists the induced edges in the order a scan of
+    the arcs would, and the histogram rows list categories ascending.
     """
-    c = partition.num_categories
-    num_distinct = len(distinct)
-    indptr = graph.indptr
-    degrees = (indptr[distinct + 1] - indptr[distinct]).astype(np.int64)
-    total = int(degrees.sum())
-    if total:
-        if source_rows is None:
-            source_rows = position[graph.arc_sources]
-        arc_keys = source_rows * np.int64(c) + partition.arc_labels(graph)
-        key_space = num_distinct * c
-        if key_space <= max(4 * total, 1 << 20):
-            # Dense histogram: O(total + D*C) beats the O(total log total)
-            # sort when the key space is comparable to the entry count.
-            # Offsetting by c folds unsampled sources (row -1) into the
-            # sliced-off first block, so no mask/compress pass is needed.
-            histogram = np.bincount(arc_keys + np.int64(c), minlength=key_space + c)[c:]
-            unique_keys = np.flatnonzero(histogram)
-            counts = histogram[unique_keys]
-        else:
-            unique_keys, counts = np.unique(
-                arc_keys[source_rows >= 0], return_counts=True
-            )
-        nbr_rows = unique_keys // c
-        nbr_cats = (unique_keys % c).astype(np.int64)
-        nbr_indptr = np.zeros(num_distinct + 1, dtype=np.int64)
-        np.add.at(nbr_indptr, nbr_rows + 1, 1)
-        np.cumsum(nbr_indptr, out=nbr_indptr)
-    else:
-        nbr_cats = np.empty(0, dtype=np.int64)
-        counts = np.empty(0, dtype=np.int64)
-        nbr_indptr = np.zeros(num_distinct + 1, dtype=np.int64)
-    return {
-        "distinct_degrees": degrees,
-        "neighbor_indptr": nbr_indptr,
-        "neighbor_categories": nbr_cats,
-        "neighbor_counts": counts.astype(np.int64),
-    }
+    base, position = _compress(graph, partition, sample)
+    distinct = base["distinct_nodes"]
+    induced_obs = star_obs = None
+    if induced:
+        if position is None:
+            position = np.full(graph.num_nodes, -1, dtype=np.int64)
+            position[distinct] = np.arange(len(distinct))
+        rows_u, rows_v = position[graph.upper_edges]
+        kept = np.flatnonzero((rows_u >= 0) & (rows_v >= 0))
+        induced_obs = InducedObservation(
+            induced_edges=np.column_stack((rows_u.take(kept), rows_v.take(kept))),
+            **base,
+        )
+    if star:
+        hist_indptr, categories, counts = partition.neighbor_histogram(graph)
+        nbr_indptr, entries = gather_runs(hist_indptr, distinct)
+        indptr = graph.indptr
+        star_obs = StarObservation(
+            distinct_degrees=indptr[distinct + 1] - indptr[distinct],
+            neighbor_indptr=nbr_indptr,
+            neighbor_categories=categories[entries].astype(np.int64),
+            neighbor_counts=counts[entries].astype(np.int64),
+            **base,
+        )
+    return induced_obs, star_obs
 
 
 def _compress(
@@ -353,7 +293,7 @@ def _compress(
 
     Returns the observation base fields plus, when cheaply available,
     the node-id -> distinct-row map (-1 for unsampled nodes) for reuse
-    by the induced-edge scan.
+    by the induced-edge mask.
     """
     if partition.num_nodes != graph.num_nodes:
         raise SamplingError("partition node count does not match the graph")
@@ -369,7 +309,7 @@ def _compress(
         distinct = np.flatnonzero(histogram)
         multiplicities = histogram[distinct]
         # -1 for non-members, so the array doubles as the membership map
-        # _induced_edges needs.
+        # the induced-edge mask needs.
         position = np.full(graph.num_nodes, -1, dtype=np.int64)
         position[distinct] = np.arange(len(distinct))
         draw_to_distinct = position[sample.nodes]
@@ -429,32 +369,17 @@ def _subset(observation, draw_indices: np.ndarray, induced: bool):
     remap = np.full(observation.num_distinct, -1, dtype=np.int64)
     remap[kept_rows] = np.arange(len(kept_rows))
     if induced:
-        edges = observation.induced_edges
-        if len(edges):
-            mask = (remap[edges[:, 0]] >= 0) & (remap[edges[:, 1]] >= 0)
-            new_edges = np.column_stack(
-                (remap[edges[mask, 0]], remap[edges[mask, 1]])
-            )
-        else:
-            new_edges = np.empty((0, 2), dtype=np.int64)
-        return InducedObservation(induced_edges=new_edges, **base)
+        rows_u, rows_v = remap[observation.induced_edges.T]
+        kept = (rows_u >= 0) & (rows_v >= 0)
+        return InducedObservation(
+            induced_edges=np.column_stack((rows_u[kept], rows_v[kept])), **base
+        )
     # Star: slice the neighbor CSR down to the kept rows.
-    lengths = np.diff(observation.neighbor_indptr)[kept_rows]
-    new_indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
-    total = int(lengths.sum())
-    if total:
-        starts = observation.neighbor_indptr[kept_rows]
-        run_offsets = new_indptr[:-1]
-        gather = np.repeat(starts - run_offsets, lengths) + np.arange(total)
-        new_cats = observation.neighbor_categories[gather]
-        new_counts = observation.neighbor_counts[gather]
-    else:
-        new_cats = np.empty(0, dtype=np.int64)
-        new_counts = np.empty(0, dtype=np.int64)
+    new_indptr, entries = gather_runs(observation.neighbor_indptr, kept_rows)
     return StarObservation(
         distinct_degrees=observation.distinct_degrees[kept_rows],
         neighbor_indptr=new_indptr,
-        neighbor_categories=new_cats,
-        neighbor_counts=new_counts,
+        neighbor_categories=observation.neighbor_categories[entries],
+        neighbor_counts=observation.neighbor_counts[entries],
         **base,
     )

@@ -9,7 +9,8 @@ estimation pass over rebuilt arrays. This module replaces it with
 running prefix state:
 
 * the full-length star and induced observations are built **once**
-  (sharing one draw-list compression via ``observe_both``);
+  by ``observe_both``, as row gathers over the graph's and partition's
+  observation planes;
 * per rung, only the *new* draws update an integer multiplicity vector
   (an O(delta) delta update);
 * every estimator reduction then runs over **fixed, precomputed** key
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import EstimationError
-from repro.graph.adjacency import Graph
+from repro.graph.adjacency import Graph, gather_runs
 from repro.graph.partition import CategoryPartition
 from repro.sampling.base import NodeSample
 from repro.sampling.observation import (
@@ -350,34 +351,20 @@ class IncrementalPrefixLadder:
     def _induced_prefix(
         self, remap: np.ndarray, base: dict
     ) -> InducedObservation:
-        if len(self._edge_src):
-            in_prefix = self._multiplicities > 0
-            mask = in_prefix[self._edge_src] & in_prefix[self._edge_dst]
-            new_edges = np.column_stack(
-                (remap[self._edge_src[mask]], remap[self._edge_dst[mask]])
-            )
-        else:
-            new_edges = np.empty((0, 2), dtype=np.int64)
+        in_prefix = self._multiplicities > 0
+        mask = in_prefix[self._edge_src] & in_prefix[self._edge_dst]
+        new_edges = np.column_stack(
+            (remap[self._edge_src[mask]], remap[self._edge_dst[mask]])
+        )
         return InducedObservation(induced_edges=new_edges, **base)
 
     def _star_prefix(self, kept: np.ndarray, base: dict) -> StarObservation:
         star = self._star
-        lengths = np.diff(star.neighbor_indptr)[kept]
-        new_indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
-        total = int(lengths.sum())
-        if total:
-            gather = np.repeat(
-                star.neighbor_indptr[kept] - new_indptr[:-1], lengths
-            ) + np.arange(total)
-            new_cats = star.neighbor_categories[gather]
-            new_counts = star.neighbor_counts[gather]
-        else:
-            new_cats = np.empty(0, dtype=np.int64)
-            new_counts = np.empty(0, dtype=np.int64)
+        new_indptr, entries = gather_runs(star.neighbor_indptr, kept)
         return StarObservation(
             distinct_degrees=star.distinct_degrees[kept],
             neighbor_indptr=new_indptr,
-            neighbor_categories=new_cats,
-            neighbor_counts=new_counts,
+            neighbor_categories=star.neighbor_categories[entries],
+            neighbor_counts=star.neighbor_counts[entries],
             **base,
         )

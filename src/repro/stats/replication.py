@@ -57,6 +57,7 @@ from repro.graph.category_graph import CategoryGraph, true_category_graph
 from repro.graph.partition import CategoryPartition
 from repro.rng import ensure_rng
 from repro.sampling.base import NodeSample, Sampler
+from repro.sampling.observation import observation_planes
 from repro.stats.errors import nanmean_rows, nrmse_stack
 from repro.stats.prefix import IncrementalPrefixLadder, RungEstimates
 
@@ -289,6 +290,8 @@ def _serial_sweep(
     with telemetry.span(
         "sweep.serial", cat="driver", replicates=r, rungs=k
     ):
+        with telemetry.span("observe.planes", cat="driver"):
+            observation_planes(graph, partition)
         for rep, sample in enumerate(samples):
             ladder = IncrementalPrefixLadder(graph, partition, sample)
             for si, size in enumerate(sizes):

@@ -3,7 +3,7 @@
 Three contracts are pinned here:
 
 * **Bit identity** — every chunked out-of-core builder (arc_sources,
-  arc_labels, union-CSR merge, alias tables, walk cumsums, walk search
+  upper edges, neighbor histograms, union-CSR merge, alias tables, walk cumsums, walk search
   keys) produces the exact bytes of its one-shot in-RAM twin at any
   chunk size, and a sweep over store-backed derivations equals the RAM
   sweep cold, warm, and through the process executor.
@@ -33,8 +33,9 @@ from repro.graph.adjacency import Graph
 from repro.graph.planes import (
     DerivedPlaneStore,
     PlaneWriter,
-    build_arc_labels,
     build_arc_sources,
+    build_neighbor_histogram,
+    build_upper_edges,
     clear_plane_memo,
     node_blocks,
     plane_store_for,
@@ -339,13 +340,32 @@ def test_chunked_union_merge_bit_identical(seed):
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
-def test_chunked_arc_labels_matches_gather(chunk):
-    gen = np.random.default_rng(9)
-    labels = gen.integers(0, 6, size=50).astype(np.int64)
-    indices = gen.integers(0, 50, size=333).astype(np.int64)
+def test_chunked_observation_planes_match_one_shot(chunk):
+    # Isolated nodes (the edges reach 40 of 48) and a hub whose run is a
+    # block of its own at small chunks.
+    edges = _random_edges(40, 90, 9)
+    edges = np.concatenate((edges, [[0, v] for v in range(1, 30)]))
+    graph = Graph.from_edges(48, edges)
+    labels = np.random.default_rng(9).integers(0, 6, size=48)
+    keys = graph.arc_sources * 6 + labels[graph.indices]
+    unique, counts = np.unique(keys, return_counts=True)
     writer = _RamWriter()
-    build_arc_labels(writer, labels, indices, chunk)
-    assert np.array_equal(writer.planes["arc_labels"], labels[indices])
+    build_upper_edges(writer, graph.indptr, graph.indices, chunk)
+    build_neighbor_histogram(writer, labels, 6, graph.indptr, graph.indices, chunk)
+    planes = writer.planes
+    assert np.array_equal(planes["upper_edges"], graph.edge_array().T)
+    assert np.array_equal(
+        planes["indptr"], np.searchsorted(unique // 6, np.arange(49))
+    )
+    assert np.array_equal(planes["categories"], unique % 6)
+    assert np.array_equal(planes["counts"], counts)
+    # Compact dtypes follow the values, never the chunking.
+    assert {name: plane.dtype.str for name, plane in planes.items()} == {
+        "upper_edges": "<i4",
+        "indptr": "<i4",
+        "categories": "|u1",
+        "counts": "|u1",
+    }
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +394,12 @@ def test_derivations_spill_and_match_ram(tmp_path, monkeypatch):
         # Every derivation family: bit-identical AND file-backed.
         derived = {
             "arc_sources": graph.arc_sources,
-            "arc_labels": part.arc_labels(graph),
+            "upper_edges": graph.upper_edges,
         }
+        for name, plane in zip(
+            ("indptr", "categories", "counts"), part.neighbor_histogram(graph)
+        ):
+            derived[f"histogram_{name}"] = plane
         merged = union_csr([graph, relation])
         derived["union_indices"] = merged.indices
         derived["union_relations"] = merged.arc_relations
@@ -386,7 +410,14 @@ def test_derivations_spill_and_match_ram(tmp_path, monkeypatch):
         derived["alias"] = sampler._alias_tables.alias
         expected = {
             "arc_sources": ram_graph.arc_sources,
-            "arc_labels": ram_part.arc_labels(ram_graph),
+            "upper_edges": ram_graph.upper_edges,
+            **{
+                f"histogram_{name}": plane
+                for name, plane in zip(
+                    ("indptr", "categories", "counts"),
+                    ram_part.neighbor_histogram(ram_graph),
+                )
+            },
             "union_indices": ram_union.indices,
             "union_relations": ram_union.arc_relations,
             "union_sources": ram_union.arc_sources(),
@@ -396,6 +427,7 @@ def test_derivations_spill_and_match_ram(tmp_path, monkeypatch):
         }
         for name, array in derived.items():
             assert np.array_equal(np.asarray(array), np.asarray(expected[name])), name
+            assert np.asarray(array).dtype == np.asarray(expected[name]).dtype, name
             base = _file_base(array)
             assert base is not None and str(base.filename).startswith(
                 str(tmp_path)
@@ -426,6 +458,8 @@ def test_warm_store_skips_derivation(tmp_path, monkeypatch):
 
 def test_search_key_plane_cold_build_then_warm_hit(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLANE_THRESHOLD", "0")
+    # The RAM baseline needs RAM mode even when the suite forces memmap.
+    monkeypatch.delenv("REPRO_GRAPH_STORAGE", raising=False)
     ram_graph, ram_part = _world()
     ram_key = StratifiedWeightedWalkSampler(ram_graph, ram_part)._search_key
     assert _file_base(ram_key) is None

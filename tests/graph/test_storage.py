@@ -171,7 +171,9 @@ def test_edge_chunks_round_trip(tmp_path):
 # ----------------------------------------------------------------------
 # The GraphBuilder seam: ambient storage mode
 # ----------------------------------------------------------------------
-def test_graph_storage_scope_builds_memmap_backed_graph(tmp_path):
+def test_graph_storage_scope_builds_memmap_backed_graph(tmp_path, monkeypatch):
+    # The scope must restore RAM mode, even when the suite forces memmap.
+    monkeypatch.delenv("REPRO_GRAPH_STORAGE", raising=False)
     edges = _random_edges(40, 150, 11)
     ram = Graph.from_edges(40, edges)
     with graph_storage("memmap", directory=tmp_path):

@@ -19,6 +19,11 @@ ladder. The fast paths must match these sweeps bit for bit
 (``tests/stats/test_golden_sweep.py``, ``tests/stats/test_prefix.py``,
 ``benchmarks/bench_walks.py``).
 
+Observation keeps its arc-scan twin: :func:`reference_observe_both`
+builds the star histogram and the induced edges from one pass over the
+graph's arcs per sample, where production gathers rows of per-graph
+planes (``tests/sampling/test_observation_planes.py``).
+
 The substrate build keeps its seed twins here too: the ``np.unique`` +
 ``lexsort`` CSR build, the per-node BFS component labelling, and the
 per-edge rejection loop that draws the planted model's inter-category
@@ -41,7 +46,13 @@ from repro.core.edge_weight import estimate_weights_induced, estimate_weights_st
 from repro.graph.category_graph import true_category_graph
 from repro.rng import ensure_rng, spawn_rngs
 from repro.sampling.base import Sampler
-from repro.sampling.observation import observe_induced, observe_star
+from repro.sampling.observation import (
+    InducedObservation,
+    StarObservation,
+    _compress,
+    observe_induced,
+    observe_star,
+)
 from repro.stats.prefix import RungEstimates
 from repro.stats.replication import (
     KINDS,
@@ -54,6 +65,7 @@ __all__ = [
     "reference_components",
     "reference_csr",
     "reference_inter_category_edges",
+    "reference_observe_both",
     "reference_sweep",
     "reference_sweep_from_samples",
 ]
@@ -203,3 +215,60 @@ def reference_inter_category_edges(labels, count, gen):
             if filled == count:
                 break
     return out
+
+
+def reference_observe_both(graph, partition, sample):
+    """``(induced, star)`` observations from one scan of the arc list.
+
+    The compressed draw table is production's; the star histogram keys
+    every arc owned by a sampled node by ``(distinct row, neighbor
+    category)`` and histograms the keys (densely, or with ``np.unique``
+    once ``D * C`` outgrows the arcs), and the induced edges keep the
+    arcs whose destination row exceeds their source row.
+    """
+    base, position = _compress(graph, partition, sample)
+    distinct = base["distinct_nodes"]
+    if position is None:
+        position = np.full(graph.num_nodes, -1, dtype=np.int64)
+        position[distinct] = np.arange(len(distinct))
+    source_rows = position[graph.arc_sources]
+    dest_rows = position[graph.indices]
+    kept = np.flatnonzero((source_rows >= 0) & (dest_rows > source_rows))
+    induced_edges = (
+        np.column_stack((source_rows.take(kept), dest_rows.take(kept)))
+        if len(graph.indices)
+        else np.empty((0, 2), dtype=np.int64)
+    )
+    c = partition.num_categories
+    num_distinct = len(distinct)
+    indptr = graph.indptr
+    degrees = (indptr[distinct + 1] - indptr[distinct]).astype(np.int64)
+    nbr_indptr = np.zeros(num_distinct + 1, dtype=np.int64)
+    if int(degrees.sum()):
+        arc_keys = source_rows * np.int64(c) + partition.labels[graph.indices]
+        key_space = num_distinct * c
+        if key_space <= max(4 * int(degrees.sum()), 1 << 20):
+            histogram = np.bincount(
+                arc_keys + np.int64(c), minlength=key_space + c
+            )[c:]
+            unique_keys = np.flatnonzero(histogram)
+            counts = histogram[unique_keys]
+        else:
+            unique_keys, counts = np.unique(
+                arc_keys[source_rows >= 0], return_counts=True
+            )
+        nbr_cats = (unique_keys % c).astype(np.int64)
+        np.add.at(nbr_indptr, unique_keys // c + 1, 1)
+        np.cumsum(nbr_indptr, out=nbr_indptr)
+    else:
+        nbr_cats = np.empty(0, dtype=np.int64)
+        counts = np.empty(0, dtype=np.int64)
+    induced = InducedObservation(induced_edges=induced_edges, **base)
+    star = StarObservation(
+        distinct_degrees=degrees,
+        neighbor_indptr=nbr_indptr,
+        neighbor_categories=nbr_cats,
+        neighbor_counts=counts.astype(np.int64),
+        **base,
+    )
+    return induced, star

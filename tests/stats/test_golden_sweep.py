@@ -238,8 +238,8 @@ def test_plane_store_sweep_bit_identical_cold_and_warm(
     name, world, mapped_world, monkeypatch
 ):
     """The golden pin of the *derived*-plane store: with every
-    derivation (arc_sources, arc_labels, union merge, alias tables,
-    walk cumsums) forced through the manifest-keyed spill path
+    derivation (arc_sources, upper edges, neighbor histograms, union
+    merge, alias tables, walk cumsums) forced through the manifest-keyed spill path
     (``REPRO_PLANE_THRESHOLD=0``), the NRMSE surfaces equal the in-RAM
     surfaces bit for bit — on the cold build and again on the warm
     reopen after the in-process memo is dropped."""
