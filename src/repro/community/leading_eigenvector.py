@@ -19,7 +19,6 @@ algorithm from scratch:
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
@@ -98,6 +97,8 @@ def leading_eigenvector_communities(
 
 def _to_scipy(graph: Graph) -> sp.csr_matrix:
     """Zero-copy view of the CSR arrays as a scipy adjacency matrix."""
+    import scipy.sparse as sp  # deferred: ~half of ``import repro.cli``
+
     n = graph.num_nodes
     data = np.ones(len(graph.indices), dtype=np.float64)
     return sp.csr_matrix(

@@ -69,11 +69,11 @@ choose — by construction rather than by tolerance:
    :class:`~repro.stats.prefix.IncrementalPrefixLadder` code the serial
    sweep runs, over observations gathered from the same observation
    planes (the driver builds them once and ships them in the payload);
-   rows are placed by (cell, absolute replicate index) and every cell
-   is reduced by the serial reducer (including the cross-sample
-   pseudo-truth reduction of the paper's Section 7.2 convention). No
-   float is added in a different order, whichever cells were in flight
-   together.
+   each rung's rows are joined in absolute replicate order and fed to
+   the serial sweep's :class:`~repro.stats.replication.RungReducer`
+   (also for the cross-sample pseudo-truth of the paper's Section 7.2
+   convention). No float is added in a different order, whichever
+   cells were in flight together.
 4. **Resume is exact — and substrate-free when possible.**
    Checkpointed rungs are replayed from disk while workers fold their
    integer multiplicity state forward

@@ -7,10 +7,10 @@ advancing the block through the batched frontier kernels
 (:mod:`repro.sampling.batch`), or slicing its block out of *pre-drawn*
 samples (simulated crawls) published through shared memory — and steps
 a per-replicate prefix ladder rung by rung under parent control. The
-parent assembles rows into the same ``(R, K, C[, C])`` stacks the
-serial path builds and reduces them with the identical code
-(:func:`repro.stats.replication._reduce_stacks`), which is why the
-output is bit-identical to the serial engine for any worker count, for
+parent joins each rung's shard rows in replicate order and feeds them
+to the serial path's :class:`~repro.stats.replication.RungReducer`,
+never holding ``(R, K, C[, C])`` stacks, which is why the output is
+bit-identical to the serial engine for any worker count, for
 fresh-draw (:meth:`ProcessSweepExecutor.run`) and pre-drawn
 (:meth:`ProcessSweepExecutor.run_from_samples`) sweeps alike.
 
@@ -104,10 +104,9 @@ from repro.sampling.observation import (
 )
 from repro.stats.prefix import IncrementalPrefixLadder
 from repro.stats.replication import (
-    KINDS,
+    RungReducer,
     SweepResult,
     SweepSpec,
-    _reduce_stacks,
     _rung_rows,
 )
 
@@ -399,8 +398,8 @@ def replay_sweep(cell_root: "str | os.PathLike", sweep_key: str) -> "SweepResult
     the manifest key the plan checkpoint recorded for it
     (:meth:`repro.runtime.checkpoint.PlanCheckpoint.record_cell`). When
     the manifest, the persisted truth arrays, and every rung file are
-    present, the result is assembled by the same ``_reduce_stacks``
-    reduction an uninterrupted run ends with — bit-identical, because
+    present, the rung files are fed to the same ``RungReducer`` an
+    uninterrupted run streams its rungs into — bit-identical, because
     every input array round-trips npz exactly. Returns ``None`` on any
     gap; the caller then falls back to building the cell's substrate
     and running it normally (which re-fingerprints and re-validates the
@@ -429,23 +428,14 @@ def replay_sweep(cell_root: "str | os.PathLike", sweep_key: str) -> "SweepResult
     truth = read_truth(directory, tuple(categories))
     if truth is None:
         return None
-    r, c = replications, len(categories)
-    size_stacks = {kind: np.full((r, len(sizes), c), np.nan) for kind in KINDS}
-    weight_stacks = {
-        kind: np.full((r, len(sizes), c, c), np.nan) for kind in KINDS
-    }
+    truth_mode = str(manifest.get("truth_mode", "exact"))
+    reducer = RungReducer(sizes, truth, truth_mode, replications)
     for si, size in enumerate(sizes):
         rows = read_rung(directory / f"rung_{si:03d}.npz", int(size))
-        if rows is None or rows[0].shape != (r, c):
+        if rows is None or rows[0].shape != (replications, len(categories)):
             return None
-        ProcessSweepExecutor._fill(size_stacks, weight_stacks, si, rows)
-    return _reduce_stacks(
-        sizes,
-        size_stacks,
-        weight_stacks,
-        truth,
-        str(manifest.get("truth_mode", "exact")),
-    )
+        reducer.add(si, rows)
+    return reducer.result()
 
 
 # ----------------------------------------------------------------------
@@ -1060,10 +1050,9 @@ class ProcessSweepExecutor:
         self.failover_log = []
         sweep_label = self.label or "sweep"
         sizes = spec.sizes
-        r, k, c = replications, len(sizes), partition.num_categories
-        size_stacks = {kind: np.full((r, k, c), np.nan) for kind in KINDS}
-        weight_stacks = {kind: np.full((r, k, c, c), np.nan) for kind in KINDS}
-        if len(cached_rungs) == len(sizes):
+        k = len(sizes)
+        reducer = RungReducer(sizes, truth, spec.truth_mode, replications)
+        if len(cached_rungs) == k:
             # Every rung is already checkpointed: assemble the result
             # straight from disk — no workers, no resampling, no ladder
             # rebuilds (a finished sweep re-resumed is a pure replay).
@@ -1071,13 +1060,9 @@ class ProcessSweepExecutor:
             with telemetry.span(
                 "sweep.replay", cat="driver", task=sweep_label, rungs=k
             ):
-                for si in range(len(sizes)):
-                    self._fill(
-                        size_stacks, weight_stacks, si, cached_rungs[si]
-                    )
-                return _reduce_stacks(
-                    sizes, size_stacks, weight_stacks, truth, spec.truth_mode
-                )
+                for si in range(k):
+                    reducer.add(si, cached_rungs[si])
+                return reducer.result()
 
         if observations is None:
             # Built before pickling, so the planes ride every shard's
@@ -1187,7 +1172,7 @@ class ProcessSweepExecutor:
                                 driver.command(run, "skip", si, size)
                             for run in runs:
                                 driver.collect(run, "skipped", si)
-                            self._fill(size_stacks, weight_stacks, si, cached)
+                            merged = cached
                         else:
                             for run in runs:
                                 driver.command(run, "rung", si, size)
@@ -1200,9 +1185,11 @@ class ProcessSweepExecutor:
                                 )
                                 for f in range(4)
                             )
-                            self._fill(size_stacks, weight_stacks, si, merged)
+                            del rows
                             if checkpoint is not None:
                                 checkpoint.save_rung(si, size, merged)
+                        reducer.add(si, merged)
+                        del merged
                     # Folded into every live ladder — what a replacement
                     # task must skip past to catch up.
                     for run in runs:
@@ -1229,9 +1216,7 @@ class ProcessSweepExecutor:
                 # unlinks the files (harmless when nothing attached).
                 sharedmem.release(local_pool.block_names)
 
-        return _reduce_stacks(
-            sizes, size_stacks, weight_stacks, truth, spec.truth_mode
-        )
+        return reducer.result()
 
     # ------------------------------------------------------------------
     # Helpers
@@ -1295,10 +1280,3 @@ class ProcessSweepExecutor:
             ],
         }
         return SweepCheckpoint(self.checkpoint_root, manifest, self.resume)
-
-    @staticmethod
-    def _fill(size_stacks, weight_stacks, si, rows) -> None:
-        size_stacks["induced"][:, si] = rows[0]
-        size_stacks["star"][:, si] = rows[1]
-        weight_stacks["induced"][:, si] = rows[2]
-        weight_stacks["star"][:, si] = rows[3]

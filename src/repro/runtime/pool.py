@@ -335,6 +335,7 @@ class _WorkerHandle:
                 task_queue.put(message[1:])
             # Replies for closed tasks are dropped: an abandoned shard
             # may legitimately finish sending after an error elsewhere.
+            del message  # else a big reply (rung rows) lives on until the next
         self.alive = False
         with self._tasks_lock:
             queues = list(self._task_queues.values())

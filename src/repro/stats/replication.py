@@ -30,8 +30,9 @@ A second axis shards the R replicates across *processes*:
 ``executor="process"`` hands the sweep to the :mod:`repro.runtime`
 executor, which publishes the graph arrays once via shared memory,
 reconstructs each replicate's RNG stream from its spawned seed (so
-shard assignment cannot change a trajectory), and reduces the
-per-replicate estimate rows exactly as the serial path does — the
+shard assignment cannot change a trajectory), and feeds each rung's
+rows to the serial path's :class:`RungReducer` as they arrive, never
+holding ``(R, K, C, C)`` stacks — the
 resulting :class:`SweepResult` is bit-identical for any worker count,
 and supports rung-level checkpoint/resume. Both entry points ride it:
 :func:`run_nrmse_sweep` shards sampling *and* the ladder, while
@@ -62,6 +63,7 @@ from repro.stats.errors import nanmean_rows, nrmse_stack
 from repro.stats.prefix import IncrementalPrefixLadder, RungEstimates
 
 __all__ = [
+    "RungReducer",
     "SweepResult",
     "SweepSpec",
     "run_nrmse_sweep",
@@ -138,7 +140,7 @@ class SweepResult:
         values = self.size_nrmse[kind]
         if categories is not None:
             values = values[:, categories]
-        return np.nanmedian(values, axis=1)
+        return _nanmedian_rows(values)
 
     def median_weight_nrmse(
         self, kind: str, pairs: np.ndarray | None = None
@@ -151,7 +153,16 @@ class SweepResult:
             flat = values[:, idx[0], idx[1]]
         else:
             flat = values[:, pairs[:, 0], pairs[:, 1]]
-        return np.nanmedian(flat, axis=1)
+        return _nanmedian_rows(flat)
+
+
+def _nanmedian_rows(values: np.ndarray) -> np.ndarray:
+    """``np.nanmedian(values, axis=1)`` minus its all-NaN-row warning
+    (warning filters are not thread-safe); other rows keep their bytes."""
+    medians = np.full(values.shape[0], np.nan)
+    some = ~np.isnan(values).all(axis=1)
+    medians[some] = np.nanmedian(values[some], axis=1)
+    return medians
 
 
 def run_nrmse_sweep(
@@ -279,11 +290,12 @@ def _serial_sweep(
     sizes = spec.sizes
     truth = true_category_graph(graph, partition)
     n_pop = graph.num_nodes
-    c = partition.num_categories
     r = len(samples)
     k = len(sizes)
-    size_stacks = {kind: np.full((r, k, c), np.nan) for kind in KINDS}
-    weight_stacks = {kind: np.full((r, k, c, c), np.nan) for kind in KINDS}
+    reducer = RungReducer(sizes, truth, spec.truth_mode, r)
+    # Replicate-major, so one ladder is alive at a time; its rows wait in
+    # (R, K, ...) stacks until every replicate is done.
+    stacks = [np.full((r, k, *s[1:]), np.nan) for s in reducer.row_shapes]
 
     from repro.runtime import telemetry  # deferred: cycle
 
@@ -299,72 +311,79 @@ def _serial_sweep(
                     int(size), n_pop, mean_degree_model=spec.mean_degree_model
                 )
                 rows = _rung_rows(rung, spec.weight_size_plugin, truth.sizes)
-                size_stacks["induced"][rep, si] = rows[0]
-                size_stacks["star"][rep, si] = rows[1]
-                weight_stacks["induced"][rep, si] = rows[2]
-                weight_stacks["star"][rep, si] = rows[3]
+                for stack, row in zip(stacks, rows):
+                    stack[rep, si] = row
             # Free this replicate's observations before the next ladder
             # is built, so peak memory holds one replicate's, not two.
             del ladder
 
-    return _reduce_stacks(
-        sizes, size_stacks, weight_stacks, truth, spec.truth_mode
-    )
+    for si in range(k):
+        reducer.add(si, [stack[:, si] for stack in stacks])
+    return reducer.result()
 
 
-def _reduce_stacks(
-    sizes: np.ndarray,
-    size_stacks: dict[str, np.ndarray],
-    weight_stacks: dict[str, np.ndarray],
-    truth: CategoryGraph,
-    truth_mode: str,
-) -> SweepResult:
-    """Reduce per-replicate estimate stacks to the NRMSE surfaces.
+class RungReducer:
+    """Reduces a sweep, rung by rung, to its NRMSE surfaces (Eq. 17).
 
-    Shared by the serial path above and the parallel executor
-    (:mod:`repro.runtime`): the stacks are indexed by *absolute*
-    replicate, so however the rows were computed — in-process or
-    sharded across workers — the reduction here is the same
-    floating-point program and the result is bit-identical.
+    ``add(si, rows)`` takes rung ``si``'s four ``(R, ...)`` row arrays in
+    :func:`_rung_rows` order; ``result()`` returns the
+    :class:`SweepResult`. Exact truth reduces a rung on arrival and keeps
+    no rows; the cross-sample pseudo-truth averages the last rung, so
+    rows are held until it arrives. Bytes do not depend on the rows'
+    layout: ``nrmse_stack``'s axis-0 reductions add rows in replicate
+    order for a strided slice of an ``(R, K, ...)`` stack and for one
+    contiguous rung alike.
     """
-    k = sizes.shape[0]
-    c = truth.sizes.shape[0]
-    size_nrmse, size_cov, weight_nrmse, weight_cov = {}, {}, {}, {}
-    for kind in KINDS:
-        if truth_mode == "cross-sample":
+
+    def __init__(self, sizes, truth, truth_mode, replications):
+        c = truth.sizes.shape[0]
+        self.row_shapes = [(replications, c)] * 2 + [(replications, c, c)] * 2
+        self._sizes, self._truth = sizes, truth
+        self._nrmse = [np.empty((len(sizes), *s[1:])) for s in self.row_shapes]
+        self._coverage = [np.empty_like(values) for values in self._nrmse]
+        exact = [truth.sizes] * 2 + [truth.weights] * 2
+        self._truths = None if truth_mode == "cross-sample" else exact
+        self._held = {}
+        self._missing = set(range(len(sizes)))
+
+    def add(self, si: int, rows: Sequence[np.ndarray]) -> None:
+        """Reduce rung ``si``, or hold it until the truth is known."""
+        if [row.shape for row in rows] != self.row_shapes:
+            raise EstimationError(f"rung {si} rows are not {self.row_shapes}")
+        self._held[si] = rows
+        if self._truths is None:
+            if si != len(self._sizes) - 1:
+                return
             # Paper Sec. 7.2: pseudo-truth = the per-kind average of the
-            # full-length estimates across the replicate walks.
-            # (nanmean_rows, not nanmean-with-filtered-warnings: filter
-            # mutation is process-global and the DAG scheduler reduces
-            # cells in concurrent threads.)
-            size_truth = nanmean_rows(size_stacks[kind][:, -1])
-            weight_truth = nanmean_rows(weight_stacks[kind][:, -1])
-        else:
-            size_truth = truth.sizes
-            weight_truth = truth.weights
-        per_size_vals = np.empty((k, c))
-        per_size_cov = np.empty((k, c))
-        per_pair_vals = np.empty((k, c, c))
-        per_pair_cov = np.empty((k, c, c))
-        for si in range(k):
-            per_size_vals[si], per_size_cov[si] = nrmse_stack(
-                size_stacks[kind][:, si], size_truth
-            )
-            per_pair_vals[si], per_pair_cov[si] = nrmse_stack(
-                weight_stacks[kind][:, si], weight_truth
-            )
-        size_nrmse[kind] = per_size_vals
-        size_cov[kind] = per_size_cov
-        weight_nrmse[kind] = per_pair_vals
-        weight_cov[kind] = per_pair_cov
-    return SweepResult(
-        sample_sizes=sizes,
-        size_nrmse=size_nrmse,
-        weight_nrmse=weight_nrmse,
-        size_coverage=size_cov,
-        weight_coverage=weight_cov,
-        truth=truth,
-    )
+            # full-length estimates across the replicate walks
+            # (nanmean_rows: warning filters are not thread-safe).
+            self._truths = [nanmean_rows(np.asarray(r, float)) for r in rows]
+        while self._held:
+            held_si, held_rows = self._held.popitem()
+            # Through the module global, so wrappers on it see every rung.
+            reduced = _reduce_stacks(held_rows, self._truths)
+            for f, (values, coverage) in enumerate(reduced):
+                self._nrmse[f][held_si] = values
+                self._coverage[f][held_si] = coverage
+            self._missing.discard(held_si)
+
+    def result(self) -> SweepResult:
+        if self._missing:
+            raise EstimationError(f"rungs {sorted(self._missing)} not reduced")
+        return SweepResult(
+            sample_sizes=self._sizes,
+            size_nrmse=dict(zip(KINDS, self._nrmse[:2])),
+            weight_nrmse=dict(zip(KINDS, self._nrmse[2:])),
+            size_coverage=dict(zip(KINDS, self._coverage[:2])),
+            weight_coverage=dict(zip(KINDS, self._coverage[2:])),
+            truth=self._truth,
+        )
+
+
+def _reduce_stacks(rows: Sequence[np.ndarray], truths: Sequence[np.ndarray]):
+    """Eq. 17 over one rung: ``(nrmse, coverage)`` of each ``(R, ...)``
+    row stack against its truth, in ``_rung_rows`` order."""
+    return [nrmse_stack(stack, truth) for stack, truth in zip(rows, truths)]
 
 
 def _rung_rows(

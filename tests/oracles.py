@@ -13,11 +13,16 @@ module keeps the slow, obviously-correct twin of both phases:
   observations, re-subset at every rung via ``subset_draws`` and fed
   to the :mod:`repro.core` estimator families.
 
-Rows and reduction reuse the production ``_rung_rows`` and
-``_reduce_stacks``, so any divergence points at sampling or at the
-ladder. The fast paths must match these sweeps bit for bit
-(``tests/stats/test_golden_sweep.py``, ``tests/stats/test_prefix.py``,
-``benchmarks/bench_walks.py``).
+Rows reuse the production ``_rung_rows``, so any divergence points at
+sampling or at the ladder. The fast paths must match these sweeps bit
+for bit (``tests/stats/test_golden_sweep.py``,
+``tests/stats/test_prefix.py``, ``benchmarks/bench_walks.py``).
+
+The reduction keeps its whole-sweep twin: :func:`reference_reduce_stacks`
+fills ``(R, K, C[, C])`` stacks and reduces them once at the end, where
+production streams each rung through
+:class:`~repro.stats.replication.RungReducer`
+(``tests/stats/test_rung_reducer.py``).
 
 Observation keeps its arc-scan twin: :func:`reference_observe_both`
 builds the star histogram and the induced edges from one pass over the
@@ -53,19 +58,16 @@ from repro.sampling.observation import (
     observe_induced,
     observe_star,
 )
+from repro.stats.errors import nanmean_rows, nrmse_stack
 from repro.stats.prefix import RungEstimates
-from repro.stats.replication import (
-    KINDS,
-    SweepSpec,
-    _reduce_stacks,
-    _rung_rows,
-)
+from repro.stats.replication import KINDS, SweepResult, SweepSpec, _rung_rows
 
 __all__ = [
     "reference_components",
     "reference_csr",
     "reference_inter_category_edges",
     "reference_observe_both",
+    "reference_reduce_stacks",
     "reference_sweep",
     "reference_sweep_from_samples",
 ]
@@ -129,8 +131,48 @@ def _reference_ladders(graph, partition, samples, spec):
             size_stacks["star"][rep, si] = rows[1]
             weight_stacks["induced"][rep, si] = rows[2]
             weight_stacks["star"][rep, si] = rows[3]
-    return _reduce_stacks(
+    return reference_reduce_stacks(
         spec.sizes, size_stacks, weight_stacks, truth, spec.truth_mode
+    )
+
+
+def reference_reduce_stacks(
+    sizes, size_stacks, weight_stacks, truth, truth_mode
+):
+    """The seed reduction: whole ``(R, K, C[, C])`` stacks per kind,
+    reduced to the NRMSE surfaces once every rung is filled in."""
+    k = sizes.shape[0]
+    c = truth.sizes.shape[0]
+    size_nrmse, size_cov, weight_nrmse, weight_cov = {}, {}, {}, {}
+    for kind in KINDS:
+        if truth_mode == "cross-sample":
+            size_truth = nanmean_rows(size_stacks[kind][:, -1])
+            weight_truth = nanmean_rows(weight_stacks[kind][:, -1])
+        else:
+            size_truth = truth.sizes
+            weight_truth = truth.weights
+        per_size_vals = np.empty((k, c))
+        per_size_cov = np.empty((k, c))
+        per_pair_vals = np.empty((k, c, c))
+        per_pair_cov = np.empty((k, c, c))
+        for si in range(k):
+            per_size_vals[si], per_size_cov[si] = nrmse_stack(
+                size_stacks[kind][:, si], size_truth
+            )
+            per_pair_vals[si], per_pair_cov[si] = nrmse_stack(
+                weight_stacks[kind][:, si], weight_truth
+            )
+        size_nrmse[kind] = per_size_vals
+        size_cov[kind] = per_size_cov
+        weight_nrmse[kind] = per_pair_vals
+        weight_cov[kind] = per_pair_cov
+    return SweepResult(
+        sample_sizes=sizes,
+        size_nrmse=size_nrmse,
+        weight_nrmse=weight_nrmse,
+        size_coverage=size_cov,
+        weight_coverage=weight_cov,
+        truth=truth,
     )
 
 

@@ -9,11 +9,14 @@ sequential-fallback designs alike.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.exceptions import EstimationError, SamplingError
 from repro.generators import gnm, planted_category_graph
+from repro.graph import CategoryPartition
 from repro.runtime import ProcessSweepExecutor, runtime_options
 from repro.sampling import (
     BreadthFirstSampler,
@@ -24,7 +27,7 @@ from repro.sampling import (
     UniformIndependenceSampler,
 )
 from repro.sampling.base import Sampler
-from repro.stats import run_nrmse_sweep
+from repro.stats import run_nrmse_sweep, run_nrmse_sweep_from_samples
 
 LADDER = (40, 120, 360)
 REPLICATIONS = 6
@@ -334,3 +337,49 @@ def test_non_positive_workers_env_rejected(monkeypatch, value):
     monkeypatch.setenv("REPRO_WORKERS", value)
     with pytest.raises(EstimationError, match="REPRO_WORKERS must be >= 1"):
         active_options()
+
+
+def test_driver_never_holds_a_replicate_stack():
+    """The driver reduces each rung as its shard rows arrive.
+
+    With C = 200 categories, one (R, K, C, C) float64 stack of weight
+    estimates is 14.6 MiB. Filling whole stacks before reducing held
+    two of them (one per measurement kind) on top of the returned
+    (K, C, C) surfaces. Streaming holds one rung's rows at a time, so
+    the driver's traced peak, net of the result it returns, stays below
+    a single stack.
+    """
+    c, r, k = 200, 8, 6
+    graph = gnm(c * 10, c * 40, rng=3)
+    partition = CategoryPartition(np.arange(graph.num_nodes) % c)
+    samples = list(
+        UniformIndependenceSampler(graph).sample_many(600, r, rng=5)
+    )
+    sizes = np.linspace(100, 600, k).astype(np.int64)
+
+    def sweep():
+        return run_nrmse_sweep_from_samples(
+            graph, partition, samples, sizes, executor="process", workers=2
+        )
+
+    serial = run_nrmse_sweep_from_samples(
+        graph, partition, samples, sizes, executor="serial"
+    )
+    sweep()  # spawns the pool and caches the observation planes
+    tracemalloc.start()
+    try:
+        result = sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_sweeps_equal(serial, result, "streamed reduction")
+    kept = sum(
+        getattr(result, attr)[kind].nbytes
+        for attr in ("size_nrmse", "weight_nrmse", "size_coverage", "weight_coverage")
+        for kind in ("induced", "star")
+    )
+    stack = r * k * c * c * np.dtype(np.float64).itemsize
+    assert peak - kept < stack, (
+        f"driver peak {peak / 2**20:.1f} MiB holds more than the "
+        f"{kept / 2**20:.1f} MiB result plus one {stack / 2**20:.1f} MiB stack"
+    )

@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import EstimationError
 from repro.generators import planted_category_graph
-from repro.graph import true_category_graph
+from repro.graph import CategoryPartition, Graph, true_category_graph
 from repro.sampling import NodeSample, RandomWalkSampler, UniformIndependenceSampler
 from repro.stats import (
     percentile_edge,
@@ -98,6 +98,50 @@ class TestSweep:
         assert np.isfinite(med[0])
         med_w = sweep.median_weight_nrmse("induced")
         assert med_w.shape == (1,)
+
+    @pytest.mark.filterwarnings("error")
+    def test_medians_are_silent_on_all_nan_rows(self):
+        """An edgeless graph leaves every weight NRMSE NaN: the medians
+        are NaN, with no all-NaN-slice warning."""
+        graph = Graph.from_edges(12, np.empty((0, 2), dtype=np.int64))
+        partition = CategoryPartition(np.arange(12) % 3)
+        sweep = run_nrmse_sweep(
+            graph,
+            partition,
+            UniformIndependenceSampler(graph),
+            (4, 8),
+            replications=3,
+            rng=0,
+        )
+        for kind in ("induced", "star"):
+            assert np.isnan(sweep.weight_nrmse[kind]).all()
+            med = sweep.median_weight_nrmse(kind)
+            assert med.shape == (2,) and np.isnan(med).all()
+        assert np.isnan(sweep.median_size_nrmse("star")).all()
+
+    def test_medians_keep_finite_rows_bytes(self, model):
+        """Rows with any finite NRMSE get exactly ``np.nanmedian``'s bytes;
+        only all-NaN rows are answered without it."""
+        graph, partition = model
+        sweep = run_nrmse_sweep(
+            graph,
+            partition,
+            UniformIndependenceSampler(graph),
+            (50, 500),
+            replications=3,
+            rng=2,
+        )
+        sweep.size_nrmse["star"][0] = np.nan
+        med = sweep.median_size_nrmse("star")
+        assert np.isnan(med[0])
+        want = np.nanmedian(sweep.size_nrmse["star"][1:], axis=1)
+        assert med[1:].tobytes() == want.tobytes()
+        pairs = np.array([[0, 1], [1, 2], [2, 3]])
+        flat = sweep.weight_nrmse["star"][:, pairs[:, 0], pairs[:, 1]]
+        assert (
+            sweep.median_weight_nrmse("star", pairs=pairs).tobytes()
+            == np.nanmedian(flat, axis=1).tobytes()
+        )
 
     def test_from_walk_samples(self, model):
         graph, partition = model

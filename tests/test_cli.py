@@ -109,11 +109,12 @@ class TestExperimentCommand:
 
 
 def test_cli_import_leaves_heavy_modules_out():
-    """networkx and scipy.sparse.linalg load only when a run needs them."""
+    """networkx and scipy load only when a run needs them."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "import sys, repro.cli; heavy = ('networkx', 'scipy.sparse.linalg'); "
+        "import sys, repro.cli; "
+        "heavy = ('networkx', 'scipy', 'scipy.sparse', 'scipy.sparse.linalg'); "
         "print(sorted(m for m in heavy if m in sys.modules))"
     )
     out = subprocess.run(
