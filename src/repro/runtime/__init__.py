@@ -69,11 +69,12 @@ choose — by construction rather than by tolerance:
    :class:`~repro.stats.prefix.IncrementalPrefixLadder` code the serial
    sweep runs, over observations gathered from the same observation
    planes (the driver builds them once and ships them in the payload);
-   each rung's rows are joined in absolute replicate order and fed to
+   each shard's rows are folded in absolute replicate order into
    the serial sweep's :class:`~repro.stats.replication.RungReducer`
    (also for the cross-sample pseudo-truth of the paper's Section 7.2
-   convention). No float is added in a different order, whichever
-   cells were in flight together.
+   convention), whose running Eq. 17 sums add one replicate row after
+   another however the rows are split into blocks. No float is added
+   in a different order, whichever cells were in flight together.
 4. **Resume is exact — and substrate-free when possible.**
    Checkpointed rungs are replayed from disk while workers fold their
    integer multiplicity state forward

@@ -7,12 +7,12 @@ advancing the block through the batched frontier kernels
 (:mod:`repro.sampling.batch`), or slicing its block out of *pre-drawn*
 samples (simulated crawls) published through shared memory — and steps
 a per-replicate prefix ladder rung by rung under parent control. The
-parent joins each rung's shard rows in replicate order and feeds them
-to the serial path's :class:`~repro.stats.replication.RungReducer`,
-never holding ``(R, K, C[, C])`` stacks, which is why the output is
-bit-identical to the serial engine for any worker count, for
-fresh-draw (:meth:`ProcessSweepExecutor.run`) and pre-drawn
-(:meth:`ProcessSweepExecutor.run_from_samples`) sweeps alike.
+parent folds each shard's rung rows, in replicate order, into the
+serial path's :class:`~repro.stats.replication.RungReducer` as they
+arrive, never holding ``(R, K, C[, C])`` stacks or even a joined rung,
+which is why the output is bit-identical to the serial engine for any
+worker count, for fresh-draw (:meth:`ProcessSweepExecutor.run`) and
+pre-drawn (:meth:`ProcessSweepExecutor.run_from_samples`) sweeps alike.
 
 Parent/worker protocol (one duplex pipe per worker)::
 
@@ -48,6 +48,13 @@ onto a replacement worker (same payload, same seeds — the determinism
 contract makes the replacement's rows byte-identical), bounded by
 ``max_retries`` before a structured
 :class:`~repro.runtime.pool.WorkerFailure` surfaces.
+
+Each shard holds exactly one queued rung command. As soon as the
+parent collects a shard's reply to rung ``si`` it sends that shard's
+rung ``si + 1`` (or its ``skip``), and only then folds the rows, so the
+worker computes the next rung while the parent reduces this one. One
+command in flight per shard is also all the failover replay has to
+re-send.
 
 Rung-by-rung control is what makes checkpoint/resume work: after every
 gathered rung the parent persists that rung's rows, so a later run with
@@ -516,8 +523,10 @@ class _ShardRun:
     Everything needed to re-dispatch the shard from scratch on a
     replacement worker: the immutable payload/cfg (re-seeding is
     implicit — seeds live in the cfg, streams are rebuilt from them),
-    the rungs already folded into the parent's stacks (replayed as
-    exact ``skip`` folds), and the command in flight when the worker
+    the rungs whose replies the parent has collected (``progress``,
+    appended per shard on collection and replayed as exact ``skip``
+    folds), and the one queued command — the next rung, sent before
+    the collected rows are folded — that was in flight when the worker
     died (re-sent after the replay catches up).
     """
 
@@ -1160,6 +1169,15 @@ class ProcessSweepExecutor:
                                 for fields in shard_obs
                             ]
                         )
+
+                def queue(run, si):
+                    # Every shard holds one queued command: its next rung.
+                    if si < k:
+                        kind = "skip" if si in cached_rungs else "rung"
+                        driver.command(run, kind, si, int(sizes[si]))
+
+                for run in runs:
+                    queue(run, 0)
                 for si, size in enumerate(sizes):
                     size = int(size)
                     cached = cached_rungs.get(si)
@@ -1167,33 +1185,37 @@ class ProcessSweepExecutor:
                         "rung", cat="driver", task=sweep_label,
                         rung=si, size=size, cached=cached is not None,
                     ):
-                        if cached is not None:
-                            for run in runs:
-                                driver.command(run, "skip", si, size)
-                            for run in runs:
-                                driver.collect(run, "skipped", si)
-                            merged = cached
-                        else:
-                            for run in runs:
-                                driver.command(run, "rung", si, size)
-                            rows = [
-                                driver.collect(run, "rows", si) for run in runs
-                            ]
-                            merged = tuple(
-                                np.concatenate(
-                                    [shard_rows[f] for shard_rows in rows]
-                                )
-                                for f in range(4)
+                        kept = [] if checkpoint is not None else None
+                        for run in runs:
+                            rows = driver.collect(
+                                run, "rows" if cached is None else "skipped", si
                             )
+                            # Folded into this shard's ladders: what a
+                            # replacement task must skip past to catch up.
+                            run.progress.append((si, size))
+                            queue(run, si + 1)
+                            if cached is None:
+                                # Shards own contiguous replicate blocks,
+                                # so slot order is replicate order.
+                                reducer.fold(si, rows)
+                                if kept is not None:
+                                    kept.append(rows)
                             del rows
-                            if checkpoint is not None:
-                                checkpoint.save_rung(si, size, merged)
-                        reducer.add(si, merged)
-                        del merged
-                    # Folded into every live ladder — what a replacement
-                    # task must skip past to catch up.
-                    for run in runs:
-                        run.progress.append((si, size))
+                        if cached is not None:
+                            reducer.add(si, cached)
+                        else:
+                            if kept is not None:
+                                checkpoint.save_rung(
+                                    si,
+                                    size,
+                                    tuple(
+                                        np.concatenate(
+                                            [rows[f] for rows in kept]
+                                        )
+                                        for f in range(4)
+                                    ),
+                                )
+                            reducer.close(si)
                 if recorder is not None:
                     # Flush each task's recorded events back over the
                     # reply channel (best-effort diagnostics: a shard

@@ -7,7 +7,10 @@ The paper scores estimators with the Normalized Root Mean Square Error
 where the expectation runs over independent replications (walks). We
 compute it element-wise over stacked replicate estimates, ignoring
 ``nan`` replicates (estimator undefined on that sample) but reporting
-coverage so silent gaps cannot masquerade as accuracy.
+coverage so silent gaps cannot masquerade as accuracy. A sweep never
+stacks its replicates: :class:`RunningNRMSE` folds them in block by
+block, in replicate order, to the same bytes :func:`nrmse_stack` gives
+for the whole stack.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ import numpy as np
 
 from repro.exceptions import EstimationError
 
-__all__ = ["nanmean_rows", "nrmse", "nrmse_stack", "relative_error"]
+__all__ = [
+    "RunningNRMSE",
+    "nanmean_rows",
+    "nrmse",
+    "nrmse_stack",
+    "relative_error",
+]
 
 
 def nanmean_rows(stack: np.ndarray) -> np.ndarray:
@@ -76,12 +85,77 @@ def nrmse_stack(
         )
     finite = np.isfinite(estimate_stack)
     coverage = finite.mean(axis=0)
-    mse = nanmean_rows((estimate_stack - truth) ** 2)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN replicate
+        mse = nanmean_rows((estimate_stack - truth) ** 2)
+    return _normalised(mse, truth), coverage
+
+
+def _normalised(mse: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """``sqrt(mse) / |truth|``, ``nan`` where the truth is zero or non-finite."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        values = np.where(
+        return np.where(
             np.isfinite(truth) & (truth != 0), np.sqrt(mse) / np.abs(truth), np.nan
         )
-    return values, coverage
+
+
+class RunningNRMSE:
+    """Element-wise Eq. (17) folded in one block of replicates at a time.
+
+    :meth:`fold` takes the next ``(B, ...)`` block of replicate
+    estimates, in replicate order; :meth:`close` returns what
+    :func:`nrmse_stack` returns for all the folded rows stacked, byte for
+    byte. Per element it keeps the count of finite estimates, the count
+    of NaN squared errors (replicates the mean leaves out) and the sum
+    of the others, so memory does not grow with the replicate count.
+
+    The sum adds one row after another. That is the order NumPy's axis-0
+    sum uses when a row has more than one element, but for one-element
+    rows it sums pairwise, so those (a single category) are held and
+    reduced whole by :func:`nrmse_stack` on :meth:`close`.
+    """
+
+    def __init__(self, truth: np.ndarray):
+        self.truth = np.asarray(truth, dtype=float)
+        self.rows = 0
+        self._held = [] if self.truth.size == 1 else None
+        # int32: the counts never exceed the replicate count, and a
+        # (C, C) count plane per open rung is half the size of int64.
+        self._finite = np.zeros(self.truth.shape, dtype=np.int32)
+        self._dropped = np.zeros(self.truth.shape, dtype=np.int32)
+        self._total = np.zeros(self.truth.shape)
+
+    def fold(self, block: np.ndarray) -> None:
+        """Add the next ``(B, ...)`` rows, in replicate order."""
+        block = np.asarray(block, dtype=float)
+        if block.shape[1:] != self.truth.shape:
+            raise EstimationError(
+                f"estimate block {block.shape} does not stack over "
+                f"truth {self.truth.shape}"
+            )
+        self.rows += len(block)
+        if self._held is not None:
+            self._held.append(block)
+            return
+        self._finite += np.isfinite(block).sum(axis=0, dtype=np.int32)
+        # One temporary, squared in place: a large block is not copied
+        # again. inf - inf is a NaN replicate, not a warning.
+        with np.errstate(invalid="ignore"):
+            squared = np.subtract(block, self.truth)
+            np.square(squared, out=squared)
+        dropped = np.isnan(squared)
+        self._dropped += dropped.sum(axis=0, dtype=np.int32)
+        np.copyto(squared, 0.0, where=dropped)
+        for row in squared:
+            self._total += row
+
+    def close(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(nrmse_values, coverage)`` over every folded row."""
+        if self._held is not None:
+            return nrmse_stack(np.concatenate(self._held), self.truth)
+        coverage = self._finite / self.rows
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mse = self._total / (self.rows - self._dropped)
+        return _normalised(mse, self.truth), coverage
 
 
 def relative_error(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -30,11 +30,15 @@ A second axis shards the R replicates across *processes*:
 ``executor="process"`` hands the sweep to the :mod:`repro.runtime`
 executor, which publishes the graph arrays once via shared memory,
 reconstructs each replicate's RNG stream from its spawned seed (so
-shard assignment cannot change a trajectory), and feeds each rung's
-rows to the serial path's :class:`RungReducer` as they arrive, never
-holding ``(R, K, C, C)`` stacks — the
-resulting :class:`SweepResult` is bit-identical for any worker count,
-and supports rung-level checkpoint/resume. Both entry points ride it:
+shard assignment cannot change a trajectory), and folds each shard's
+rung rows into the serial path's :class:`RungReducer` as they arrive.
+Neither path holds ``(R, K, C, C)`` stacks: the serial sweep folds
+each replicate's rows as its ladder produces them, the executor each
+shard's block, into running Eq. 17 sums
+(:class:`~repro.stats.errors.RunningNRMSE`) that add rows in
+replicate order whatever the blocks — the resulting
+:class:`SweepResult` is bit-identical for any worker count, and
+supports rung-level checkpoint/resume. Both entry points ride it:
 :func:`run_nrmse_sweep` shards sampling *and* the ladder, while
 :func:`run_nrmse_sweep_from_samples` (pre-drawn crawls) ships the
 replicate samples through shared memory and shards the ladder phase
@@ -59,7 +63,7 @@ from repro.graph.partition import CategoryPartition
 from repro.rng import ensure_rng
 from repro.sampling.base import NodeSample, Sampler
 from repro.sampling.observation import observation_planes
-from repro.stats.errors import nanmean_rows, nrmse_stack
+from repro.stats.errors import RunningNRMSE, nanmean_rows
 from repro.stats.prefix import IncrementalPrefixLadder, RungEstimates
 
 __all__ = [
@@ -293,9 +297,6 @@ def _serial_sweep(
     r = len(samples)
     k = len(sizes)
     reducer = RungReducer(sizes, truth, spec.truth_mode, r)
-    # Replicate-major, so one ladder is alive at a time; its rows wait in
-    # (R, K, ...) stacks until every replicate is done.
-    stacks = [np.full((r, k, *s[1:]), np.nan) for s in reducer.row_shapes]
 
     from repro.runtime import telemetry  # deferred: cycle
 
@@ -304,68 +305,109 @@ def _serial_sweep(
     ):
         with telemetry.span("observe.planes", cat="driver"):
             observation_planes(graph, partition)
-        for rep, sample in enumerate(samples):
+        for sample in samples:
             ladder = IncrementalPrefixLadder(graph, partition, sample)
             for si, size in enumerate(sizes):
                 rung = ladder.estimates(
                     int(size), n_pop, mean_degree_model=spec.mean_degree_model
                 )
                 rows = _rung_rows(rung, spec.weight_size_plugin, truth.sizes)
-                for stack, row in zip(stacks, rows):
-                    stack[rep, si] = row
+                reducer.fold(si, [row[np.newaxis] for row in rows])
             # Free this replicate's observations before the next ladder
             # is built, so peak memory holds one replicate's, not two.
             del ladder
-
-    for si in range(k):
-        reducer.add(si, [stack[:, si] for stack in stacks])
+        for si in range(k):
+            reducer.close(si)
     return reducer.result()
 
 
 class RungReducer:
     """Reduces a sweep, rung by rung, to its NRMSE surfaces (Eq. 17).
 
-    ``add(si, rows)`` takes rung ``si``'s four ``(R, ...)`` row arrays in
-    :func:`_rung_rows` order; ``result()`` returns the
-    :class:`SweepResult`. Exact truth reduces a rung on arrival and keeps
-    no rows; the cross-sample pseudo-truth averages the last rung, so
-    rows are held until it arrives. Bytes do not depend on the rows'
-    layout: ``nrmse_stack``'s axis-0 reductions add rows in replicate
-    order for a strided slice of an ``(R, K, ...)`` stack and for one
-    contiguous rung alike.
+    ``fold(si, rows)`` takes the next block of replicates of rung
+    ``si``: its four ``(B, ...)`` row arrays in :func:`_rung_rows` order,
+    blocks arriving in replicate order. ``close(si)`` ends the rung once
+    all ``R`` replicates are in; ``add(si, rows)`` folds a whole rung and
+    closes it. ``result()`` returns the :class:`SweepResult`.
+
+    Under exact truth each block goes straight into per-rung
+    :class:`~repro.stats.errors.RunningNRMSE` sums and is let go, so
+    no rows outlive their fold, whatever the block size. The
+    cross-sample pseudo-truth averages the last rung, so blocks are held
+    until that rung closes and folded then, in the same order. Either
+    way a rung's bytes do not depend on how its replicates were split
+    into blocks.
     """
 
     def __init__(self, sizes, truth, truth_mode, replications):
         c = truth.sizes.shape[0]
         self.row_shapes = [(replications, c)] * 2 + [(replications, c, c)] * 2
         self._sizes, self._truth = sizes, truth
+        self._replications = replications
         self._nrmse = [np.empty((len(sizes), *s[1:])) for s in self.row_shapes]
         self._coverage = [np.empty_like(values) for values in self._nrmse]
         exact = [truth.sizes] * 2 + [truth.weights] * 2
         self._truths = None if truth_mode == "cross-sample" else exact
+        self._sums = {}
         self._held = {}
+        self._closing = set()
         self._missing = set(range(len(sizes)))
 
     def add(self, si: int, rows: Sequence[np.ndarray]) -> None:
-        """Reduce rung ``si``, or hold it until the truth is known."""
+        """Fold and close rung ``si`` from all its ``(R, ...)`` rows."""
         if [row.shape for row in rows] != self.row_shapes:
             raise EstimationError(f"rung {si} rows are not {self.row_shapes}")
-        self._held[si] = rows
+        self.fold(si, rows)
+        self.close(si)
+
+    def fold(self, si: int, rows: Sequence[np.ndarray]) -> None:
+        """Fold the next block of rung ``si``'s replicates, or hold it
+        until the truth is known."""
+        shapes = [(len(rows[0]), *s[1:]) for s in self.row_shapes]
+        if [row.shape for row in rows] != shapes:
+            raise EstimationError(f"rung {si} block is not {shapes}")
         if self._truths is None:
-            if si != len(self._sizes) - 1:
+            self._held.setdefault(si, []).append(rows)
+            return
+        if si not in self._sums:
+            self._sums[si] = [RunningNRMSE(truth) for truth in self._truths]
+        # Through the module global, so wrappers on it see every block.
+        _reduce_stacks(self._sums[si], rows)
+
+    def close(self, si: int) -> None:
+        """End rung ``si``: write its surfaces once its truth is known."""
+        self._closing.add(si)
+        if self._truths is None:
+            last = len(self._sizes) - 1
+            if si != last:
                 return
+            blocks = self._held.get(last, [])
+            self._check_complete(last, sum(len(rows[0]) for rows in blocks))
             # Paper Sec. 7.2: pseudo-truth = the per-kind average of the
             # full-length estimates across the replicate walks
             # (nanmean_rows: warning filters are not thread-safe).
-            self._truths = [nanmean_rows(np.asarray(r, float)) for r in rows]
-        while self._held:
-            held_si, held_rows = self._held.popitem()
-            # Through the module global, so wrappers on it see every rung.
-            reduced = _reduce_stacks(held_rows, self._truths)
-            for f, (values, coverage) in enumerate(reduced):
-                self._nrmse[f][held_si] = values
-                self._coverage[f][held_si] = coverage
-            self._missing.discard(held_si)
+            self._truths = [
+                nanmean_rows(np.concatenate([rows[f] for rows in blocks]))
+                for f in range(4)
+            ]
+            held, self._held = self._held, {}
+            for held_si, blocks in held.items():
+                for rows in blocks:
+                    self.fold(held_si, rows)
+        while self._closing:
+            done = self._closing.pop()
+            sums = self._sums.pop(done, None)
+            self._check_complete(done, 0 if sums is None else sums[0].rows)
+            for f, field in enumerate(sums):
+                self._nrmse[f][done], self._coverage[f][done] = field.close()
+            self._missing.discard(done)
+
+    def _check_complete(self, si: int, folded: int) -> None:
+        if folded != self._replications:
+            raise EstimationError(
+                f"rung {si} closed with {folded} of "
+                f"{self._replications} replicates"
+            )
 
     def result(self) -> SweepResult:
         if self._missing:
@@ -380,10 +422,11 @@ class RungReducer:
         )
 
 
-def _reduce_stacks(rows: Sequence[np.ndarray], truths: Sequence[np.ndarray]):
-    """Eq. 17 over one rung: ``(nrmse, coverage)`` of each ``(R, ...)``
-    row stack against its truth, in ``_rung_rows`` order."""
-    return [nrmse_stack(stack, truth) for stack, truth in zip(rows, truths)]
+def _reduce_stacks(sums: Sequence[RunningNRMSE], rows: Sequence[np.ndarray]):
+    """Eq. 17 over one block: fold each ``(B, ...)`` row array into its
+    running sum, in ``_rung_rows`` order."""
+    for field, block in zip(sums, rows):
+        field.fold(block)
 
 
 def _rung_rows(

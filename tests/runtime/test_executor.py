@@ -383,3 +383,143 @@ def test_driver_never_holds_a_replicate_stack():
         f"driver peak {peak / 2**20:.1f} MiB holds more than the "
         f"{kept / 2**20:.1f} MiB result plus one {stack / 2**20:.1f} MiB stack"
     )
+
+
+def test_serial_sweep_never_holds_a_replicate_stack():
+    """The serial sweep folds each replicate's rows as its ladder
+    produces them.
+
+    The case is the driver test's above. Filling whole (R, K, C, C)
+    stacks before reducing held two of them; the running sums hold one
+    (C, C) plane and two int32 count planes per open rung and weight
+    field, so the traced peak, net of the result, stays below a single
+    stack.
+    """
+    c, r, k = 200, 8, 6
+    graph = gnm(c * 10, c * 40, rng=3)
+    partition = CategoryPartition(np.arange(graph.num_nodes) % c)
+    samples = list(
+        UniformIndependenceSampler(graph).sample_many(600, r, rng=5)
+    )
+    sizes = np.linspace(100, 600, k).astype(np.int64)
+
+    def sweep():
+        return run_nrmse_sweep_from_samples(
+            graph, partition, samples, sizes, executor="serial"
+        )
+
+    first = sweep()  # caches the observation planes
+    tracemalloc.start()
+    try:
+        result = sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_sweeps_equal(first, result, "repeated serial sweep")
+    kept = sum(
+        getattr(result, attr)[kind].nbytes
+        for attr in ("size_nrmse", "weight_nrmse", "size_coverage", "weight_coverage")
+        for kind in ("induced", "star")
+    )
+    stack = r * k * c * c * np.dtype(np.float64).itemsize
+    assert peak - kept < stack, (
+        f"serial peak {peak / 2**20:.1f} MiB holds more than the "
+        f"{kept / 2**20:.1f} MiB result plus one {stack / 2**20:.1f} MiB stack"
+    )
+
+
+def test_each_shard_gets_its_next_rung_before_this_one_is_folded(
+    world, monkeypatch
+):
+    """A shard's worker computes rung si+1 while the driver folds its
+    rung-si rows: its next command is on the channel before the fold."""
+    from repro.runtime.pool import PersistentWorkerPool
+    from repro.stats.replication import RungReducer
+
+    events = []
+    open_task = PersistentWorkerPool.open_task
+    fold = RungReducer.fold
+
+    class RecordingChannel:
+        def __init__(self, channel, first):
+            self._channel, self._first = channel, first
+
+        def send(self, kind, *parts):
+            if kind in ("rung", "skip"):
+                events.append(("send", self._first, parts[0]))
+            self._channel.send(kind, *parts)
+
+        def __getattr__(self, name):
+            return getattr(self._channel, name)
+
+    def recording_open_task(pool, handle, payload, cfg):
+        channel = open_task(pool, handle, payload, cfg)
+        return RecordingChannel(channel, cfg["shard"][0])
+
+    def recording_fold(reducer, si, rows):
+        events.append(("fold", si, len(rows[0])))
+        fold(reducer, si, rows)
+
+    monkeypatch.setattr(PersistentWorkerPool, "open_task", recording_open_task)
+    monkeypatch.setattr(RungReducer, "fold", recording_fold)
+    graph, partition, _ = world
+    samples = list(
+        UniformIndependenceSampler(graph).sample_many(LADDER[-1], 6, rng=SEED)
+    )
+    parallel = run_nrmse_sweep_from_samples(
+        graph, partition, samples, LADDER, executor="process", workers=2
+    )
+    monkeypatch.undo()
+    serial = run_nrmse_sweep_from_samples(
+        graph, partition, samples, LADDER, executor="serial"
+    )
+    assert_sweeps_equal(serial, parallel, "queued rungs")
+
+    firsts = sorted({first for kind, first, _ in events if kind == "send"})
+    assert firsts == [0, 3]
+    for si in range(len(LADDER)):
+        folds = [i for i, e in enumerate(events) if e[:2] == ("fold", si)]
+        # One fold per shard, in slot (= replicate) order.
+        assert [events[i][2] for i in folds] == [3, 3]
+        for slot, first in enumerate(firsts):
+            sent = events.index(("send", first, si))
+            assert sent < folds[slot]
+            if si + 1 < len(LADDER):
+                assert events.index(("send", first, si + 1)) < folds[slot]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("workers", [None, 2])
+def test_cross_sample_sweep_is_silent_on_infinite_estimates(workers):
+    """Some full-length star size estimates are inf here, so one
+    category's cross-sample pseudo-truth is inf and the squared error of
+    an inf replicate is inf - inf: a NaN replicate, dropped without a
+    RuntimeWarning on either executor, with the whole-stack oracle's
+    bytes."""
+    from repro.graph import Graph
+    from tests.oracles import reference_sweep_from_samples
+
+    graph = Graph.from_edges(4, [[0, 1], [1, 2]])
+    partition = CategoryPartition(np.array([0, 1, 0, 1]))
+    samples = list(
+        UniformIndependenceSampler(graph).sample_many(8, 12, rng=0)
+    )
+    sizes = [2, 4, 8]
+    result = run_nrmse_sweep_from_samples(
+        graph,
+        partition,
+        samples,
+        sizes,
+        truth_mode="cross-sample",
+        executor="serial" if workers is None else "process",
+        workers=workers,
+    )
+    expected = reference_sweep_from_samples(
+        graph, partition, samples, sizes, truth_mode="cross-sample"
+    )
+    for attr in ("size_nrmse", "weight_nrmse", "size_coverage", "weight_coverage"):
+        for kind in ("induced", "star"):
+            got, want = getattr(result, attr)[kind], getattr(expected, attr)[kind]
+            assert got.tobytes() == want.tobytes(), (attr, kind)
+    # NRMSE against an infinite pseudo-truth is undefined.
+    assert np.isnan(result.size_nrmse["star"][:, 1]).all()

@@ -132,6 +132,17 @@ def test_mid_rung_worker_kill_recovers_bit_identically(workers, world, serial):
     assert not entry["timeout"]
 
 
+def test_kill_on_the_queued_last_rung_recovers_bit_identically(world, serial):
+    """The kill strikes while the driver folds rung 1: shard 1 already
+    holds its queued rung-2 command, which the replacement re-runs."""
+    executor = ProcessSweepExecutor(workers=2)
+    with faults.inject("kill-worker:rung=2,shard=1"):
+        result = _sweep(world, executor)
+    assert_sweeps_equal(serial, result, "kill on the queued rung")
+    assert [entry["slot"] for entry in executor.failover_log] == [1]
+    assert "rung 2" in executor.failover_log[0]["phase"]
+
+
 @pytest.mark.parametrize("name", ["bfs", "forest_fire"])
 def test_mid_traversal_worker_kill_recovers_bit_identically(name, world):
     """A worker killed while running a traversal frontier kernel.

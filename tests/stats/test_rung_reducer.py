@@ -1,13 +1,16 @@
-"""The streaming rung reducer equals the whole-stack reduction, byte for byte.
+"""The running rung reducer equals the whole-stack reduction, byte for byte.
 
-:class:`repro.stats.replication.RungReducer` turns each rung's ``(R, ...)``
-replicate rows into NRMSE and coverage as the rung arrives. The seed
+:class:`repro.stats.replication.RungReducer` folds each rung's replicate
+rows into running Eq. 17 sums as blocks of them arrive. The seed
 reduction it replaced — fill ``(R, K, C[, C])`` stacks, reduce once at
 the end — lives on as :func:`tests.oracles.reference_reduce_stacks`.
 Every surface and the truth must match it in dtype, shape and bytes,
-for both truth modes, whether the rungs arrive as strided slices of
-the stacks (the serial sweep) or as contiguous per-rung copies in any
-order (the process executor and checkpoint replay).
+for both truth modes, however a rung's replicates are split into blocks
+(one replicate per block in the serial sweep, one shard per block in
+the process executor, a whole rung on checkpoint replay) and whichever
+order the rungs close in. Past eight replicates NumPy sums a
+one-element row pairwise, not row after row, so ``R`` reaches 17 and
+one category (``C = 1``) always runs at that size.
 """
 
 from __future__ import annotations
@@ -30,9 +33,14 @@ _PALETTE = np.array(
 )
 
 
-def _stack(gen, shape, nan_share):
-    """Estimates drawn from ``_PALETTE`` plus noise; some all-NaN columns."""
-    values = _PALETTE[gen.integers(len(_PALETTE), size=shape)]
+def _stack(gen, shape, nan_share, palette=True):
+    """Estimates drawn from ``_PALETTE`` (or, without it, finite and
+    positive) plus noise; some all-NaN columns."""
+    if palette:
+        values = _PALETTE[gen.integers(len(_PALETTE), size=shape)]
+    else:
+        # Finite sums, where only the summation order moves the bytes.
+        values = 10.0 ** gen.uniform(-3, 3, size=shape)
     values = values * (1.0 + gen.random(shape))
     values[gen.random(shape) < nan_share] = np.nan
     dead = gen.random(shape[2:]) < 0.2  # all-NaN across replicates
@@ -40,8 +48,12 @@ def _stack(gen, shape, nan_share):
     return values
 
 
-def _truth(gen, c):
-    sizes = _PALETTE[gen.integers(len(_PALETTE), size=c)] * (1 + gen.random(c))
+def _truth(gen, c, palette=True):
+    if palette:
+        sizes = _PALETTE[gen.integers(len(_PALETTE), size=c)]
+    else:
+        sizes = 10.0 ** gen.uniform(-3, 3, size=c)
+    sizes = sizes * (1 + gen.random(c))
     upper = np.triu(gen.random((c, c)) * gen.integers(0, 3, size=(c, c)), 1)
     weights = upper + upper.T
     np.fill_diagonal(weights, np.nan)
@@ -60,30 +72,50 @@ def _assert_same_result(actual, expected):
             assert got.tobytes() == want.tobytes(), (attr, kind)
 
 
-@settings(max_examples=60, deadline=None)
+def _blocks(gen, r, split):
+    """Block boundaries over ``r`` replicates: one block, one replicate
+    per block, or random cuts."""
+    if split == "whole":
+        return [0, r]
+    if split == "single":
+        return list(range(r + 1))
+    cuts = np.flatnonzero(gen.random(r - 1) < 0.4) + 1
+    return [0, *cuts.tolist(), r]
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    r=st.integers(1, 6),
+    r=st.integers(1, 20),
     k=st.integers(1, 4),
     c=st.integers(1, 5),
     truth_mode=st.sampled_from(["exact", "cross-sample"]),
     nan_share=st.sampled_from([0.0, 0.3, 1.0]),
-    contiguous=st.booleans(),
+    palette=st.booleans(),
+    split=st.sampled_from(["whole", "single", "random"]),
     seed=st.integers(0, 2**16),
 )
-# The degenerate corners always run: one replicate, one rung, one category.
-@example(r=1, k=3, c=4, truth_mode="cross-sample", nan_share=0.3, contiguous=True, seed=1)
-@example(r=4, k=1, c=3, truth_mode="cross-sample", nan_share=0.3, contiguous=False, seed=2)
-@example(r=4, k=3, c=1, truth_mode="exact", nan_share=0.3, contiguous=True, seed=3)
-@example(r=1, k=1, c=1, truth_mode="exact", nan_share=1.0, contiguous=False, seed=4)
+# The degenerate corners always run: one replicate, one rung, one
+# category, and one category past NumPy's pairwise-summation threshold.
+@example(r=1, k=3, c=4, truth_mode="cross-sample", nan_share=0.3, palette=True, split="whole", seed=1)
+@example(r=4, k=1, c=3, truth_mode="cross-sample", nan_share=0.3, palette=True, split="single", seed=2)
+@example(r=4, k=3, c=1, truth_mode="exact", nan_share=0.3, palette=True, split="whole", seed=3)
+@example(r=1, k=1, c=1, truth_mode="exact", nan_share=1.0, palette=True, split="single", seed=4)
+@example(r=17, k=2, c=1, truth_mode="exact", nan_share=0.0, palette=False, split="single", seed=5)
+@example(r=17, k=2, c=1, truth_mode="cross-sample", nan_share=0.0, palette=False, split="random", seed=6)
+@example(r=17, k=2, c=3, truth_mode="exact", nan_share=0.3, palette=False, split="random", seed=7)
 def test_rung_reducer_matches_whole_stack_oracle(
-    r, k, c, truth_mode, nan_share, contiguous, seed
+    r, k, c, truth_mode, nan_share, palette, split, seed
 ):
     gen = np.random.default_rng(seed)
     sizes = np.arange(1, k + 1, dtype=np.int64) * 10
-    truth = _truth(gen, c)
-    size_stacks = {kind: _stack(gen, (r, k, c), nan_share) for kind in KINDS}
-    weight_stacks = {kind: _stack(gen, (r, k, c, c), nan_share) for kind in KINDS}
-    with np.errstate(all="ignore"):  # inf - inf, as in production
+    truth = _truth(gen, c, palette)
+    size_stacks = {
+        kind: _stack(gen, (r, k, c), nan_share, palette) for kind in KINDS
+    }
+    weight_stacks = {
+        kind: _stack(gen, (r, k, c, c), nan_share, palette) for kind in KINDS
+    }
+    with np.errstate(all="ignore"):  # the palette's inf + -inf averages to NaN
         expected = reference_reduce_stacks(
             sizes, size_stacks, weight_stacks, truth, truth_mode
         )
@@ -95,14 +127,26 @@ def test_rung_reducer_matches_whole_stack_oracle(
         weight_stacks["star"],
     )
     reducer = RungReducer(sizes, truth, truth_mode, r)
-    order = gen.permutation(k) if contiguous else range(k)
-    for si in order:
-        rows = [stack[:, si] for stack in stacks]
-        if contiguous:
-            # What the executor hands over: one fresh array per field.
-            rows = [np.concatenate([row[: r // 2], row[r // 2 :]]) for row in rows]
-        with np.errstate(all="ignore"):
-            reducer.add(int(si), rows)
+    with np.errstate(all="ignore"):
+        if split == "single":
+            # The serial sweep: replicate-major, every rung open at once.
+            for rep in range(r):
+                for si in range(k):
+                    reducer.fold(
+                        si, [stack[rep : rep + 1, si] for stack in stacks]
+                    )
+            for si in gen.permutation(k):
+                reducer.close(int(si))
+        else:
+            # The executor: rung by rung, in any order on replay, each
+            # block a fresh array as a shard's reply is.
+            for si in gen.permutation(k):
+                bounds = _blocks(gen, r, split)
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    reducer.fold(
+                        int(si), [stack[lo:hi, si].copy() for stack in stacks]
+                    )
+                reducer.close(int(si))
     _assert_same_result(reducer.result(), expected)
 
 
@@ -146,3 +190,8 @@ def test_missing_rung_and_bad_rows_are_named():
         reducer.result()
     with pytest.raises(EstimationError, match="rung 1 rows are not"):
         reducer.add(1, [row[:2] for row in good])
+    reducer.fold(1, [row[:2] for row in good])
+    with pytest.raises(EstimationError, match="rung 1 closed with 2 of 3"):
+        reducer.close(1)
+    with pytest.raises(EstimationError, match="rung 1 block is not"):
+        reducer.fold(1, [good[0][:1], *good[1:]])
