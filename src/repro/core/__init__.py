@@ -4,6 +4,9 @@ Size estimators (Eqs. 4, 5, 11, 12), edge-weight estimators (Eqs. 8, 9,
 15, 16), the Hansen-Hurwitz machinery that powers the weighted variants
 (Eq. 10), collision-based population-size estimation (Section 4.3), and
 bootstrap variance (Section 5.3.2).
+
+Eqs. 4-16 are each written once, in :mod:`repro.core.category_size`
+and :mod:`repro.core.edge_weight`; the sweep ladder calls them too.
 """
 
 from repro.core.bootstrap import BootstrapResult, bootstrap_estimate

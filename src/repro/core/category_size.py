@@ -16,6 +16,10 @@ Two families, each in a uniform and a weight-corrected variant:
 The paper's footnote 4 suggests a model-based variant that substitutes
 ``k_A := k_V`` to tame the variance of ``k_A`` under skewed degrees (at
 the price of bias); exposed here as ``mean_degree_model="global"``.
+
+Each equation is written once, as a function of the reweighted sums it
+reduces to (:func:`induced_sizes`, :func:`star_sizes`), called by the
+public estimators and by the sweep ladder (:mod:`repro.stats.prefix`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ import numpy as np
 from repro.exceptions import EstimationError
 from repro.sampling.observation import StarObservation, _ObservationBase
 
-__all__ = ["estimate_sizes_induced", "estimate_sizes_star"]
+__all__ = [
+    "check_mean_degree_model", "estimate_sizes_induced", "estimate_sizes_star",
+    "induced_sizes", "star_sizes",
+]
 
 
 def estimate_sizes_induced(
@@ -39,11 +46,7 @@ def estimate_sizes_induced(
     counting estimator).
     """
     _check_population(population_size)
-    per_category = observation.reweighted_sizes()
-    total = per_category.sum()
-    if total <= 0:
-        raise EstimationError("sample has no usable draws")
-    return population_size * per_category / total
+    return induced_sizes(observation.reweighted_sizes(), population_size)
 
 
 def estimate_sizes_star(
@@ -79,11 +82,34 @@ def estimate_sizes_star(
             "use estimate_sizes_induced for induced measurements"
         )
     _check_population(population_size)
+    check_mean_degree_model(mean_degree_model)
+    return star_sizes(
+        observation.reweighted_sizes(),
+        observation.degree_totals(weighted=True),
+        observation.neighbor_category_matrix(weighted=True),
+        population_size,
+        mean_degree_model,
+    )
 
-    # Weighted degree totals: sum_{v in S_A} deg(v) / w(v), per category
-    # (the numerators of Eq. 14), plus the reweighted draw counts.
-    degree_totals = observation.degree_totals(weighted=True)
-    reweighted = observation.reweighted_sizes()
+
+def induced_sizes(reweighted: np.ndarray, population_size: float) -> np.ndarray:
+    """Eq. (4)/(11) from ``reweighted[A] = w^{-1}(S_A)``."""
+    total = reweighted.sum()
+    if total <= 0:
+        raise EstimationError("sample has no usable draws")
+    return population_size * reweighted / total
+
+
+def star_sizes(
+    reweighted: np.ndarray,
+    degree_totals: np.ndarray,
+    neighbor_matrix: np.ndarray,
+    population_size: float,
+    mean_degree_model: str,
+) -> np.ndarray:
+    """Eq. (5)/(12) from ``w^{-1}(S_A)``, ``sum_{v in S_A} deg(v) / w(v)``
+    and the reweighted edge counts from ``A`` to ``B``; the model must
+    have passed :func:`check_mean_degree_model`."""
     total_degree = degree_totals.sum()
     total_reweighted = reweighted.sum()
     if total_reweighted <= 0:
@@ -92,30 +118,28 @@ def estimate_sizes_star(
         # Every sampled node is isolated: the volume-based estimator is
         # undefined (vol(S) = 0). Signal with nan rather than raising —
         # a real crawl cannot even reach this state.
-        return np.full(observation.num_categories, np.nan)
-
-    # Eq. (14): k_V and per-category k_A.
-    k_global = total_degree / total_reweighted
-    with np.errstate(invalid="ignore", divide="ignore"):
-        k_per_category = np.where(
-            reweighted > 0, degree_totals / reweighted, np.nan
-        )
+        return np.full(len(reweighted), np.nan)
 
     # Eq. (13): f_vol(A) = [sum_s count_A(s)/w(s)] / [sum_s deg(s)/w(s)].
-    neighbor_matrix = observation.neighbor_category_matrix(weighted=True)
     f_vol = neighbor_matrix.sum(axis=0) / total_degree
-
+    # Eq. (14): k_V and per-category k_A.
+    k_global = total_degree / total_reweighted
     if mean_degree_model == "per-category":
-        k_a = k_per_category
-    elif mean_degree_model == "global":
-        k_a = np.full(observation.num_categories, k_global)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            k_a = np.where(reweighted > 0, degree_totals / reweighted, np.nan)
     else:
+        k_a = np.full(len(reweighted), k_global)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return population_size * f_vol * k_global / k_a
+
+
+def check_mean_degree_model(mean_degree_model: str) -> None:
+    """Reject a ``mean_degree_model`` that :func:`star_sizes` does not know."""
+    if mean_degree_model not in ("per-category", "global"):
         raise EstimationError(
             f"unknown mean_degree_model {mean_degree_model!r}; "
             "use 'per-category' or 'global'"
         )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return population_size * f_vol * k_global / k_a
 
 
 def _check_population(population_size: float) -> None:

@@ -18,6 +18,10 @@ Both return full symmetric ``(C, C)`` matrices with ``nan`` diagonals.
 As an extension (not in the paper, which excludes self-loops), the
 intra-category edge *density* is available via
 :func:`estimate_intra_density`.
+
+As for sizes, each equation is written once, as a function of its sums
+(:func:`induced_weights`, :func:`star_weights`), shared by the public
+estimators and the sweep ladder (:mod:`repro.stats.prefix`).
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ __all__ = [
     "estimate_weights_induced",
     "estimate_weights_star",
     "estimate_intra_density",
+    "induced_weights",
+    "star_weights",
 ]
 
 
@@ -69,12 +75,7 @@ def estimate_weights_induced(observation: InducedObservation) -> np.ndarray:
             weights=np.concatenate((contributions, contributions)),
             minlength=c * c,
         ).reshape(c, c)
-    reweighted = observation.reweighted_sizes()
-    denominator = np.outer(reweighted, reweighted)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        weights = np.where(denominator > 0, numerator / denominator, np.nan)
-    np.fill_diagonal(weights, np.nan)
-    return weights
+    return induced_weights(numerator, observation.reweighted_sizes())
 
 
 def estimate_weights_star(
@@ -104,15 +105,37 @@ def estimate_weights_star(
             "measurements lack neighbor categories — use "
             "estimate_weights_induced"
         )
-    c = observation.num_categories
+    return star_weights(
+        observation.neighbor_category_matrix(weighted=True),
+        observation.reweighted_sizes(),
+        category_sizes,
+    )
+
+
+def induced_weights(numerator: np.ndarray, reweighted: np.ndarray) -> np.ndarray:
+    """Eq. (8)/(15) from the reweighted induced-edge counts between
+    ``A`` and ``B`` and ``reweighted[A] = w^{-1}(S_A)``."""
+    denominator = np.outer(reweighted, reweighted)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        weights = np.where(denominator > 0, numerator / denominator, np.nan)
+    np.fill_diagonal(weights, np.nan)
+    return weights
+
+
+def star_weights(
+    neighbor_matrix: np.ndarray,
+    reweighted: np.ndarray,
+    category_sizes: np.ndarray,
+) -> np.ndarray:
+    """Eq. (9)/(16) from the reweighted edge counts from ``A`` toward
+    ``B``, ``w^{-1}(S_A)`` and the plug-in ``|A|`` values."""
+    c = len(reweighted)
     category_sizes = np.asarray(category_sizes, dtype=float)
     if category_sizes.shape != (c,):
         raise EstimationError(
             f"category_sizes must have shape ({c},), got {category_sizes.shape}"
         )
-    cross = observation.neighbor_category_matrix(weighted=True)
-    numerator = cross + cross.T
-    reweighted = observation.reweighted_sizes()
+    numerator = neighbor_matrix + neighbor_matrix.T
     denominator = np.outer(reweighted, category_sizes) + np.outer(
         category_sizes, reweighted
     )

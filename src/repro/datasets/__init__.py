@@ -1,6 +1,5 @@
 """Stand-ins for the paper's empirical datasets (Table 1)."""
 
-from repro.datasets.cache import GraphCache, default_cache
 from repro.datasets.categories import worst_case_categories
 from repro.datasets.registry import (
     TABLE1_DATASETS,
@@ -11,8 +10,6 @@ from repro.datasets.registry import (
 
 __all__ = [
     "DatasetSpec",
-    "GraphCache",
-    "default_cache",
     "TABLE1_DATASETS",
     "dataset_names",
     "load_dataset",

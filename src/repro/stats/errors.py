@@ -39,22 +39,25 @@ def nanmean_rows(stack: np.ndarray) -> np.ndarray:
     concurrent driver threads.
     """
     mask = ~np.isnan(stack)
-    total = np.where(mask, stack, 0.0).sum(axis=0)
+    # A column holding both +inf and -inf sums to nan: silent too.
     with np.errstate(invalid="ignore", divide="ignore"):
-        return total / mask.sum(axis=0)
+        return np.where(mask, stack, 0.0).sum(axis=0) / mask.sum(axis=0)
 
 
 def nrmse(estimates: np.ndarray, truth: float) -> float:
-    """Eq. (17) for a scalar quantity over replicate estimates."""
+    """Eq. (17) for a scalar quantity over replicate estimates.
+
+    :func:`nrmse_stack` on the one-column stack, so the non-finite rule
+    is the sweeps' own: ``nan`` replicates are left out, ``inf`` ones
+    are kept (the error is ``inf``).
+    """
     estimates = np.asarray(estimates, dtype=float)
     if estimates.size == 0:
         raise EstimationError("nrmse needs at least one replicate estimate")
     if truth == 0 or not np.isfinite(truth):
         raise EstimationError(f"nrmse is undefined for truth={truth}")
-    finite = estimates[np.isfinite(estimates)]
-    if finite.size == 0:
-        return float("nan")
-    return float(np.sqrt(np.mean((finite - truth) ** 2)) / abs(truth))
+    values, _ = nrmse_stack(estimates.reshape(-1, 1), np.array([truth]))
+    return float(values[0])
 
 
 def nrmse_stack(

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.category_size import check_mean_degree_model
 from repro.exceptions import EstimationError
 from repro.graph.adjacency import Graph
 from repro.graph.category_graph import CategoryGraph, true_category_graph
@@ -105,11 +106,7 @@ class SweepSpec:
             raise EstimationError(
                 f"unknown weight_size_plugin {self.weight_size_plugin!r}"
             )
-        if self.mean_degree_model not in ("per-category", "global"):
-            raise EstimationError(
-                f"unknown mean_degree_model {self.mean_degree_model!r}; "
-                "use 'per-category' or 'global'"
-            )
+        check_mean_degree_model(self.mean_degree_model)
         if self.truth_mode not in ("exact", "cross-sample"):
             raise EstimationError(f"unknown truth_mode {self.truth_mode!r}")
 

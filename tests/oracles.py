@@ -11,12 +11,19 @@ module keeps the slow, obviously-correct twin of both phases:
   :func:`repro.rng.spawn_rngs`;
 * **the ladder** — full ``observe_star``/``observe_induced``
   observations, re-subset at every rung via ``subset_draws`` and fed
-  to the :mod:`repro.core` estimator families.
+  to :func:`reference_estimates`, the seed bodies of the four
+  estimator families (Eqs. 4-16) frozen here. Production writes each
+  formula once in :mod:`repro.core` and the ladder calls it, so only a
+  copy kept apart from ``src/`` can tell a changed formula from an
+  unchanged one.
 
 Rows reuse the production ``_rung_rows``, so any divergence points at
 sampling or at the ladder. The fast paths must match these sweeps bit
 for bit (``tests/stats/test_golden_sweep.py``,
 ``tests/stats/test_prefix.py``, ``benchmarks/bench_walks.py``).
+:func:`reference_prefix_observations` materialises a ladder's prefix
+as observation objects, for the check that its fold state is the
+``subset_draws`` prefix.
 
 The reduction keeps its whole-sweep twin: :func:`reference_reduce_stacks`
 fills ``(R, K, C[, C])`` stacks and reduces them once at the end, where
@@ -46,8 +53,8 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.category_size import estimate_sizes_induced, estimate_sizes_star
-from repro.core.edge_weight import estimate_weights_induced, estimate_weights_star
+from repro.exceptions import EstimationError
+from repro.graph.adjacency import gather_runs
 from repro.graph.category_graph import true_category_graph
 from repro.rng import ensure_rng, spawn_rngs
 from repro.sampling.base import Sampler
@@ -65,8 +72,10 @@ from repro.stats.replication import KINDS, SweepResult, SweepSpec, _rung_rows
 __all__ = [
     "reference_components",
     "reference_csr",
+    "reference_estimates",
     "reference_inter_category_edges",
     "reference_observe_both",
+    "reference_prefix_observations",
     "reference_reduce_stacks",
     "reference_sweep",
     "reference_sweep_from_samples",
@@ -180,16 +189,167 @@ def _subset_rung(star_full, induced_full, size, n_pop, mean_degree_model):
     """One rung: re-subset the full observations to the first ``size``
     draws and run the four estimator families from scratch."""
     prefix = np.arange(int(size))
-    star_obs = star_full.subset_draws(prefix)
-    induced_obs = induced_full.subset_draws(prefix)
-    return RungEstimates(
-        sizes_induced=estimate_sizes_induced(induced_obs, n_pop),
-        sizes_star=estimate_sizes_star(
-            star_obs, n_pop, mean_degree_model=mean_degree_model
-        ),
-        weights_induced=estimate_weights_induced(induced_obs),
-        weights_star=partial(estimate_weights_star, star_obs),
+    return reference_estimates(
+        induced_full.subset_draws(prefix),
+        star_full.subset_draws(prefix),
+        n_pop,
+        mean_degree_model,
     )
+
+
+def reference_estimates(induced_obs, star_obs, n_pop, mean_degree_model):
+    """The four estimator families on one pair of observations, as the
+    seed :mod:`repro.core` estimators computed them."""
+    return RungEstimates(
+        sizes_induced=_seed_sizes_induced(induced_obs, n_pop),
+        sizes_star=_seed_sizes_star(star_obs, n_pop, mean_degree_model),
+        weights_induced=_seed_weights_induced(induced_obs),
+        weights_star=partial(_seed_weights_star, star_obs),
+    )
+
+
+def _seed_sizes_induced(observation, population_size):
+    """Eq. (4)/(11)."""
+    per_category = observation.reweighted_sizes()
+    total = per_category.sum()
+    if total <= 0:
+        raise EstimationError("sample has no usable draws")
+    return population_size * per_category / total
+
+
+def _seed_sizes_star(observation, population_size, mean_degree_model):
+    """Eq. (5)/(12)."""
+    # Weighted degree totals: sum_{v in S_A} deg(v) / w(v), per category
+    # (the numerators of Eq. 14), plus the reweighted draw counts.
+    degree_totals = observation.degree_totals(weighted=True)
+    reweighted = observation.reweighted_sizes()
+    total_degree = degree_totals.sum()
+    total_reweighted = reweighted.sum()
+    if total_reweighted <= 0:
+        raise EstimationError("sample has no usable draws")
+    if total_degree <= 0:
+        # Every sampled node is isolated: the volume-based estimator is
+        # undefined (vol(S) = 0). Signal with nan rather than raising —
+        # a real crawl cannot even reach this state.
+        return np.full(observation.num_categories, np.nan)
+
+    # Eq. (14): k_V and per-category k_A.
+    k_global = total_degree / total_reweighted
+    with np.errstate(invalid="ignore", divide="ignore"):
+        k_per_category = np.where(
+            reweighted > 0, degree_totals / reweighted, np.nan
+        )
+
+    # Eq. (13): f_vol(A) = [sum_s count_A(s)/w(s)] / [sum_s deg(s)/w(s)].
+    neighbor_matrix = observation.neighbor_category_matrix(weighted=True)
+    f_vol = neighbor_matrix.sum(axis=0) / total_degree
+
+    if mean_degree_model == "per-category":
+        k_a = k_per_category
+    elif mean_degree_model == "global":
+        k_a = np.full(observation.num_categories, k_global)
+    else:
+        raise EstimationError(
+            f"unknown mean_degree_model {mean_degree_model!r}; "
+            "use 'per-category' or 'global'"
+        )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return population_size * f_vol * k_global / k_a
+
+
+def _seed_weights_induced(observation):
+    """Eq. (8)/(15)."""
+    c = observation.num_categories
+    numerator = np.zeros((c, c))
+    edges = observation.induced_edges
+    if len(edges):
+        cats_i = observation.distinct_categories[edges[:, 0]]
+        cats_j = observation.distinct_categories[edges[:, 1]]
+        contributions = (
+            observation.distinct_multiplicities[edges[:, 0]]
+            / observation.distinct_weights[edges[:, 0]]
+        ) * (
+            observation.distinct_multiplicities[edges[:, 1]]
+            / observation.distinct_weights[edges[:, 1]]
+        )
+        # One in-order histogram over both edge directions (bit-equal to
+        # sequential scatter-add, ~10x faster than np.add.at).
+        numerator = np.bincount(
+            np.concatenate(
+                (cats_i * np.int64(c) + cats_j, cats_j * np.int64(c) + cats_i)
+            ),
+            weights=np.concatenate((contributions, contributions)),
+            minlength=c * c,
+        ).reshape(c, c)
+    reweighted = observation.reweighted_sizes()
+    denominator = np.outer(reweighted, reweighted)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        weights = np.where(denominator > 0, numerator / denominator, np.nan)
+    np.fill_diagonal(weights, np.nan)
+    return weights
+
+
+def _seed_weights_star(observation, category_sizes):
+    """Eq. (9)/(16)."""
+    c = observation.num_categories
+    category_sizes = np.asarray(category_sizes, dtype=float)
+    if category_sizes.shape != (c,):
+        raise EstimationError(
+            f"category_sizes must have shape ({c},), got {category_sizes.shape}"
+        )
+    cross = observation.neighbor_category_matrix(weighted=True)
+    numerator = cross + cross.T
+    reweighted = observation.reweighted_sizes()
+    denominator = np.outer(reweighted, category_sizes) + np.outer(
+        category_sizes, reweighted
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        weights = np.where(denominator > 0, numerator / denominator, np.nan)
+    np.fill_diagonal(weights, np.nan)
+    return weights
+
+
+def reference_prefix_observations(ladder, size):
+    """Fold ``ladder`` to ``size`` draws and materialise its prefix.
+
+    Returns the ``(induced, star)`` observations its multiplicity state
+    describes, field-for-field identical to
+    ``observe_*(...).subset_draws(np.arange(size))``.
+    """
+    ladder.fold(size)
+    induced_full, star = ladder.observations
+    multiplicities = ladder._multiplicities
+    kept = np.flatnonzero(multiplicities > 0)
+    remap = np.full(star.num_distinct, -1, dtype=np.int64)
+    remap[kept] = np.arange(len(kept))
+    base = {
+        "names": star.names,
+        "num_draws": size,
+        "draw_to_distinct": remap[star.draw_to_distinct[:size]],
+        "distinct_nodes": star.distinct_nodes[kept],
+        "distinct_categories": star.distinct_categories[kept],
+        "distinct_multiplicities": multiplicities[kept].copy(),
+        "distinct_weights": star.distinct_weights[kept],
+        "uniform": star.uniform,
+        "design": star.design,
+    }
+    in_prefix = multiplicities > 0
+    src = induced_full.induced_edges[:, 0]
+    dst = induced_full.induced_edges[:, 1]
+    mask = in_prefix[src] & in_prefix[dst]
+    induced = InducedObservation(
+        induced_edges=np.column_stack((remap[src[mask]], remap[dst[mask]])),
+        **base,
+    )
+    new_indptr, entries = gather_runs(star.neighbor_indptr, kept)
+    star_prefix = StarObservation(
+        distinct_degrees=star.distinct_degrees[kept],
+        neighbor_indptr=new_indptr,
+        neighbor_categories=star.neighbor_categories[entries],
+        neighbor_counts=star.neighbor_counts[entries],
+        **base,
+    )
+    return induced, star_prefix
 
 
 def reference_csr(num_nodes, edges):

@@ -27,6 +27,13 @@ class TestNrmseScalar:
     def test_all_nan_gives_nan(self):
         assert np.isnan(nrmse(np.array([np.nan, np.nan]), 5.0))
 
+    def test_inf_replicate_kept_as_in_stack(self):
+        """One Eq. 17 rule: ``inf`` is not dropped (only NaN is), exactly
+        as in the sweeps' :func:`nrmse_stack`."""
+        estimates = np.array([4.0, np.inf])
+        assert nrmse(estimates, 5.0) == np.inf
+        assert nrmse_stack(estimates[:, None], np.array([5.0]))[0][0] == np.inf
+
     def test_zero_truth_rejected(self):
         with pytest.raises(EstimationError):
             nrmse(np.array([1.0]), 0.0)

@@ -2,12 +2,18 @@
 
 Two contracts from ``repro.stats.prefix``:
 
-* ``IncrementalPrefixLadder.advance`` materializes observations whose
-  every field equals ``observe_*(...).subset_draws(np.arange(size))``;
+* the ladder's fold state is the ``subset_draws`` prefix:
+  ``tests.oracles.reference_prefix_observations`` materialises it as
+  observations whose every field equals
+  ``observe_*(...).subset_draws(np.arange(size))``;
 * ``IncrementalPrefixLadder.estimates`` (the sweep fast path) returns
-  estimates bit-for-bit equal to the :mod:`repro.core` estimator
-  families evaluated on those subset observations — for all four
-  families, across designs.
+  estimates bit-for-bit equal to the seed estimator bodies frozen in
+  ``tests.oracles.reference_estimates``, evaluated on those subset
+  observations — for all four families, across designs, both
+  mean-degree models, and degenerate samples. The public
+  :mod:`repro.core` estimators must equal the same oracle: ladder and
+  ``core`` share one copy of each formula, so comparing them with each
+  other would not catch a changed formula.
 
 ``TestSweepEquivalence`` lifts the second contract to whole sweeps:
 both entry points match the seed reference sweeps of
@@ -23,8 +29,10 @@ from repro.core.category_size import estimate_sizes_induced, estimate_sizes_star
 from repro.core.edge_weight import estimate_weights_induced, estimate_weights_star
 from repro.exceptions import EstimationError
 from repro.generators import planted_category_graph
+from repro.graph import CategoryPartition, Graph
 from repro.sampling import (
     MetropolisHastingsSampler,
+    NodeSample,
     RandomWalkSampler,
     RandomWalkWithJumpsSampler,
     UniformIndependenceSampler,
@@ -38,7 +46,12 @@ from repro.stats import (
     run_nrmse_sweep,
     run_nrmse_sweep_from_samples,
 )
-from tests.oracles import reference_sweep, reference_sweep_from_samples
+from tests.oracles import (
+    reference_estimates,
+    reference_prefix_observations,
+    reference_sweep,
+    reference_sweep_from_samples,
+)
 
 LADDER = (37, 150, 600, 2000)
 
@@ -77,7 +90,9 @@ class TestObservationTwins:
         ladder = IncrementalPrefixLadder(graph, partition, sample)
         for size in LADDER:
             prefix = np.arange(size)
-            induced_inc, star_inc = ladder.advance(size)
+            induced_inc, star_inc = reference_prefix_observations(
+                ladder, size
+            )
             induced_sub = induced_full.subset_draws(prefix)
             star_sub = star_full.subset_draws(prefix)
             for field in (
@@ -115,54 +130,101 @@ class TestObservationTwins:
         assert _eq(star.distinct_degrees, star_ref.distinct_degrees)
 
 
+def _degenerate_samples():
+    """Three categories of three nodes; nodes 2, 5 and 8 are isolated."""
+    graph = Graph.from_edges(9, [(0, 1), (0, 3), (1, 4), (3, 6), (4, 7)])
+    partition = CategoryPartition.from_blocks([3, 3, 3])
+    draws = {
+        # Every draw isolated: vol(S) = 0, so the star sizes are NaN.
+        "isolated": [2, 5, 2, 8],
+        # Degrees > 0 but no two draws adjacent: no induced edges.
+        "no-induced-edges": [0, 4, 6, 0],
+        # Category 2 is never drawn, though node 3 has a neighbor in it.
+        "empty-category": [0, 1, 3, 0, 4],
+    }
+    return graph, partition, {
+        name: NodeSample(nodes, 1.0 + 0.25 * np.asarray(nodes), design=name)
+        for name, nodes in draws.items()
+    }
+
+
 class TestEstimateEquivalence:
-    @pytest.mark.parametrize("design", ["uis", "rw", "mhrw", "wrw", "rwj"])
-    def test_all_four_families_bit_for_bit(self, model, design):
-        """Property: incremental aggregates == subset_draws estimates."""
-        graph, partition = model
-        sample = _samples(model)[design]
+    """Ladder and public ``core`` estimators against the frozen seed bodies."""
+
+    @staticmethod
+    def _check_against_oracle(graph, partition, sample, ladder_sizes, model):
         induced_full = observe_induced(graph, partition, sample)
         star_full = observe_star(graph, partition, sample)
         ladder = IncrementalPrefixLadder(graph, partition, sample)
         n_pop = graph.num_nodes
-        for size in LADDER:
+        for size in ladder_sizes:
             prefix = np.arange(size)
             induced_obs = induced_full.subset_draws(prefix)
             star_obs = star_full.subset_draws(prefix)
-            rung = ladder.estimates(size, n_pop)
-            expected_sizes_induced = estimate_sizes_induced(induced_obs, n_pop)
-            expected_sizes_star = estimate_sizes_star(star_obs, n_pop)
-            assert _eq(rung.sizes_induced, expected_sizes_induced), (design, size)
-            assert _eq(rung.sizes_star, expected_sizes_star), (design, size)
-            assert _eq(
-                rung.weights_induced, estimate_weights_induced(induced_obs)
-            ), (design, size)
-            plugin = np.where(
-                np.isfinite(expected_sizes_star),
-                expected_sizes_star,
-                expected_sizes_induced,
+            expected = reference_estimates(induced_obs, star_obs, n_pop, model)
+            rung = ladder.estimates(size, n_pop, mean_degree_model=model)
+            core_sizes_star = estimate_sizes_star(
+                star_obs, n_pop, mean_degree_model=model
             )
-            assert _eq(
+            where = (sample.design, model, size)
+            for got in (rung.sizes_induced, estimate_sizes_induced(induced_obs, n_pop)):
+                assert _eq(got, expected.sizes_induced), where
+            for got in (rung.sizes_star, core_sizes_star):
+                assert _eq(got, expected.sizes_star), where
+            for got in (rung.weights_induced, estimate_weights_induced(induced_obs)):
+                assert _eq(got, expected.weights_induced), where
+            plugin = np.where(
+                np.isfinite(expected.sizes_star),
+                expected.sizes_star,
+                expected.sizes_induced,
+            )
+            for got in (
                 rung.weights_star(plugin),
                 estimate_weights_star(star_obs, plugin),
-            ), (design, size)
+            ):
+                assert _eq(got, expected.weights_star(plugin)), where
+
+    @pytest.mark.parametrize("design", ["uis", "rw", "mhrw", "wrw", "rwj"])
+    def test_all_four_families_bit_for_bit(self, model, design):
+        """Property: incremental aggregates == seed estimators on subsets."""
+        graph, partition = model
+        self._check_against_oracle(
+            graph, partition, _samples(model)[design], LADDER, "per-category"
+        )
 
     def test_global_mean_degree_model(self, model):
         graph, partition = model
-        sample = _samples(model)["rw"]
-        star_full = observe_star(graph, partition, sample)
-        ladder = IncrementalPrefixLadder(graph, partition, sample)
-        for size in LADDER:
-            star_obs = star_full.subset_draws(np.arange(size))
-            rung = ladder.estimates(
-                size, graph.num_nodes, mean_degree_model="global"
+        for sample in _samples(model).values():
+            self._check_against_oracle(
+                graph, partition, sample, LADDER, "global"
             )
-            assert _eq(
-                rung.sizes_star,
-                estimate_sizes_star(
-                    star_obs, graph.num_nodes, mean_degree_model="global"
-                ),
-            )
+
+    @pytest.mark.parametrize("mean_degree_model", ["per-category", "global"])
+    @pytest.mark.parametrize(
+        "case", ["isolated", "no-induced-edges", "empty-category"]
+    )
+    def test_degenerate_samples_bit_for_bit(self, case, mean_degree_model):
+        graph, partition, samples = _degenerate_samples()
+        sample = samples[case]
+        self._check_against_oracle(
+            graph, partition, sample, range(1, sample.size + 1),
+            mean_degree_model,
+        )
+
+    def test_degenerate_samples_hit_their_corner(self):
+        """The degenerate cases reach the corners they are named for."""
+        graph, partition, samples = _degenerate_samples()
+        n = graph.num_nodes
+        star = observe_star(graph, partition, samples["isolated"])
+        assert np.isnan(estimate_sizes_star(star, n)).all()
+        induced = observe_induced(graph, partition, samples["no-induced-edges"])
+        assert len(induced.induced_edges) == 0
+        star = observe_star(graph, partition, samples["empty-category"])
+        sizes = estimate_sizes_star(star, n)
+        assert star.reweighted_sizes()[2] == 0 and np.isnan(sizes[2])
+        assert np.isfinite(
+            estimate_sizes_star(star, n, mean_degree_model="global")[2]
+        )
 
     def test_unknown_mean_degree_model_rejected(self, model):
         graph, partition = model

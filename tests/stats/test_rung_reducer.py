@@ -195,3 +195,41 @@ def test_missing_rung_and_bad_rows_are_named():
         reducer.close(1)
     with pytest.raises(EstimationError, match="rung 1 block is not"):
         reducer.fold(1, [good[0][:1], *good[1:]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("split", ["serial", "workers=2"])
+def test_cross_sample_truth_is_silent_on_opposite_infinities(split):
+    """A last-rung column holding both ``+inf`` and ``-inf`` averages to a
+    NaN pseudo-truth without a RuntimeWarning, whether the replicates
+    arrive one at a time (the serial sweep) or as two shards."""
+    gen = np.random.default_rng(8)
+    r, c = 6, 3
+    sizes = np.array([5, 10])
+    truth = _truth(gen, c, palette=False)
+    size_stacks = {kind: _stack(gen, (r, 2, c), 0.3) for kind in KINDS}
+    weight_stacks = {kind: _stack(gen, (r, 2, c, c), 0.3) for kind in KINDS}
+    for stack in (*size_stacks.values(), *weight_stacks.values()):
+        stack[:, -1, 0] = _PALETTE[-2:].repeat(r // 2).reshape(
+            (r,) + (1,) * (stack.ndim - 3)
+        )
+    with np.errstate(all="ignore"):
+        expected = reference_reduce_stacks(
+            sizes, size_stacks, weight_stacks, truth, "cross-sample"
+        )
+    stacks = (
+        size_stacks["induced"],
+        size_stacks["star"],
+        weight_stacks["induced"],
+        weight_stacks["star"],
+    )
+    bounds = list(range(r + 1)) if split == "serial" else [0, r // 2, r]
+    reducer = RungReducer(sizes, truth, "cross-sample", r)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for si in range(len(sizes)):
+            reducer.fold(si, [stack[lo:hi, si].copy() for stack in stacks])
+    for si in range(len(sizes)):
+        reducer.close(si)
+    result = reducer.result()
+    _assert_same_result(result, expected)
+    assert np.isnan(result.size_nrmse["star"][:, 0]).all()
