@@ -1,28 +1,19 @@
-"""Bench: plan-level wall clock — DAG scheduler vs the serial cell loop.
+"""Bench: plan-level wall clock — serial vs the process executor.
 
 Times whole experiment *plans* (the grids behind Figs. 4/6) end to end
-under three execution modes:
+under two execution modes:
 
 * ``serial`` — the in-process serial executor (no workers at all);
-* ``loop@process-wN`` — the serial cell loop over the process
-  executor: one cell at a time, each parallel internally (the pre-DAG
-  behavior, kept in-tree as the scheduler's reference twin);
-* ``dag@process-wN`` — the DAG scheduler: resources build concurrently
-  ahead of the cell frontier and independent cells overlap on the one
-  persistent worker pool.
+* ``process-wN`` — the process executor: one cell at a time, in plan
+  order, each cell's replicates sharded over the persistent worker
+  pool.
 
-Every mode must produce byte-identical results (always asserted — this
+Both modes must produce byte-identical results (always asserted — this
 is the determinism contract at the plan grain); the wall-clock rows are
 written to ``BENCH_plans.json`` at the repo root under a per-scale key,
 like ``BENCH_walks.json``, so ``REPRO_SCALE=paper`` runs extend the
-same trajectory file. Each record self-describes its executor mode,
-worker count, scheduler, and the runner's core count.
-
-Timing assertions arm only where parallel hardware exists: on >=2-core
-runners at medium+ scale the DAG schedule must not lose to the serial
-cell loop (it removes pool spin-up and idle frontier time, so at worst
-it ties within noise). Single-core runners record honest rows — the
-scheduler cannot manufacture cores — and skip the bar.
+same trajectory file. Each record self-describes its worker count and
+the runner's core count. The rows carry no timing bar.
 """
 
 from __future__ import annotations
@@ -38,9 +29,8 @@ from repro.experiments import run_experiment
 from repro.runtime import runtime_options
 from repro.runtime.pool import reset_default_pools
 
-#: Plans benched: the two experiments whose grids have real DAG width
-#: (fig4: four dataset resources x three designs; fig6: five pre-drawn
-#: crawl cells over one shared world).
+#: Plans benched: fig4 (four dataset resources x three designs) and
+#: fig6 (five pre-drawn crawl cells over one shared world).
 EXPERIMENTS = ("fig4", "fig6")
 WORKERS = 2
 
@@ -81,14 +71,14 @@ def _merge_record(scale_name: str, record: dict) -> dict:
     scales[scale_name] = record
     return {
         "description": (
-            "plan-level wall clock: DAG scheduler vs serial cell loop "
+            "plan-level wall clock: serial vs process executor "
             "(byte-identical outputs asserted for every row)"
         ),
         "scales": scales,
     }
 
 
-def test_plan_scheduler_wall_clock(preset, timing_asserts):
+def test_plan_wall_clock(preset):
     cores = os.cpu_count() or 1
     record = {
         "workload": {
@@ -96,7 +86,6 @@ def test_plan_scheduler_wall_clock(preset, timing_asserts):
             "scale": preset.name,
             "workers": WORKERS,
             "cpu_cores": cores,
-            "inflight": int(os.environ.get("REPRO_PLAN_INFLIGHT", "2") or 2),
         },
         "plans": {},
     }
@@ -106,56 +95,35 @@ def test_plan_scheduler_wall_clock(preset, timing_asserts):
             lambda: run_experiment(experiment, rng=0, preset=preset)
         )
 
-        def loop_run():
-            with runtime_options(
-                executor="process", workers=WORKERS, plan_scheduler="serial"
-            ):
+        def process_run():
+            with runtime_options(executor="process", workers=WORKERS):
                 return run_experiment(experiment, rng=0, preset=preset)
 
-        def dag_run():
-            with runtime_options(
-                executor="process", workers=WORKERS, plan_scheduler="dag"
-            ):
-                return run_experiment(experiment, rng=0, preset=preset)
-
-        # Fresh workers for the loop row, so it pays the spawn cost the
-        # pre-DAG per-cell behavior paid; the DAG row then reuses the
-        # live pool exactly as a real session would.
+        # Fresh workers, so the row pays the pool's spawn cost once, as
+        # a fresh ``repro run --workers`` process does.
         reset_default_pools()
-        loop_time, loop = _timed(loop_run)
-        dag_time, dag = _timed(dag_run)
+        process_time, parallel = _timed(process_run)
 
-        assert _results_equal(serial, loop), (
-            f"{experiment}: serial-loop output diverged from serial"
-        )
-        assert _results_equal(serial, dag), (
-            f"{experiment}: DAG output diverged from serial"
+        assert _results_equal(serial, parallel), (
+            f"{experiment}: process output diverged from serial"
         )
 
-        # One extra untimed instrumented DAG run: the per-phase
-        # breakdown plus peak-RSS / shared-memory gauges, kept out of
-        # the timed rows so recording can never skew wall clock.
+        # One extra untimed instrumented run: the per-phase breakdown
+        # plus peak-RSS / shared-memory gauges, kept out of the timed
+        # rows so recording can never skew wall clock.
         from benchmarks.bench_walks import _telemetry_breakdown
 
         record["plans"][experiment] = {
             "serial_seconds": round(serial_time, 4),
-            f"loop@process-w{WORKERS}_seconds": round(loop_time, 4),
-            f"dag@process-w{WORKERS}_seconds": round(dag_time, 4),
-            "dag_speedup_vs_loop": round(loop_time / dag_time, 2),
-            "telemetry": _telemetry_breakdown(dag_run),
+            f"process-w{WORKERS}_seconds": round(process_time, 4),
+            "telemetry": _telemetry_breakdown(process_run),
         }
         print(
             f"  {experiment:>6}: serial {serial_time:6.3f}s  "
-            f"loop x{WORKERS} {loop_time:6.3f}s  "
-            f"dag x{WORKERS} {dag_time:6.3f}s  "
-            f"({loop_time / dag_time:.2f}x dag vs loop)"
+            f"process x{WORKERS} {process_time:6.3f}s"
         )
 
     _JSON_PATH.write_text(
         json.dumps(_merge_record(preset.name, record), indent=2) + "\n"
     )
     print(f"  -> {_JSON_PATH.name} written ({preset.name} scale)")
-
-    if timing_asserts and cores >= 2 and preset.name != "small":
-        for experiment, row in record["plans"].items():
-            assert row["dag_speedup_vs_loop"] >= 1.0, (experiment, row)

@@ -18,14 +18,13 @@ then run it on the parallel runtime::
 
 ``--workers`` routes every replicated NRMSE sweep — fresh-draw and
 pre-drawn crawl cells alike — through the :mod:`repro.runtime` process
-executor (bit-identical output, any worker count). Parallel plans run
-on the dependency-aware DAG scheduler by default: resources build
-concurrently, independent cells overlap on one persistent worker pool,
-and ``--scheduler serial`` falls back to the one-cell-at-a-time
-reference loop (same bytes either way). ``--checkpoint`` persists each
-cell's completed ladder rungs under a plan-keyed directory and
-``--resume`` continues a killed run at the first missing cell/rung —
-replaying fully-cached cells without rebuilding their substrates.
+executor (bit-identical output, any worker count). A plan runs its
+cells one at a time, in plan order, and a parallel plan shards each
+cell's replicates over one persistent worker pool. ``--checkpoint``
+persists each cell's completed ladder rungs under a plan-keyed
+directory and ``--resume`` continues a killed run at the first missing
+cell/rung — replaying fully-cached cells without rebuilding their
+substrates.
 ``repro run`` accepts the same flags (the two commands share the plan
 path; ``experiment`` adds ``--show-plan``, which renders the plan's
 DAG: resources, cells, and their ``<-`` dependency edges).
@@ -156,17 +155,6 @@ def _add_runtime_arguments(command: argparse.ArgumentParser) -> None:
         ),
     )
     command.add_argument(
-        "--scheduler",
-        choices=("dag", "serial"),
-        default=None,
-        help=(
-            "how a parallel plan schedules its cells: 'dag' (default; "
-            "overlap independent cells on one persistent worker pool) "
-            "or 'serial' (the one-cell-at-a-time reference loop). "
-            "Output is bit-identical either way."
-        ),
-    )
-    command.add_argument(
         "--max-retries",
         type=int,
         default=None,
@@ -243,11 +231,7 @@ def _runtime_scope(args):
     wants_executor = (
         args.workers is not None or args.checkpoint is not None or args.resume
     )
-    tuning = (
-        args.scheduler is not None
-        or args.max_retries is not None
-        or args.task_timeout is not None
-    )
+    tuning = args.max_retries is not None or args.task_timeout is not None
     trace = getattr(args, "trace", None)
     metrics = getattr(args, "metrics", None)
     stack = ExitStack()
@@ -258,15 +242,14 @@ def _runtime_scope(args):
     if wants_executor or tuning:
         stack.enter_context(
             runtime_options(
-                # --scheduler/--max-retries/--task-timeout alone must not
-                # force the process executor: they only tune a parallel
-                # run selected elsewhere (e.g. REPRO_EXECUTOR).
+                # --max-retries/--task-timeout alone must not force the
+                # process executor: they only tune a parallel run
+                # selected elsewhere (e.g. REPRO_EXECUTOR).
                 executor="process" if wants_executor else None,
                 workers=args.workers,
                 checkpoint=args.checkpoint,
                 # absent flag = unset, so ambient/env resume still apply
                 resume=True if args.resume else None,
-                plan_scheduler=args.scheduler,
                 max_retries=args.max_retries,
                 task_timeout=args.task_timeout,
             )

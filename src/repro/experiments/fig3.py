@@ -15,8 +15,7 @@ eight panels; each compiles to one fresh-draw cell of the experiment's
 :class:`~repro.experiments.plan.SweepPlan` and is swept once and
 shared. The cells build their own (small) planted graphs and declare
 no resource needs — they are DAG roots, all ready the moment the plan
-starts, so the scheduler overlaps them freely up to its in-flight
-bound.
+starts.
 """
 
 from __future__ import annotations

@@ -11,9 +11,8 @@ The experiment compiles to a (dataset x design) grid of fresh-draw
 sweep cells; each dataset stand-in (graph + community partition) is a
 plan resource, built once and shared by its three design cells — and
 published to worker shards once when the plan runs in parallel. Cells
-declare their stand-in via ``needs``, so the DAG scheduler builds the
-four datasets concurrently ahead of the cell frontier and starts each
-dataset's design cells the moment *its* stand-in is ready.
+declare their stand-in via ``needs``; each stand-in builds on the
+first of its design cells.
 """
 
 from __future__ import annotations

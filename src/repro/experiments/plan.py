@@ -30,13 +30,10 @@ at once:
 
 Cells and the finalize step **declare** which resources they read
 (``needs=`` / ``finalize_needs=``), so a compiled plan is a dependency
-DAG, not just a list: the DAG scheduler
-(:mod:`repro.runtime.scheduler`) builds resources concurrently ahead of
-the cell frontier and overlaps independent cells on one persistent
-worker pool. The declaration is about *scheduling*, never correctness —
-:class:`PlanResources` is thread-safe and builds any undeclared
-resource on first access; a declared-but-unused resource merely builds
-early.
+DAG, not just a list, which ``repro experiment --show-plan`` renders.
+The declaration is descriptive, never a correctness input: the runtime
+runs cells in plan order and :class:`PlanResources` builds every
+resource, declared or not, on first access.
 
 Cells are independent by construction (each derives its own RNG stream
 via :func:`repro.rng.derive_rng` keying), so cell order never affects
@@ -134,11 +131,10 @@ class SweepCell:
     stand-ins, or pulling pre-drawn crawls out of the plan's shared
     resources. Resolution is deferred so heavy inputs stay shared
     through :class:`PlanResources` instead of being captured per cell.
-    ``needs`` names the plan resources ``build`` reads; the DAG
-    scheduler holds the cell until they are built (and uses the
-    declaration to decide which resources a resumed plan still needs
-    at all — a fully rung-cached cell replays from its checkpoint
-    without ``build`` ever running).
+    ``needs`` names the plan resources ``build`` reads. A fully
+    rung-cached cell of a resumed plan replays from its checkpoint
+    without ``build`` ever running, so its resources are never built
+    unless another cell reads them.
     """
 
     key: str
@@ -209,10 +205,8 @@ class SweepPlan:
         different scales/seeds never share (or clear) each other's
         checkpoint directories.
     finalize_needs:
-        Names of the plan resources ``finalize`` reads. The DAG
-        scheduler uses this to keep building resources a resumed plan
-        still needs even when every cell that declared them was
-        replayed from its checkpoint.
+        Names of the plan resources ``finalize`` reads (the finalize
+        step's DAG edges, shown by ``describe``).
     """
 
     name: str
@@ -259,8 +253,7 @@ class SweepPlan:
     def describe(self) -> str:
         """Render the plan's DAG (``repro experiment --show-plan``).
 
-        Resources first (the scheduler builds them concurrently, ahead
-        of the cell frontier), then every cell with its kind, axes, and
+        Resources first, then every cell with its kind, axes, and
         inbound ``<-`` resource edges, then the finalize step's edges.
         Cells with no ``<-`` line are roots: ready the moment the plan
         starts.
@@ -295,11 +288,10 @@ class PlanResources:
     shared-memory pool publish each resource's arrays exactly once for
     the whole plan (publication deduplicates by object identity).
 
-    Thread-safe with single-build semantics: under the DAG scheduler,
-    resource prefetch threads and cell driver threads race on first
-    access, and every racer must receive the *same* object (two copies
-    of a world would be published twice and could, in principle, even
-    differ). The first accessor builds while later ones block on the
+    Thread-safe with single-build semantics: threads sharing one
+    instance race on first access, and every racer must receive the
+    *same* object (two copies of a world would be published twice and
+    could, in principle, even differ). The first accessor builds while later ones block on the
     name's event; a factory failure is re-raised to every waiter.
     """
 

@@ -103,8 +103,8 @@ _MERGE_BLOCK = 1 << 20
 # Ambient storage mode (the construction seam)
 # ----------------------------------------------------------------------
 #: Innermost-wins stack of ``(mode, directory)`` scopes. Shared across
-#: threads on purpose: the DAG plan scheduler builds substrates from
-#: worker threads inside the scope the plan runner entered.
+#: threads on purpose: a thread started inside a scope builds
+#: substrates in the mode that scope entered.
 _MODE_STACK: list[tuple[str, "Path | None"]] = []
 
 _DEFAULT_ROOT: "Path | None" = None

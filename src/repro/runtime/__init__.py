@@ -5,14 +5,11 @@ harness. Every experiment compiles to a declarative
 :class:`~repro.experiments.plan.SweepPlan` — a dependency DAG of
 resource builds, scenario cells (substrate x partition x design x
 budget ladder x replications, fresh or pre-drawn), and a finalize step
-— and :func:`run_plan` executes it. Parallel plans default to the
-**DAG scheduler** (:mod:`repro.runtime.scheduler`): resources build
-concurrently ahead of the cell frontier, ready cells overlap on one
-**persistent worker pool** (:mod:`repro.runtime.pool` — workers spawn
-once per process and serve every cell's shard tasks, so cell ``k+1``'s
-sampling fills the gaps in cell ``k``'s ladder drain), and the
-one-cell-at-a-time loop is kept as the reference twin
-(``scheduler="serial"`` / ``REPRO_PLAN_SCHEDULER``). Each sweep cell
+— and :func:`run_plan` executes it: one cell at a time, in plan
+order, building each resource on the first cell that reads it. A
+parallel plan's cells share one **persistent worker pool**
+(:mod:`repro.runtime.pool` — workers spawn once per process and serve
+every cell's shard tasks). Each sweep cell of a parallel plan
 runs on :class:`ProcessSweepExecutor` (fresh-draw sweeps via
 :meth:`~ProcessSweepExecutor.run`, pre-drawn crawl sweeps via
 :meth:`~ProcessSweepExecutor.run_from_samples`), publishing the plan's
@@ -39,8 +36,7 @@ separate processes; each spawns its pool once.)
 The determinism contract
 ------------------------
 Plan output is **bit-identical** to the serial engine — for every
-worker count, and for every cell schedule the DAG scheduler might
-choose — by construction rather than by tolerance:
+worker count — by construction rather than by tolerance:
 
 1. **Streams are named by seed, not by schedule.** The master generator
    spawns one integer seed per replicate
@@ -51,8 +47,8 @@ choose — by construction rather than by tolerance:
    to workers byte-for-byte through shared memory. Plan cells derive
    their master streams by fixed integer keys
    (:func:`repro.rng.derive_rng`), so cell order is irrelevant too.
-   Shard assignment, worker count, cell interleaving, and completion
-   order cannot reach a trajectory.
+   Shard assignment, worker count, and completion order cannot reach
+   a trajectory.
 2. **Kernels are shard-blind and schedule-blind.** A worker advances
    its replicate block through the same batched frontier kernels the
    serial sweep uses (:func:`repro.sampling.batch.sample_streams`;
@@ -62,7 +58,7 @@ choose — by construction rather than by tolerance:
    as the test oracle in ``tests/oracles.py``, which pins both bit for
    bit. Chunked variate windows preserve the equality because chunked
    ``Generator.random`` calls yield the identical value stream; a
-   persistent worker running two cells' tasks in parallel threads
+   persistent worker running several shard tasks in parallel threads
    preserves it because tasks share no mutable state.
 3. **Estimation rows share one code path.** Each replicate's rung rows
    come from the same ``_rung_rows`` /
@@ -74,7 +70,7 @@ choose — by construction rather than by tolerance:
    (also for the cross-sample pseudo-truth of the paper's Section 7.2
    convention), whose running Eq. 17 sums add one replicate row after
    another however the rows are split into blocks. No float is added
-   in a different order, whichever cells were in flight together.
+   in a different order.
 4. **Resume is exact — and substrate-free when possible.**
    Checkpointed rungs are replayed from disk while workers fold their
    integer multiplicity state forward
@@ -94,8 +90,8 @@ choose — by construction rather than by tolerance:
    (:func:`repro.runtime.executor.replay_sweep`) without rebuilding
    its substrate — the remaining cells resume at their first missing
    rung as before. A killed ``repro experiment <name> --resume``
-   therefore restarts exactly where it died, to the same bytes, even
-   when several cells were in flight. One trust boundary is inherent
+   therefore restarts exactly where it died, to the same bytes. One
+   trust boundary is inherent
    to skipping the rebuild: the replay path cannot re-fingerprint a
    substrate it never constructs, so it trusts the recorded key under
    a matching *plan* manifest (experiment id, cell grid, scale preset,
@@ -142,9 +138,9 @@ choose — by construction rather than by tolerance:
    (``tests/runtime/test_telemetry.py`` pins both properties).
 
 ``tests/runtime/`` enforces all six properties —
-``test_scheduler.py`` at the DAG grain (fig4 and fig6 bit-equal
-serial-loop vs DAG at 1/2/3 workers, mid-plan kill with cells in
-flight, substrate-free replay), ``test_plan.py`` at the plan grain —
+``test_scheduler.py`` at the plan-schedule grain (fig4 and fig6
+process output bit-equal to serial at 1/2/3 workers, mid-plan kill,
+substrate-free replay), ``test_plan.py`` at the plan grain —
 and the golden sweep regression additionally pins the executor against
 the serial path, and both against the ``tests/oracles.py`` reference
 sweep, for every registered design.
@@ -155,7 +151,6 @@ from repro.runtime.config import (
     RuntimeOptions,
     active_options,
     resolve_executor,
-    resolve_plan_scheduler,
     runtime_options,
 )
 from repro.runtime.executor import ProcessSweepExecutor, replay_sweep
@@ -185,7 +180,6 @@ __all__ = [
     "replay_sweep",
     "reset_default_pools",
     "resolve_executor",
-    "resolve_plan_scheduler",
     "run_plan",
     "runtime_options",
     "telemetry_scope",

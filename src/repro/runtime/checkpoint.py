@@ -436,9 +436,8 @@ class PlanCheckpoint:
     :func:`repro.runtime.executor.replay_sweep` without rebuilding its
     substrate just to re-derive that key.
 
-    Thread-safe where it must be: the DAG scheduler completes cells
-    concurrently, so the cell registry writes are serialized by a lock
-    (cell *data* needs none — every cell owns a disjoint directory).
+    Thread-safe: cell registry writes are serialized by a lock (cell
+    *data* needs none — every cell owns a disjoint directory).
     """
 
     def __init__(self, root: "str | os.PathLike", manifest: dict, resume: bool):

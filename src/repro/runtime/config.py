@@ -33,7 +33,6 @@ __all__ = [
     "RuntimeOptions",
     "active_options",
     "resolve_executor",
-    "resolve_plan_scheduler",
     "runtime_options",
 ]
 
@@ -59,11 +58,6 @@ class RuntimeOptions:
     #: Tri-state: ``None`` falls through to the next layer, so an inner
     #: scope can force a fresh run with an explicit ``False``.
     resume: bool | None = None
-    #: How ``run_plan`` schedules a parallel plan's cells: ``"dag"``
-    #: (dependency-aware overlap on the persistent worker pool) or
-    #: ``"serial"`` (the one-cell-at-a-time reference loop).
-    #: ``None`` falls through (default: ``"dag"``).
-    plan_scheduler: str | None = None
     #: Shard retry budget of the failover path (``None``: fall
     #: through, ultimately :data:`DEFAULT_MAX_RETRIES`).
     max_retries: int | None = None
@@ -83,7 +77,6 @@ def runtime_options(
     workers: int | None = None,
     checkpoint: "str | os.PathLike | None" = None,
     resume: bool | None = None,
-    plan_scheduler: str | None = None,
     max_retries: int | None = None,
     task_timeout: float | None = None,
 ):
@@ -93,7 +86,6 @@ def runtime_options(
         workers=None if workers is None else int(workers),
         checkpoint=None if checkpoint is None else Path(checkpoint),
         resume=None if resume is None else bool(resume),
-        plan_scheduler=plan_scheduler,
         max_retries=None if max_retries is None else int(max_retries),
         task_timeout=None if task_timeout is None else float(task_timeout),
     )
@@ -129,13 +121,11 @@ def _env_options() -> RuntimeOptions:
     executor = os.environ.get("REPRO_EXECUTOR", "").strip() or None
     checkpoint_env = os.environ.get("REPRO_CHECKPOINT", "").strip()
     resume_env = os.environ.get("REPRO_RESUME", "").strip().lower()
-    scheduler_env = os.environ.get("REPRO_PLAN_SCHEDULER", "").strip() or None
     return RuntimeOptions(
         executor=executor,
         workers=_env_number("REPRO_WORKERS", int, 1),
         checkpoint=Path(checkpoint_env) if checkpoint_env else None,
         resume=(resume_env in _TRUTHY) if resume_env else None,
-        plan_scheduler=scheduler_env,
         max_retries=_env_number("REPRO_MAX_RETRIES", int, 0),
         task_timeout=_env_number("REPRO_TASK_TIMEOUT", float, 0.0),
     )
@@ -152,11 +142,6 @@ def active_options() -> RuntimeOptions:
                 layer.checkpoint if layer.checkpoint is not None else merged.checkpoint
             ),
             resume=layer.resume if layer.resume is not None else merged.resume,
-            plan_scheduler=(
-                layer.plan_scheduler
-                if layer.plan_scheduler is not None
-                else merged.plan_scheduler
-            ),
             max_retries=(
                 layer.max_retries
                 if layer.max_retries is not None
@@ -169,29 +154,6 @@ def active_options() -> RuntimeOptions:
             ),
         )
     return merged
-
-
-def resolve_plan_scheduler(scheduler: str | None) -> str:
-    """Resolve a ``run_plan`` scheduler selection to ``"dag"``/``"serial"``.
-
-    ``None`` defers to the ambient configuration
-    (:func:`runtime_options`, then ``REPRO_PLAN_SCHEDULER``), and
-    finally to ``"dag"`` — the DAG schedule is the default because its
-    output is bit-identical to the serial cell loop by contract; the
-    loop is kept as the reference twin (and for serial executors, which
-    have no worker pool to overlap cells on).
-    """
-    if scheduler is None:
-        scheduler = active_options().plan_scheduler
-        if scheduler is None:
-            scheduler = "dag"
-    if scheduler not in ("dag", "serial"):
-        from repro.exceptions import EstimationError
-
-        raise EstimationError(
-            f"unknown plan scheduler {scheduler!r}; use 'dag' or 'serial'"
-        )
-    return scheduler
 
 
 def resolve_executor(

@@ -787,13 +787,11 @@ class _FailoverDriver:
 class ProcessSweepExecutor:
     """Shared-memory multi-process sweep executor.
 
-    Sweeps run on a **persistent** worker pool
-    (:mod:`repro.runtime.pool`): by default the process-wide pool, so
-    back-to-back sweeps — the cells of one plan, or repeated
-    ``repro run --workers N`` sweeps in a session — reuse live workers
-    instead of paying spawn cost per sweep. The DAG plan scheduler
-    passes an explicit ``pool`` and runs several cells' shard tasks on
-    it concurrently.
+    Sweeps run on the process-wide **persistent** worker pool
+    (:mod:`repro.runtime.pool`), so back-to-back sweeps — the cells of
+    one plan, or repeated ``repro run --workers N`` sweeps in a
+    session — reuse live workers instead of paying spawn cost per
+    sweep.
 
     Parameters
     ----------
@@ -813,10 +811,7 @@ class ProcessSweepExecutor:
         A ``multiprocessing`` context; defaults to ``fork`` where
         available (workers then inherit the parent's imports) and
         ``spawn`` elsewhere. Selects which default pool serves the
-        sweep when no explicit ``pool`` is given.
-    pool:
-        A :class:`~repro.runtime.pool.PersistentWorkerPool` to run on;
-        ``None`` uses the process-wide default pool for ``mp_context``.
+        sweep.
     max_retries:
         Failed attempts tolerated per shard beyond the first before a
         structured :class:`~repro.runtime.pool.WorkerFailure` surfaces.
@@ -828,8 +823,8 @@ class ProcessSweepExecutor:
         ``None`` defers to the ambient configuration
         (``REPRO_TASK_TIMEOUT``; default: no timeout).
     label:
-        Display label for telemetry spans (the plan scheduler passes
-        its cell key, so worker task spans read ``task:RW09``).
+        Display label for telemetry spans (``run_plan`` passes each
+        cell's key, so worker task spans read ``task:RW09``).
         Never touches results.
 
     Attributes
@@ -837,7 +832,7 @@ class ProcessSweepExecutor:
     last_checkpoint:
         The :class:`~repro.runtime.checkpoint.SweepCheckpoint` opened
         by the most recent run on this instance (``None`` without a
-        checkpoint root). The plan scheduler reads its manifest key to
+        checkpoint root). ``run_plan`` reads its manifest key to
         record completed cells for substrate-free resume.
     failover_log:
         One dict per recovery event of the most recent run (shard
@@ -854,7 +849,6 @@ class ProcessSweepExecutor:
         checkpoint: "str | os.PathLike | None" = None,
         resume: bool = False,
         mp_context=None,
-        pool=None,
         max_retries: int | None = None,
         task_timeout: float | None = None,
         label: str | None = None,
@@ -866,7 +860,6 @@ class ProcessSweepExecutor:
         self.resume = bool(resume)
         self.label = label
         self._mp_context = mp_context
-        self._pool = pool
         self.last_checkpoint = None
         self.failover_log: list[dict] = []
         ambient = active_options()
@@ -1081,7 +1074,7 @@ class ProcessSweepExecutor:
         num_workers = min(self.workers, replications)
         shards = np.array_split(np.arange(replications), num_workers)
         want_observations = checkpoint is not None and observations is None
-        worker_pool = self._pool or default_pool(self._mp_context)
+        worker_pool = default_pool(self._mp_context)
 
         # Inside a plan run the ambient pool already holds the plan's
         # named resources (pre-published once per build by run_plan), so
@@ -1093,8 +1086,8 @@ class ProcessSweepExecutor:
         # observations) publishes through a run-local pool whose blocks
         # are unlinked — and *retired* from the persistent workers — as
         # soon as this run's tasks have closed, so plan-wide
-        # shared-memory footprint stays at the resources plus the cells
-        # currently in flight.
+        # shared-memory footprint stays at the resources plus the cell
+        # currently running.
         ambient = sharedmem.active_pool()
         with faults.env_scope(), sharedmem.SharedArrayPool() as local_pool:
             publish_pool = (

@@ -60,7 +60,7 @@ an undisturbed run.
 
 Scoping: plans armed with :func:`inject` are always active.
 The environment plan is consulted only inside an :func:`env_scope`
-(entered by the executor's drive loop and the plan schedulers) so that
+(entered by the executor's drive loop and parallel plan runs) so that
 a CI job exporting ``REPRO_FAULTS`` chaos-tests the *runtime machinery*
 without corrupting unrelated unit tests' direct checkpoint round trips.
 Budgets persist across scopes: one process consumes each environment
@@ -240,7 +240,7 @@ def _env_plan() -> "FaultPlan | None":
 def env_scope():
     """Arm the ``REPRO_FAULTS`` plan for the enclosed block.
 
-    Entered by the executor drive loop and the plan schedulers; direct
+    Entered by the executor drive loop and parallel plan runs; direct
     checkpoint/pool use outside any runtime run never sees environment
     faults, so a chaos CI job only exercises the recovery machinery.
     """

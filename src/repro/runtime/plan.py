@@ -1,50 +1,41 @@
 """Execute compiled experiment plans on the parallel sweep runtime.
 
 :func:`run_plan` is the single execution path behind every experiment
-driver and the ``repro experiment`` CLI. It routes each
+driver and the ``repro experiment`` CLI. It runs the plan's cells one
+at a time, in plan order, routing each
 :class:`~repro.experiments.plan.SweepCell` through
 :func:`repro.stats.replication.run_nrmse_sweep` (fresh draws) or
 :func:`~repro.stats.replication.run_nrmse_sweep_from_samples`
-(pre-drawn crawls) — and therefore through whatever executor the
-ambient runtime configuration selects — and runs
-:class:`~repro.experiments.plan.ComputeCell` steps in-process.
+(pre-drawn crawls) — in-process for serial plans, on a per-cell
+:class:`~repro.runtime.executor.ProcessSweepExecutor` for parallel
+ones — and running :class:`~repro.experiments.plan.ComputeCell` steps
+in-process. Resources build lazily, on the first cell that reads them.
 
-Two schedules execute the same plan, byte-for-byte equivalently:
-
-* the **DAG scheduler** (:mod:`repro.runtime.scheduler`, the default
-  for parallel plans): resources build concurrently ahead of the cell
-  frontier, ready cells overlap on one persistent worker pool, and a
-  resumed plan replays recorded fully-cached cells without rebuilding
-  their substrates;
-* the **serial cell loop** (in this module): one cell at a time, in
-  plan order — the reference twin the DAG schedule is golden-pinned
-  against, and the only schedule for serial executors (no worker pool
-  to overlap cells on). Select with ``scheduler="serial"``,
-  ``runtime_options(plan_scheduler=...)``, ``REPRO_PLAN_SCHEDULER``,
-  or ``repro experiment <name> --scheduler serial``.
-
-Three runtime services wrap both schedules:
+Three runtime services wrap a parallel plan run:
 
 * **One shared-memory pool per plan run**
   (:func:`repro.runtime.sharedmem.shared_pool`): executors publish
   substrate arrays into the ambient pool, which deduplicates by object
   identity — so the Facebook world behind five Table 2 crawl cells, or
   a dataset stand-in behind three Fig. 4 design cells, crosses the
-  process boundary exactly once for the whole plan.
+  process boundary exactly once for the whole plan. Every cell's shard
+  tasks run on the one persistent worker pool
+  (:mod:`repro.runtime.pool`), so workers spawn once per process.
 * **Plan-keyed checkpoints**
   (:class:`repro.runtime.checkpoint.PlanCheckpoint`): with a checkpoint
   root configured, every sweep cell checkpoints into its own
-  subdirectory of a directory keyed by the plan manifest. A killed
+  subdirectory of a directory keyed by the plan manifest, and records
+  its sweep key once complete. A killed
   ``repro experiment fig6 --workers W --resume`` therefore replays
-  completed cells from their rung files and resumes computing at the
-  first missing cell/rung — to the same bytes as an uninterrupted run.
+  recorded cells from their rung files without building their
+  substrates, and resumes computing at the first missing cell/rung —
+  to the same bytes as an uninterrupted run.
 * **Determinism by construction**: cells derive their RNG streams from
   the master seed by fixed integer keys (:func:`repro.rng.derive_rng`),
   and each sweep inherits the executor's bit-identical-for-any-worker-
   count contract, so a plan's finalized
   :class:`~repro.experiments.base.ExperimentResult` outputs are
-  identical for serial, 1-worker, and N-worker runs alike — under
-  either schedule.
+  identical for serial, 1-worker, and N-worker runs alike.
 """
 
 from __future__ import annotations
@@ -52,15 +43,16 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 
-from repro.runtime import sharedmem, telemetry
+from repro.log import get_logger
+from repro.runtime import faults, sharedmem, telemetry
 from repro.runtime.checkpoint import PlanCheckpoint
-from repro.runtime.config import (
-    active_options,
-    resolve_executor,
-    resolve_plan_scheduler,
-)
+from repro.runtime.config import active_options, resolve_executor
+from repro.runtime.executor import ProcessSweepExecutor, replay_sweep
+from repro.runtime.pool import default_pool
 
 __all__ = ["run_plan"]
+
+_LOG = get_logger(__name__)
 
 
 def run_plan(
@@ -70,7 +62,6 @@ def run_plan(
     workers: int | None = None,
     checkpoint: "str | os.PathLike | None" = None,
     resume: bool | None = None,
-    scheduler: "str | None" = None,
 ):
     """Run every cell of ``plan`` and return its finalized results.
 
@@ -89,13 +80,6 @@ def run_plan(
         ``checkpoint`` names the user-facing checkpoint *root*; the
         plan creates a plan-keyed directory under it with one
         sweep-checkpoint subdirectory per cell.
-    scheduler:
-        ``"dag"`` (overlap independent cells on the persistent worker
-        pool) or ``"serial"`` (the one-cell-at-a-time reference loop).
-        ``None`` defers to the ambient configuration
-        (``REPRO_PLAN_SCHEDULER``), then ``"dag"``. Output is
-        bit-identical either way; serial executors always use the
-        loop.
 
     Returns
     -------
@@ -123,16 +107,15 @@ def run_plan(
     resume_flag = resume if resume is not None else bool(ambient.resume)
 
     # Executor resolution is uniform across cells (jobs carry no
-    # executor knobs), so probe it once with the arguments the sweep
-    # calls below will pass: plans with sweep cells bound for the
-    # process executor get a plan checkpoint and an ambient pool
-    # (named resources pre-published once, cells chain off it).
-    # Serial and compute-only plans skip shared memory — publishing
-    # resources nobody attaches would duplicate them in /dev/shm — and
-    # must also skip opening (or clearing!) a plan checkpoint, because
-    # their cells ignore checkpoint roots entirely and a fresh-mode
-    # clear would destroy a prior parallel run's files while writing
-    # nothing.
+    # executor knobs), so probe it once with the arguments the sweeps
+    # would resolve: plans with sweep cells bound for the process
+    # executor get a plan checkpoint and an ambient pool (named
+    # resources pre-published once, cells chain off it). Serial and
+    # compute-only plans skip shared memory — publishing resources
+    # nobody attaches would duplicate them in /dev/shm — and must also
+    # skip opening (or clearing!) a plan checkpoint, because their
+    # cells ignore checkpoint roots entirely and a fresh-mode clear
+    # would destroy a prior parallel run's files while writing nothing.
     probe = (
         resolve_executor(
             executor,
@@ -161,6 +144,11 @@ def run_plan(
         if checkpoint_root is not None and parallel
         else None
     )
+    recorded = (
+        plan_checkpoint.recorded_cells()
+        if plan_checkpoint is not None and resume_flag
+        else {}
+    )
 
     resources = PlanResources(
         {
@@ -169,56 +157,41 @@ def run_plan(
         }
     )
 
-    if parallel and resolve_plan_scheduler(scheduler) == "dag":
-        from repro.runtime.scheduler import run_plan_dag
-
-        outputs = run_plan_dag(
-            plan,
-            resources,
-            workers=probe.workers,
-            plan_checkpoint=plan_checkpoint,
-            resume=resume_flag if plan_checkpoint is not None else False,
-        )
-        return plan.finalize_outputs(outputs, resources)
-
-    # The serial reference loop: one cell at a time, in plan order.
     outputs: dict[str, object] = {}
-    with telemetry.span(
-        "plan", cat="plan", plan=plan.name,
-        scheduler="serial", cells=len(plan.cells),
+    # A parallel run is one fault-injection scope: a CI chaos job
+    # exporting REPRO_FAULTS exercises pool growth, resource-side
+    # derived planes and every checkpoint write, while unit tests
+    # touching the checkpoint layer directly stay undisturbed.
+    with faults.env_scope() if parallel else nullcontext(), telemetry.span(
+        "plan", cat="plan", plan=plan.name, cells=len(plan.cells)
     ), sharedmem.shared_pool() if parallel else nullcontext() as ambient_pool:
         try:
             for cell in plan.cells:
-                if isinstance(cell, SweepCell):
-                    with telemetry.span(
-                        "cell", cat="plan", key=cell.key, kind="sweep"
-                    ):
-                        outputs[cell.key] = _run_sweep_cell(
-                            cell,
-                            resources,
-                            executor=executor,
-                            workers=workers,
+                result = _replayed(cell, plan_checkpoint, recorded)
+                if result is None:
+                    cell_executor = (
+                        ProcessSweepExecutor(
+                            workers=probe.workers,
                             checkpoint=(
-                                plan_checkpoint.cell_root(cell.key)
-                                if plan_checkpoint is not None
-                                else None
+                                None
+                                if plan_checkpoint is None
+                                else plan_checkpoint.cell_root(cell.key)
                             ),
-                            resume=resume_flag
-                            if plan_checkpoint is not None
-                            else resume,
+                            resume=plan_checkpoint is not None and resume_flag,
+                            label=cell.label,
                         )
-                else:
-                    with telemetry.span(
-                        "cell", cat="plan", key=cell.key, kind="compute"
-                    ):
-                        outputs[cell.key] = cell.compute(resources)
+                        if parallel and isinstance(cell, SweepCell)
+                        else None
+                    )
+                    result = _run_cell(
+                        cell, resources, cell_executor, plan_checkpoint
+                    )
+                outputs[cell.key] = result
         finally:
             if ambient_pool is not None:
-                # The cells' persistent workers outlive this plan; drop
-                # their attachments to the plan's resource blocks before
-                # the pool unlinks them (mirrors the DAG scheduler).
-                from repro.runtime.pool import default_pool
-
+                # The persistent workers outlive this plan; drop their
+                # attachments to the plan's resource blocks before the
+                # pool unlinks them.
                 default_pool().retire_all(ambient_pool.block_names)
     return plan.finalize_outputs(outputs, resources)
 
@@ -252,39 +225,76 @@ def _published_on_build(name, factory):
     return build
 
 
-def _run_sweep_cell(cell, resources, *, executor, workers, checkpoint, resume):
-    """Dispatch one sweep cell to the replicated-sweep engine."""
+def _replayed(cell, plan_checkpoint, recorded):
+    """The cell's result replayed from its recorded checkpoint, or ``None``.
+
+    Only a recorded cell whose rung files are complete replays; its
+    ``build`` never runs, so resources only it reads are never built.
+    """
+    sweep_key = recorded.get(cell.key)
+    if sweep_key is None:
+        return None
+    result = replay_sweep(plan_checkpoint.cell_root(cell.key), sweep_key)
+    if result is not None:
+        _LOG.debug("cell %s replayed from checkpoint", cell.key)
+        telemetry.counter("plan.cells_replayed", 1)
+        telemetry.instant("cell.replay", cat="plan", key=cell.key)
+    return result
+
+
+def _run_cell(cell, resources, executor, plan_checkpoint):
+    """Run one cell: a compute step, or a sweep on ``executor``.
+
+    ``executor`` is the cell's :class:`ProcessSweepExecutor`, or
+    ``None`` for the in-process serial sweep.
+    """
+    from repro.experiments.plan import SweepCell
     from repro.stats.replication import (
         run_nrmse_sweep,
         run_nrmse_sweep_from_samples,
     )
 
-    job = cell.build(resources)
-    if job.mode == "fresh":
-        return run_nrmse_sweep(
-            job.graph,
-            job.partition,
-            job.sampler,
-            job.sizes,
-            replications=job.replications,
-            rng=job.rng,
-            weight_size_plugin=job.weight_size_plugin,
-            mean_degree_model=job.mean_degree_model,
-            executor=executor,
-            workers=workers,
-            checkpoint=checkpoint,
-            resume=resume,
+    if not isinstance(cell, SweepCell):
+        with telemetry.span("cell", cat="plan", key=cell.key, kind="compute"):
+            return cell.compute(resources)
+    sweep_executor = "serial" if executor is None else executor
+    with telemetry.span("cell", cat="plan", key=cell.key, kind="sweep"):
+        job = cell.build(resources)
+        if job.mode == "fresh":
+            result = run_nrmse_sweep(
+                job.graph,
+                job.partition,
+                job.sampler,
+                job.sizes,
+                replications=job.replications,
+                rng=job.rng,
+                weight_size_plugin=job.weight_size_plugin,
+                mean_degree_model=job.mean_degree_model,
+                executor=sweep_executor,
+            )
+        else:
+            result = run_nrmse_sweep_from_samples(
+                job.graph,
+                job.partition,
+                job.samples,
+                job.sizes,
+                weight_size_plugin=job.weight_size_plugin,
+                mean_degree_model=job.mean_degree_model,
+                truth_mode=job.truth_mode,
+                executor=sweep_executor,
+            )
+    if executor is None:
+        return result
+    if executor.failover_log:
+        # Recovery events already reached the telemetry plane (and the
+        # log) from inside the driver; this summary line keeps per-cell
+        # attribution visible even with telemetry disabled.
+        _LOG.warning(
+            "cell %s recovered from %d worker failure(s)",
+            cell.key, len(executor.failover_log),
         )
-    return run_nrmse_sweep_from_samples(
-        job.graph,
-        job.partition,
-        job.samples,
-        job.sizes,
-        weight_size_plugin=job.weight_size_plugin,
-        mean_degree_model=job.mean_degree_model,
-        truth_mode=job.truth_mode,
-        executor=executor,
-        workers=workers,
-        checkpoint=checkpoint,
-        resume=resume,
-    )
+    if plan_checkpoint is not None and executor.last_checkpoint is not None:
+        # Recorded only now — after every rung landed — so a recorded
+        # key always names a complete, replayable sweep directory.
+        plan_checkpoint.record_cell(cell.key, executor.last_checkpoint.key)
+    return result

@@ -1,15 +1,14 @@
 """Persistent, task-multiplexed sweep worker pool.
 
-Before the DAG plan scheduler, every sweep spun up its own worker
-processes and tore them down when its ladder drained: a plan with
-twelve cells paid twelve pool spin-ups, and no two cells could ever
-share a core. This module keeps **one** set of worker processes alive
-— across the cells of a plan, and across back-to-back ``repro run``
+A sweep that spun up its own worker processes and tore them down when
+its ladder drained would make a plan with twelve cells pay twelve pool
+spin-ups. This module keeps **one** set of worker processes alive —
+across the cells of a plan, and across back-to-back ``repro run``
 sweeps in one process — and multiplexes *tasks* onto them. A task is
 one shard of one sweep (a contiguous replicate block); each worker
-runs its tasks in their own threads, so cell ``k+1``'s sampling phase
-overlaps cell ``k``'s ladder drain on the same worker, and the parent
-drives every task independently through a :class:`TaskChannel`.
+runs its tasks in their own threads, so a degraded pool can multiplex
+several shards on one worker, and the parent drives every task
+independently through a :class:`TaskChannel`.
 
 Wire protocol (parent -> worker)::
 
@@ -497,10 +496,9 @@ class TaskChannel:
 class PersistentWorkerPool:
     """A lazily-grown pool of persistent sweep workers.
 
-    Thread-safe: under the DAG plan scheduler several cell driver
-    threads open tasks concurrently, interleaving their shards on the
-    same workers. Workers are daemonic; :meth:`shutdown` (or interpreter
-    exit) retires them.
+    Thread-safe: several driver threads may open tasks concurrently,
+    interleaving their shards on the same workers. Workers are
+    daemonic; :meth:`shutdown` (or interpreter exit) retires them.
     """
 
     def __init__(self, mp_context=None):
@@ -552,50 +550,6 @@ class PersistentWorkerPool:
         telemetry.counter("pool.workers_spawned", 1)
         return _WorkerHandle(process, parent_conn)
 
-    def _grow_locked(self, workers: int) -> None:
-        """Prune dead workers and spawn up to ``workers`` (lock held)."""
-        self._handles = [h for h in self._handles if h.alive]
-        if len(self._handles) < workers:
-            # Start the parent's shared-memory resource tracker
-            # *before* forking: on Python < 3.13 a worker's block
-            # attach registers with whatever tracker it inherited,
-            # and a worker that pre-dates the parent's tracker would
-            # spawn its own — which then never sees the parent's
-            # unlink-time unregister and warns about (already
-            # unlinked) "leaked" blocks at shutdown.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            except Exception:  # pragma: no cover - tracker internals
-                pass
-        while len(self._handles) < workers:
-            self._handles.append(self._spawn())
-
-    def ensure(self, workers: int) -> None:
-        """Grow the pool to at least ``workers`` live workers.
-
-        The DAG scheduler calls this once before launching its cell
-        driver threads, so pool growth (a ``fork``) never races them.
-        """
-        with self._lock:
-            self._grow_locked(workers)
-
-    def lease(self, workers: int) -> "list[_WorkerHandle]":
-        """``workers`` live workers (a shared prefix), spawning as needed.
-
-        Concurrent sweeps lease overlapping prefixes of the same worker
-        list — sharing, not partitioning, is what lets a later cell's
-        sampling fill the gaps in an earlier cell's ladder drain.
-        Growing and slicing happen under one lock acquisition, so a
-        concurrent lease pruning a just-died worker can never shrink
-        this caller's slice below ``workers`` (a shard must never be
-        silently dropped).
-        """
-        with self._lock:
-            self._grow_locked(workers)
-            return list(self._handles[:workers])
-
     def lease_upto(self, workers: int) -> "list[_WorkerHandle]":
         """Up to ``workers`` live workers, degrading instead of raising.
 
@@ -611,6 +565,13 @@ class PersistentWorkerPool:
             self._handles = [h for h in self._handles if h.alive]
             spawn_error = None
             if len(self._handles) < workers:
+                # Start the parent's shared-memory resource tracker
+                # *before* forking: on Python < 3.13 a worker's block
+                # attach registers with whatever tracker it inherited,
+                # and a worker that pre-dates the parent's tracker would
+                # spawn its own — which then never sees the parent's
+                # unlink-time unregister and warns about (already
+                # unlinked) "leaked" blocks at shutdown.
                 try:
                     from multiprocessing import resource_tracker
 

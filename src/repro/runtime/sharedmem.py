@@ -35,10 +35,9 @@ Lifecycle: the parent owns the blocks — keep the
 handles at process exit; the *persistent* pool workers of
 :mod:`repro.runtime.pool` instead receive an explicit retire message
 when a cell's run finishes and call :func:`release`, so a plan's
-worker-side footprint stays at the long-lived resources plus the cells
-currently in flight. Pools are thread-safe: under the DAG plan
-scheduler several cell driver threads publish into one ambient plan
-pool concurrently.
+worker-side footprint stays at the long-lived resources plus the cell
+currently running. Pools are thread-safe: several threads may publish
+into one ambient plan pool concurrently.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Process-wide runtime telemetry: spans, counters, gauges, exporters.
 
 The parallel stack (batched kernels -> shared-memory executor ->
-SweepPlan -> DAG scheduler -> fault-tolerant pool) is a black box at
+SweepPlan -> plan loop -> fault-tolerant pool) is a black box at
 run time without this layer: where does wall clock go — rung compute,
-ladder drain, shm publish, scheduler idle? This module answers that
+ladder drain, shm publish, driver idle? This module answers that
 with a disabled-by-default event plane:
 
 * **spans** — named, categorised intervals (``t_start``/``dur`` in

@@ -35,8 +35,7 @@ def nanmean_rows(stack: np.ndarray) -> np.ndarray:
     same ``0/0 -> nan`` for all-nan columns, ``inf`` contributions
     preserved), but silent and **thread-safe**: suppressing the warning
     with ``warnings.catch_warnings`` mutates global filter state, which
-    races when the DAG plan scheduler reduces several cells in
-    concurrent driver threads.
+    races when several threads reduce at once.
     """
     mask = ~np.isnan(stack)
     # A column holding both +inf and -inf sums to nan: silent too.
@@ -75,7 +74,8 @@ def nrmse_stack(
     Returns
     -------
     ``(nrmse_values, coverage)`` of shape ``(...)``; ``coverage`` is the
-    fraction of replicates with a finite estimate for each element.
+    fraction of replicates whose squared error is not ``nan`` — the
+    replicates the mean averages — for each element.
     Elements whose truth is zero or non-finite get ``nan`` (the metric
     normalises by the true value).
     """
@@ -86,11 +86,10 @@ def nrmse_stack(
             f"estimate stack {estimate_stack.shape} does not stack over "
             f"truth {truth.shape}"
         )
-    finite = np.isfinite(estimate_stack)
-    coverage = finite.mean(axis=0)
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN replicate
-        mse = nanmean_rows((estimate_stack - truth) ** 2)
-    return _normalised(mse, truth), coverage
+        squared = (estimate_stack - truth) ** 2
+    coverage = (~np.isnan(squared)).mean(axis=0)
+    return _normalised(nanmean_rows(squared), truth), coverage
 
 
 def _normalised(mse: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -107,9 +106,9 @@ class RunningNRMSE:
     :meth:`fold` takes the next ``(B, ...)`` block of replicate
     estimates, in replicate order; :meth:`close` returns what
     :func:`nrmse_stack` returns for all the folded rows stacked, byte for
-    byte. Per element it keeps the count of finite estimates, the count
-    of NaN squared errors (replicates the mean leaves out) and the sum
-    of the others, so memory does not grow with the replicate count.
+    byte. Per element it keeps the count of NaN squared errors
+    (replicates the mean and the coverage leave out) and the sum of the
+    others, so memory does not grow with the replicate count.
 
     The sum adds one row after another. That is the order NumPy's axis-0
     sum uses when a row has more than one element, but for one-element
@@ -121,9 +120,8 @@ class RunningNRMSE:
         self.truth = np.asarray(truth, dtype=float)
         self.rows = 0
         self._held = [] if self.truth.size == 1 else None
-        # int32: the counts never exceed the replicate count, and a
+        # int32: the count never exceeds the replicate count, and a
         # (C, C) count plane per open rung is half the size of int64.
-        self._finite = np.zeros(self.truth.shape, dtype=np.int32)
         self._dropped = np.zeros(self.truth.shape, dtype=np.int32)
         self._total = np.zeros(self.truth.shape)
 
@@ -139,7 +137,6 @@ class RunningNRMSE:
         if self._held is not None:
             self._held.append(block)
             return
-        self._finite += np.isfinite(block).sum(axis=0, dtype=np.int32)
         # One temporary, squared in place: a large block is not copied
         # again. inf - inf is a NaN replicate, not a warning.
         with np.errstate(invalid="ignore"):
@@ -155,10 +152,10 @@ class RunningNRMSE:
         """``(nrmse_values, coverage)`` over every folded row."""
         if self._held is not None:
             return nrmse_stack(np.concatenate(self._held), self.truth)
-        coverage = self._finite / self.rows
+        kept = self.rows - self._dropped
         with np.errstate(invalid="ignore", divide="ignore"):
-            mse = self._total / (self.rows - self._dropped)
-        return _normalised(mse, self.truth), coverage
+            mse = self._total / kept
+        return _normalised(mse, self.truth), kept / self.rows
 
 
 def relative_error(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:

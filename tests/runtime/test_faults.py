@@ -227,7 +227,7 @@ def test_spawn_failure_degrades_to_in_process_serial(world, serial):
 def test_spawn_failure_with_a_survivor_multiplexes_shards(world, serial):
     reset_default_pools()
     pool = default_pool()
-    pool.ensure(1)  # the lone survivor, spawned before faults arm
+    pool.lease_upto(1)  # the lone survivor, spawned before faults arm
     executor = ProcessSweepExecutor(workers=3)
     try:
         with faults.inject("fail-respawn:times=8"):
@@ -239,7 +239,7 @@ def test_spawn_failure_with_a_survivor_multiplexes_shards(world, serial):
 
 
 # ----------------------------------------------------------------------
-# Failover inside a DAG plan run
+# Failover inside a plan run
 # ----------------------------------------------------------------------
 def test_mid_plan_worker_kill_is_byte_identical():
     from repro.experiments import run_experiment
@@ -248,7 +248,7 @@ def test_mid_plan_worker_kill_is_byte_identical():
 
     serial_result = run_experiment("fig6", preset=TINY, rng=0)
     with faults.inject("kill-worker:rung=0"), runtime_options(
-        executor="process", workers=2, plan_scheduler="dag"
+        executor="process", workers=2
     ):
         chaotic = run_experiment("fig6", preset=TINY, rng=0)
     assert_results_equal(serial_result, chaotic, "fig6 with mid-rung kill")

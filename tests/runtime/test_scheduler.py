@@ -1,11 +1,11 @@
-"""DAG plan scheduler: bit-equality, kill/resume, substrate-free replay.
+"""The plan schedule: bit-equality, kill/resume, substrate-free replay.
 
-The acceptance bar of the scheduler refactor: a plan executed as a DAG
-— resources building concurrently, independent cells overlapping on the
-persistent worker pool — produces **byte-identical** output to the
-serial cell loop for any worker count and any in-flight bound; a plan
-killed with several cells in flight resumes to the same bytes; and a
-fully rung-cached cell resumes without its substrate ever being built.
+``run_plan`` runs every plan, serial or parallel, one cell at a time in
+plan order. A parallel plan — each cell on its own process executor,
+every cell's shard tasks on the one persistent worker pool — produces
+**byte-identical** output to the serial plan for any worker count; a
+killed plan resumes to the same bytes; and a fully rung-cached cell
+resumes without its substrate ever being built.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from repro.experiments.plan import (
     SweepPlan,
 )
 from repro.generators import planted_category_graph
-from repro.runtime import runtime_options
-from repro.runtime.config import resolve_plan_scheduler
+from repro.runtime import runtime_options, telemetry_scope
 from repro.runtime.plan import run_plan
 from repro.runtime.pool import default_pool, reset_default_pools
 from repro.sampling import RandomWalkSampler
@@ -47,40 +46,22 @@ def fig4_serial():
 
 
 # ----------------------------------------------------------------------
-# Bit-equality: DAG schedule vs serial loop vs serial executor
+# Bit-equality: process executor vs serial plan
 # ----------------------------------------------------------------------
+# The test names keep "dag" from the retired concurrent schedule so the
+# suite's test ids stay stable; every run below is the one plan loop.
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fig6_dag_bit_identical_for_any_worker_count(workers, fig6_serial):
-    with runtime_options(
-        executor="process", workers=workers, plan_scheduler="dag"
-    ):
-        dag = run_experiment("fig6", preset=TINY, rng=0)
-    assert_results_equal(fig6_serial, dag, f"fig6 dag workers={workers}")
+    with runtime_options(executor="process", workers=workers):
+        parallel = run_experiment("fig6", preset=TINY, rng=0)
+    assert_results_equal(fig6_serial, parallel, f"fig6 workers={workers}")
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fig4_dag_bit_identical_for_any_worker_count(workers, fig4_serial):
-    with runtime_options(
-        executor="process", workers=workers, plan_scheduler="dag"
-    ):
-        dag = run_experiment("fig4", preset=TINY, rng=0)
-    assert_results_equal(fig4_serial, dag, f"fig4 dag workers={workers}")
-
-
-@pytest.mark.parametrize("experiment", ["fig4", "fig6"])
-def test_dag_matches_serial_loop_under_the_process_executor(
-    experiment, fig4_serial, fig6_serial
-):
-    """Same executor, different schedules: the loop is the DAG's twin."""
-    with runtime_options(
-        executor="process", workers=2, plan_scheduler="serial"
-    ):
-        loop = run_experiment(experiment, preset=TINY, rng=0)
-    with runtime_options(executor="process", workers=2, plan_scheduler="dag"):
-        dag = run_experiment(experiment, preset=TINY, rng=0)
-    assert_results_equal(loop, dag, f"{experiment} loop-vs-dag")
-    baseline = fig4_serial if experiment == "fig4" else fig6_serial
-    assert_results_equal(baseline, dag, f"{experiment} serial-vs-dag")
+    with runtime_options(executor="process", workers=workers):
+        parallel = run_experiment("fig4", preset=TINY, rng=0)
+    assert_results_equal(fig4_serial, parallel, f"fig4 workers={workers}")
 
 
 @pytest.mark.parametrize(
@@ -88,49 +69,50 @@ def test_dag_matches_serial_loop_under_the_process_executor(
 )
 def test_every_other_experiment_is_dag_bit_identical_too(experiment):
     """The acceptance bar covers the whole registry, not just the two
-    DAG-widest plans (fig4/fig6 get the 1/2/3-worker treatment above)."""
+    widest plans (fig4/fig6 get the 1/2/3-worker treatment above)."""
     serial = run_experiment(experiment, preset=TINY, rng=0)
-    with runtime_options(executor="process", workers=2, plan_scheduler="dag"):
-        dag = run_experiment(experiment, preset=TINY, rng=0)
-    assert_results_equal(serial, dag, f"{experiment} serial-vs-dag")
-
-
-@pytest.mark.parametrize("inflight", ["1", "3"])
-def test_inflight_bound_never_touches_the_bytes(
-    inflight, fig6_serial, monkeypatch
-):
-    monkeypatch.setenv("REPRO_PLAN_INFLIGHT", inflight)
     with runtime_options(executor="process", workers=2):
-        dag = run_experiment("fig6", preset=TINY, rng=0)
-    assert_results_equal(fig6_serial, dag, f"fig6 inflight={inflight}")
+        parallel = run_experiment(experiment, preset=TINY, rng=0)
+    assert_results_equal(serial, parallel, f"{experiment} serial-vs-process")
 
 
-def test_malformed_inflight_names_the_variable(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_INFLIGHT", "two")
-    with pytest.raises(EstimationError, match="REPRO_PLAN_INFLIGHT"):
+def test_parallel_plan_runs_one_cell_at_a_time(fig6_serial, tmp_path):
+    """A ``--workers 2`` plan runs its cells in plan order, never two at
+    once: no two traced ``cell`` spans overlap in time."""
+    trace_path = tmp_path / "trace.json"
+    with telemetry_scope(trace=trace_path):
         with runtime_options(executor="process", workers=2):
-            run_experiment("fig6", preset=TINY, rng=0)
+            traced = run_experiment("fig6", preset=TINY, rng=0)
+    assert_results_equal(fig6_serial, traced, "traced fig6")
+    cells = sorted(
+        (event["ts"], event["ts"] + event["dur"], event["args"]["key"])
+        for event in json.loads(trace_path.read_text())["traceEvents"]
+        if event["ph"] == "X"
+        and event["name"] == "cell"
+        and event["cat"] == "plan"
+    )
+    assert len(cells) == 5
+    for (_, end, key), (start, _, next_key) in zip(cells, cells[1:]):
+        assert end <= start, f"cells {key} and {next_key} overlap"
 
 
 # ----------------------------------------------------------------------
-# Kill/resume with cells in flight
+# Kill/resume
 # ----------------------------------------------------------------------
 def test_mid_plan_kill_with_two_cells_in_flight_resumes_to_same_bytes(
-    fig6_serial, tmp_path, monkeypatch
+    fig6_serial, tmp_path
 ):
-    """Two cells die mid-ladder (the in-flight pair), later cells never
-    started; ``--resume`` must finish the plan to the same bytes.
+    """Two cells died mid-ladder, later cells never started;
+    ``--resume`` must finish the plan to the same bytes.
 
-    The kill is simulated by pruning the checkpoint to exactly the
-    state a kill with ``REPRO_PLAN_INFLIGHT=2`` produces: one cell
-    complete, the two in-flight cells each missing their later rungs,
-    the rest absent — and ``cells.json`` still claiming the pruned
-    cells, which replay must detect as incomplete and recompute.
+    The checkpoint is pruned to one cell complete, two cells each
+    missing their later rungs (what two successive kills leave), the
+    rest absent — and ``cells.json`` still claiming the pruned cells,
+    which replay must detect as incomplete and recompute.
     """
-    monkeypatch.setenv("REPRO_PLAN_INFLIGHT", "2")
     with runtime_options(executor="process", workers=2, checkpoint=tmp_path):
         first = run_experiment("fig6", preset=TINY, rng=0)
-    assert_results_equal(fig6_serial, first, "checkpointed DAG run")
+    assert_results_equal(fig6_serial, first, "checkpointed run")
     plan_dir = next(tmp_path.glob("plan-*"))
     cell_dirs = sorted(d for d in plan_dir.iterdir() if d.is_dir())
     assert len(cell_dirs) == 5
@@ -139,7 +121,7 @@ def test_mid_plan_kill_with_two_cells_in_flight_resumes_to_same_bytes(
     for index, cell_dir in enumerate(cell_dirs):
         if index == 0:
             continue  # completed before the kill
-        elif index in (1, 2):  # the in-flight pair: first rung landed
+        elif index in (1, 2):  # killed mid-ladder: first rung landed
             sweep_dir = next(cell_dir.glob("sweep-*"))
             for rung in sorted(sweep_dir.glob("rung_*.npz"))[1:]:
                 rung.unlink()
@@ -375,15 +357,6 @@ def test_plan_resources_propagate_factory_failures_to_every_waiter():
     # Later accessors see the same failure instead of a hang or rebuild.
     with pytest.raises(RuntimeError, match="substrate exploded"):
         resources["x"]
-
-
-def test_scheduler_knob_resolution(monkeypatch):
-    assert resolve_plan_scheduler("serial") == "serial"
-    assert resolve_plan_scheduler(None) == "dag"
-    monkeypatch.setenv("REPRO_PLAN_SCHEDULER", "serial")
-    assert resolve_plan_scheduler(None) == "serial"
-    with pytest.raises(EstimationError, match="unknown plan scheduler"):
-        resolve_plan_scheduler("threads")
 
 
 def test_describe_renders_the_dag():

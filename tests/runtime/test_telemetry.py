@@ -339,9 +339,7 @@ def test_fig6_plan_trace_is_output_neutral_and_nested(tmp_path):
     trace_path = tmp_path / "trace.json"
     metrics_path = tmp_path / "metrics.json"
     with telemetry_scope(trace=trace_path, metrics=metrics_path):
-        with runtime_options(
-            executor="process", workers=2, plan_scheduler="dag"
-        ):
+        with runtime_options(executor="process", workers=2):
             traced = run_experiment("fig6", preset=TINY, rng=0)
     assert_results_equal(serial_result, traced, "fig6 traced vs untraced")
 

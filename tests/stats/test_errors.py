@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import EstimationError
 from repro.stats import nrmse, nrmse_stack, relative_error
+from repro.stats.errors import RunningNRMSE
 
 
 class TestNrmseScalar:
@@ -59,6 +60,22 @@ class TestNrmseStack:
         assert coverage[0] == 1.0
         assert coverage[1] == 0.0
         assert np.isnan(values[1])
+
+    def test_coverage_counts_the_replicates_the_mean_keeps(self):
+        # Eq. 17 keeps an inf replicate (the error is inf) and leaves a
+        # NaN one out; coverage counts exactly the replicates it keeps.
+        stack = np.array([[4.0, 4.0], [np.inf, np.nan], [6.0, 6.0]])
+        truth = np.array([5.0, 5.0])
+        values, coverage = nrmse_stack(stack, truth)
+        assert values[0] == np.inf
+        assert values[1] == pytest.approx(0.2)
+        assert coverage.tolist() == [1.0, 2 / 3]
+        running = RunningNRMSE(truth)
+        running.fold(stack[:2])
+        running.fold(stack[2:])
+        running_values, running_coverage = running.close()
+        assert running_values.tobytes() == values.tobytes()
+        assert running_coverage.tobytes() == coverage.tobytes()
 
     def test_zero_truth_gives_nan(self):
         stack = np.array([[1.0], [1.0]])
