@@ -65,12 +65,19 @@ worker count — by construction rather than by tolerance:
    :class:`~repro.stats.prefix.IncrementalPrefixLadder` code the serial
    sweep runs, over observations gathered from the same observation
    planes (the driver builds them once and ships them in the payload);
-   each shard's rows are folded in absolute replicate order into
+   each shard writes its rows, unchanged float64, into a shared-memory
+   reply slot (rung ``si`` into slot ``si % 2``; the reply names only
+   the rung), and the driver folds them from there in absolute
+   replicate order into
    the serial sweep's :class:`~repro.stats.replication.RungReducer`
    (also for the cross-sample pseudo-truth of the paper's Section 7.2
    convention), whose running Eq. 17 sums add one replicate row after
    another however the rows are split into blocks. No float is added
-   in a different order.
+   in a different order. A slot is rewritten two rungs later, and
+   rung ``si + 2`` is queued only after rung ``si`` is folded, so the
+   only rows that could see a rewrite are the ones the reduction keeps
+   past their fold (the cross-sample blocks, a checkpointed rung): the
+   driver copies exactly those out of the slot first.
 4. **Resume is exact — and substrate-free when possible.**
    Checkpointed rungs are replayed from disk while workers fold their
    integer multiplicity state forward

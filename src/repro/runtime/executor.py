@@ -6,13 +6,14 @@ replicates — reconstructing each RNG stream from its spawned seed and
 advancing the block through the batched frontier kernels
 (:mod:`repro.sampling.batch`), or slicing its block out of *pre-drawn*
 samples (simulated crawls) published through shared memory — and steps
-a per-replicate prefix ladder rung by rung under parent control. The
-parent folds each shard's rung rows, in replicate order, into the
-serial path's :class:`~repro.stats.replication.RungReducer` as they
-arrive, never holding ``(R, K, C[, C])`` stacks or even a joined rung,
-which is why the output is bit-identical to the serial engine for any
-worker count, for fresh-draw (:meth:`ProcessSweepExecutor.run`) and
-pre-drawn (:meth:`ProcessSweepExecutor.run_from_samples`) sweeps alike.
+a per-replicate prefix ladder rung by rung under parent control. Each
+shard writes a rung's rows into a shared-memory reply slot, and the
+parent folds them from there, in replicate order, into the serial
+path's :class:`~repro.stats.replication.RungReducer`, never holding
+``(R, K, C[, C])`` stacks or even a joined rung, which is why the
+output is bit-identical to the serial engine for any worker count, for
+fresh-draw (:meth:`ProcessSweepExecutor.run`) and pre-drawn
+(:meth:`ProcessSweepExecutor.run_from_samples`) sweeps alike.
 
 Parent/worker protocol (one duplex pipe per worker)::
 
@@ -23,7 +24,8 @@ Parent/worker protocol (one duplex pipe per worker)::
                                                       asked to persist
                                                       observations)
     parent -> ("rung", si, size)                      compute rung si
-    worker -> ("rows", si, (4 shard row arrays))
+    worker -> ("rows", si)                            its rows are in
+                                                      reply slot si % 2
     parent -> ("skip", si, size)                      rung restored from
     worker -> ("skipped", si)                         a checkpoint; fold
                                                       state forward only
@@ -55,6 +57,15 @@ rung ``si + 1`` (or its ``skip``), and only then folds the rows, so the
 worker computes the next rung while the parent reduces this one. One
 command in flight per shard is also all the failover replay has to
 re-send.
+
+Rows do not cross the pipe. Each shard has a two-slot reply block in
+shared memory (:func:`_reply_slots`); rung ``si`` fills slot
+``si % 2`` and the reply names only the rung. Two slots are what the
+queue-before-fold order needs: rung ``si + 1`` writes the other slot
+while the parent folds this one, and rung ``si + 2`` is queued only
+after this one is folded. Rows the reduction keeps past their fold —
+the cross-sample pseudo-truth's held blocks, a checkpointed rung — are
+copied out of the slot first.
 
 Rung-by-rung control is what makes checkpoint/resume work: after every
 gathered rung the parent persists that rung's rows, so a later run with
@@ -224,11 +235,55 @@ def _observations_restore(
 
 
 # ----------------------------------------------------------------------
+# Reply slots
+# ----------------------------------------------------------------------
+def _reply_words(replicates: int, categories: int) -> int:
+    """float64 words of one reply block: two slots of four row arrays."""
+    return 2 * replicates * (2 * categories + 2 * categories**2)
+
+
+def _reply_slots(block: np.ndarray, replicates: int, categories: int) -> list:
+    """The two slots of a shard's reply block, each the four
+    ``(B, C)``, ``(B, C)``, ``(B, C, C)``, ``(B, C, C)`` row arrays of
+    one rung in ``_rung_rows`` order, as views of ``block``."""
+    b, c = replicates, categories
+    shapes = [(b, c)] * 2 + [(b, c, c)] * 2
+    slots, start = [], 0
+    for _ in range(2):
+        fields = []
+        for shape in shapes:
+            stop = start + int(np.prod(shape))
+            fields.append(block[start:stop].reshape(shape))
+            start = stop
+        slots.append(tuple(fields))
+    return slots
+
+
+def _copy_rows(rows, rung: list, start: int) -> tuple:
+    """Copy one shard's slot rows into its replicates' block of the
+    rung's ``(R, ...)`` arrays and return that block.
+
+    A function of its own, so no local of the driver's frame is left
+    holding a slot view once the copy is made.
+    """
+    kept = tuple(field[start:start + len(rows[0])] for field in rung)
+    for copy, row in zip(kept, rows):
+        np.copyto(copy, row)
+    return kept
+
+
+# ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
     """Serve one shard task: obtain the owned replicates, then answer
     rung commands until told to stop.
+
+    Rung ``si``'s rows go straight into slot ``si % 2`` of the shard's
+    reply block (``cfg["reply"]``, a :meth:`SharedArrayPool.allocate
+    <repro.runtime.sharedmem.SharedArrayPool.allocate>` token), one
+    replicate row at a time; the reply ``("rows", si)`` carries no
+    array.
 
     The transport is injected — ``recv()`` returns the next parent
     command tuple, ``send(*parts)`` replies — because the shard no
@@ -330,6 +385,9 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
     else:
         send("observed", None)
     truth_sizes = cfg["truth_sizes"]
+    slots = _reply_slots(
+        sharedmem.attach(cfg["reply"]), len(ladders), len(names)
+    )
     kill_rungs = {
         directive[1]
         for directive in map(tuple, cfg.get("faults") or ())
@@ -368,12 +426,13 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
                     ladder.fold(size)
             send("skipped", si)
         elif command == "rung":
+            slot = slots[si % 2]
             with telemetry.span_in(
                 collector, "rung", cat="worker",
                 task=task_label, rung=si, size=size,
             ):
-                rows = [
-                    _rung_rows(
+                for local, ladder in enumerate(ladders):
+                    rows = _rung_rows(
                         ladder.estimates(
                             size,
                             cfg["n_pop"],
@@ -382,15 +441,9 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
                         spec.weight_size_plugin,
                         truth_sizes,
                     )
-                    for ladder in ladders
-                ]
-            send(
-                "rows",
-                si,
-                tuple(
-                    np.stack([r[field] for r in rows]) for field in range(4)
-                ),
-            )
+                    for field, row in zip(slot, rows):
+                        field[local] = row
+            send("rows", si)
         else:  # pragma: no cover - protocol misuse
             raise RuntimeError(f"unknown executor command {command!r}")
 
@@ -1045,7 +1098,12 @@ class ProcessSweepExecutor:
         make_cfg,
         persist_samples: bool,
     ) -> SweepResult:
-        """Spawn shard workers and drive the rung loop (both modes)."""
+        """Spawn shard workers and drive the rung loop (both modes).
+
+        The shards' reply blocks live in the run-local pool, so they are
+        unlinked, and retired on the workers, with the cell's other
+        blocks.
+        """
         # Reset per run: a fully-cached replay below never constructs a
         # driver, and without this a previous run's recovery log would
         # survive on the instance as stale diagnostics.
@@ -1074,6 +1132,11 @@ class ProcessSweepExecutor:
         num_workers = min(self.workers, replications)
         shards = np.array_split(np.arange(replications), num_workers)
         want_observations = checkpoint is not None and observations is None
+        # Rows the reduction keeps past their fold: the cross-sample
+        # pseudo-truth holds every block until the last rung, and a
+        # checkpoint writes the whole rung once all shards are in.
+        copy_rows = checkpoint is not None or spec.truth_mode == "cross-sample"
+        categories = len(partition.names)
         worker_pool = default_pool(self._mp_context)
 
         # Inside a plan run the ambient pool already holds the plan's
@@ -1100,6 +1163,8 @@ class ProcessSweepExecutor:
             )
             self.failover_log = driver.failover_log
             recorder = telemetry.recorder()
+            # The driver's views of each shard's reply slots, in shard order.
+            replies = []
             try:
                 with telemetry.span(
                     "dispatch", cat="driver", task=sweep_label,
@@ -1123,11 +1188,20 @@ class ProcessSweepExecutor:
                             },
                             publish_pool,
                         )
+                        reply = local_pool.allocate(
+                            (_reply_words(len(shard), categories),)
+                        )
+                        replies.append(
+                            _reply_slots(
+                                sharedmem.attach(reply), len(shard), categories
+                            )
+                        )
                         cfg = {
                             "n_pop": graph.num_nodes,
                             "spec": spec,
                             "truth_sizes": truth.sizes,
                             "want_observations": want_observations,
+                            "reply": reply,
                             **make_cfg(shard),
                         }
                         if recorder is not None:
@@ -1178,9 +1252,13 @@ class ProcessSweepExecutor:
                         "rung", cat="driver", task=sweep_label,
                         rung=si, size=size, cached=cached is not None,
                     ):
-                        kept = [] if checkpoint is not None else None
+                        rung = (
+                            [np.empty(shape) for shape in reducer.row_shapes]
+                            if copy_rows and cached is None
+                            else None
+                        )
                         for run in runs:
-                            rows = driver.collect(
+                            driver.collect(
                                 run, "rows" if cached is None else "skipped", si
                             )
                             # Folded into this shard's ladders: what a
@@ -1188,26 +1266,20 @@ class ProcessSweepExecutor:
                             run.progress.append((si, size))
                             queue(run, si + 1)
                             if cached is None:
+                                rows = replies[run.slot][si % 2]
+                                if rung is not None:
+                                    rows = _copy_rows(
+                                        rows, rung, int(run.shard[0])
+                                    )
                                 # Shards own contiguous replicate blocks,
-                                # so slot order is replicate order.
+                                # so shard order is replicate order.
                                 reducer.fold(si, rows)
-                                if kept is not None:
-                                    kept.append(rows)
-                            del rows
+                                del rows
                         if cached is not None:
                             reducer.add(si, cached)
                         else:
-                            if kept is not None:
-                                checkpoint.save_rung(
-                                    si,
-                                    size,
-                                    tuple(
-                                        np.concatenate(
-                                            [rows[f] for rows in kept]
-                                        )
-                                        for f in range(4)
-                                    ),
-                                )
+                            if checkpoint is not None:
+                                checkpoint.save_rung(si, size, tuple(rung))
                             reducer.close(si)
                 if recorder is not None:
                     # Flush each task's recorded events back over the
@@ -1221,14 +1293,17 @@ class ProcessSweepExecutor:
                             driver.collect(run, "telemetry", -1)
                         )
             finally:
+                # Dropped first, so the release below finds no view of
+                # the driver's own left on the reply blocks.
+                replies.clear()
                 driver.close_all()
                 # Closing is ordered before retirement on each worker's
                 # connection, so by the time a worker releases these
                 # blocks its tasks (and their array views) are gone.
                 worker_pool.retire(driver.handles, local_pool.block_names)
-                # In-process fallback shards attach blocks in *this*
-                # process; drop those cached views before the pool
-                # unlinks the files (harmless when nothing attached).
+                # The reply slots, and in-process fallback shards,
+                # attach blocks in *this* process; drop those cached
+                # views before the pool unlinks the files.
                 sharedmem.release(local_pool.block_names)
 
         return reducer.result()

@@ -22,11 +22,13 @@ Wire protocol (parent -> worker)::
 
 Worker -> parent messages are the executor's shard replies prefixed
 with their task id (``(task_id, "sampled", ...)``, ``(task_id,
-"rows", si, rows)``, ``(task_id, "error", traceback)``, ...); a
-dedicated parent-side reader thread per worker routes them to the
-right task's queue, which also guarantees the pipe always drains — a
-worker can never deadlock sending rows for a task the parent has
-abandoned.
+"rows", si)``, ``(task_id, "error", traceback)``, ...); a dedicated
+parent-side reader thread per worker routes them to the right task's
+queue, which also guarantees the pipe always drains — a worker can
+never deadlock sending a reply for a task the parent has abandoned.
+A ``"rows"`` reply carries no array: the task wrote rung ``si``'s rows
+into slot ``si % 2`` of its shared-memory reply block (named in the
+``open`` cfg) before sending it.
 
 Determinism is untouched by any of this: a task computes the same
 per-replicate rows wherever and whenever it runs, the parent places
@@ -334,7 +336,9 @@ class _WorkerHandle:
                 task_queue.put(message[1:])
             # Replies for closed tasks are dropped: an abandoned shard
             # may legitimately finish sending after an error elsewhere.
-            del message  # else a big reply (rung rows) lives on until the next
+            # Dropped now, else a big reply (draws, observations)
+            # lives on until the next one arrives.
+            del message
         self.alive = False
         with self._tasks_lock:
             queues = list(self._task_queues.values())
@@ -406,8 +410,6 @@ def parse_reply(message, expected: str, rung_index: "int | None"):
         )
     if expected == "sampled":
         return message[1:]
-    if expected == "rows":
-        return message[2]
     if expected == "observed":
         return message[1]
     if expected == "telemetry":

@@ -36,7 +36,10 @@ handles at process exit; the *persistent* pool workers of
 :mod:`repro.runtime.pool` instead receive an explicit retire message
 when a cell's run finishes and call :func:`release`, so a plan's
 worker-side footprint stays at the long-lived resources plus the cell
-currently running. Pools are thread-safe: several threads may publish
+currently running. The same lifecycle covers the writable *reply*
+blocks a pool allocates (:meth:`SharedArrayPool.allocate`, mapped with
+:func:`attach`): workers write their rung rows there and the parent
+reads them in place. Pools are thread-safe: several threads may publish
 into one ambient plan pool concurrently.
 """
 
@@ -58,6 +61,7 @@ __all__ = [
     "PoolChain",
     "SharedArrayPool",
     "active_pool",
+    "attach",
     "dumps",
     "loads",
     "release",
@@ -153,6 +157,24 @@ class SharedArrayPool:
             telemetry.counter("shm.published_blocks", 1)
             telemetry.gauge("shm.peak_pool_bytes", self._published_bytes)
             return token
+
+    def allocate(self, shape, dtype=np.float64) -> tuple:
+        """The token of a new, zero-filled block for workers to write into.
+
+        The executor's reply grain: each shard's rung rows land in such
+        a block instead of crossing the worker pipe. The block is owned,
+        unlinked and retired like a published one, but its bytes count
+        as ``shm.reply_bytes``, not ``shm.published_bytes``. Every side
+        (driver, worker, in-process shard) maps it with :func:`attach`.
+        """
+        dtype = np.dtype(dtype)
+        shape = tuple(int(extent) for extent in shape)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        block = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
+        with self._lock:
+            self._blocks.append(block)
+        telemetry.counter("shm.reply_bytes", nbytes)
+        return (_TOKEN_KIND, block.name, dtype.str, shape)
 
     def token_of(self, array: np.ndarray) -> "tuple | None":
         """The token of an already-published array, or ``None``."""
@@ -320,6 +342,29 @@ _ATTACHED_LOCK = threading.Lock()
 _UNRELEASABLE: list = []
 
 
+def _attached_view(token: tuple, writeable: bool) -> np.ndarray:
+    """This process's cached view of a shared-memory token's block."""
+    _, name, dtype, shape = token
+    with _ATTACHED_LOCK:
+        cached = _ATTACHED.get(name)
+        if cached is None:
+            block = _attach(name)
+            array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=block.buf)
+            array.flags.writeable = writeable
+            cached = (block, array)
+            _ATTACHED[name] = cached
+    return cached[1]
+
+
+def attach(token: tuple) -> np.ndarray:
+    """A writable view of a :meth:`SharedArrayPool.allocate` block.
+
+    Cached like an unpickled token, so :func:`release` (a retire
+    message, or the driver's teardown) drops it.
+    """
+    return _attached_view(token, writeable=True)
+
+
 class _PlaneUnpickler(pickle.Unpickler):
     """Unpickler resolving tokens to read-only zero-copy views.
 
@@ -331,16 +376,7 @@ class _PlaneUnpickler(pickle.Unpickler):
     def persistent_load(self, pid):
         kind = pid[0]
         if kind == _TOKEN_KIND:
-            _, name, dtype, shape = pid
-            with _ATTACHED_LOCK:
-                cached = _ATTACHED.get(name)
-                if cached is None:
-                    block = _attach(name)
-                    array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=block.buf)
-                    array.flags.writeable = False
-                    cached = (block, array)
-                    _ATTACHED[name] = cached
-            return cached[1]
+            return _attached_view(pid, writeable=False)
         if kind == _MMAP_TOKEN_KIND:
             _, name, path, dtype, shape, offset = pid
             with _ATTACHED_LOCK:

@@ -30,7 +30,8 @@ Two exporters:
   markers;
 * :meth:`TelemetryRecorder.write_metrics` — a flat ``metrics.json``
   summary: per-phase totals, worker utilization %, shm bytes
-  published/retired, cache/replay hit counts, failover retries.
+  published/retired and reply-slot bytes, cache/replay hit counts,
+  failover retries.
 
 Hard contracts (determinism point 6 in :mod:`repro.runtime`):
 telemetry is **output-neutral** — timestamps never touch the data
@@ -77,6 +78,7 @@ METRICS_SCHEMA = "repro-metrics-v1"
 #: a subsystem never fired.
 _STANDARD_COUNTERS = (
     "shm.published_bytes",
+    "shm.reply_bytes",
     "shm.retired_bytes",
     "shm.published_blocks",
     "pool.workers_spawned",

@@ -120,6 +120,10 @@ class RunningNRMSE:
         self.truth = np.asarray(truth, dtype=float)
         self.rows = 0
         self._held = [] if self.truth.size == 1 else None
+        # Only an infinite truth makes ``estimate - truth`` an invalid
+        # operation (inf - inf; NaN operands stay quiet), so only then
+        # does the subtraction need an errstate.
+        self._infinite_truth = bool(np.isinf(self.truth).any())
         # int32: the count never exceeds the replicate count, and a
         # (C, C) count plane per open rung is half the size of int64.
         self._dropped = np.zeros(self.truth.shape, dtype=np.int32)
@@ -139,10 +143,20 @@ class RunningNRMSE:
             return
         # One temporary, squared in place: a large block is not copied
         # again. inf - inf is a NaN replicate, not a warning.
-        with np.errstate(invalid="ignore"):
+        if self._infinite_truth:
+            with np.errstate(invalid="ignore"):
+                squared = np.subtract(block, self.truth)
+        else:
             squared = np.subtract(block, self.truth)
-            np.square(squared, out=squared)
+        np.square(squared, out=squared)
         dropped = np.isnan(squared)
+        if len(block) == 1:
+            # The serial sweep's one-replicate blocks: the same sums
+            # without the per-call cost of the axis-0 reductions.
+            squared[dropped] = 0.0
+            self._dropped += dropped[0]
+            self._total += squared[0]
+            return
         self._dropped += dropped.sum(axis=0, dtype=np.int32)
         np.copyto(squared, 0.0, where=dropped)
         for row in squared:
