@@ -21,10 +21,11 @@ pre-drawn crawl cells alike — through the :mod:`repro.runtime` process
 executor (bit-identical output, any worker count). A plan runs its
 cells one at a time, in plan order, and a parallel plan shards each
 cell's replicates over one persistent worker pool. ``--checkpoint``
-persists each cell's completed ladder rungs under a plan-keyed
-directory and ``--resume`` continues a killed run at the first missing
-cell/rung — replaying fully-cached cells without rebuilding their
-substrates.
+writes each finished sweep cell's result to one file under a
+plan-keyed directory, serially or with ``--workers`` alike, and
+``--resume`` replays those cells without rebuilding their substrates,
+recomputing the cell that was in flight and the ones after it. A
+checkpoint written by either executor resumes on the other.
 ``repro run`` accepts the same flags (the two commands share the plan
 path; ``experiment`` adds ``--show-plan``, which renders the plan's
 DAG: resources, cells, and their ``<-`` dependency edges).
@@ -89,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
             "and execute it on the parallel runtime. With --workers N "
             "every sweep cell shards across N worker processes "
             "(bit-identical to serial); with --checkpoint DIR each "
-            "cell persists completed ladder rungs under a plan-keyed "
-            "directory, and --resume restarts a killed run at the "
-            "first missing cell/rung."
+            "finished sweep cell persists its result under a "
+            "plan-keyed directory, and --resume restarts a killed run "
+            "at the first unfinished cell."
         ),
     )
     _add_experiment_arguments(experiment)
@@ -142,16 +143,18 @@ def _add_runtime_arguments(command: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help=(
-            "checkpoint root directory; each sweep persists every "
-            "completed ladder rung under a manifest-keyed subdirectory"
+            "checkpoint root directory; each finished sweep cell writes "
+            "its result to one checksummed file under a plan-keyed "
+            "subdirectory (serial or parallel; does not select "
+            "--workers)"
         ),
     )
     command.add_argument(
         "--resume",
         action="store_true",
         help=(
-            "continue matching checkpoints instead of restarting them "
-            "(requires --checkpoint)"
+            "replay the finished cells of a matching checkpoint instead "
+            "of restarting it (requires --checkpoint)"
         ),
     )
     command.add_argument(
@@ -228,9 +231,8 @@ def _runtime_scope(args):
         from repro.exceptions import EstimationError
 
         raise EstimationError(f"--workers must be >= 1, got {args.workers}")
-    wants_executor = (
-        args.workers is not None or args.checkpoint is not None or args.resume
-    )
+    wants_executor = args.workers is not None
+    persists = args.checkpoint is not None or args.resume
     tuning = args.max_retries is not None or args.task_timeout is not None
     trace = getattr(args, "trace", None)
     metrics = getattr(args, "metrics", None)
@@ -239,11 +241,12 @@ def _runtime_scope(args):
         from repro.runtime.telemetry import telemetry_scope
 
         stack.enter_context(telemetry_scope(trace=trace, metrics=metrics))
-    if wants_executor or tuning:
+    if wants_executor or persists or tuning:
         stack.enter_context(
             runtime_options(
-                # --max-retries/--task-timeout alone must not force the
-                # process executor: they only tune a parallel run
+                # Only --workers selects the process executor: the
+                # checkpoint flags work on either executor, and
+                # --max-retries/--task-timeout only tune a parallel run
                 # selected elsewhere (e.g. REPRO_EXECUTOR).
                 executor="process" if wants_executor else None,
                 workers=args.workers,

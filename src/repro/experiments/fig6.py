@@ -111,7 +111,7 @@ def compile_fig6(
         resources=resources,
         context={"scale": preset.name, "seed": int(rng)},
         # finalize re-derives the scored categories/pairs from the
-        # world, so even a fully rung-cached resume still builds it.
+        # world, so even a resume that replays every cell builds it.
         finalize_needs=("world",),
     )
 

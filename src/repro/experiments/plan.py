@@ -12,10 +12,10 @@ assembles the per-cell outputs into the familiar
 :class:`~repro.experiments.base.ExperimentResult` objects.
 
 The plan is *data*; executing it is the job of the runtime
-(:func:`repro.runtime.plan.run_plan`), which schedules every
-:class:`SweepCell` through the parallel sweep executor (workers,
-shared-memory substrate publication, manifest-keyed checkpoints) and
-runs :class:`ComputeCell` steps in-process. The split buys three things
+(:func:`repro.runtime.plan.run_plan`), which runs every
+:class:`SweepCell` through the sweep executor (serial, or workers with
+shared-memory substrate publication), checkpoints each finished one,
+and runs :class:`ComputeCell` steps in-process. The split buys three things
 at once:
 
 * every replicated sweep in the reproduction — fresh-draw *and*
@@ -25,8 +25,9 @@ at once:
   plan *resources*, built once per plan run and published to worker
   shards once via shared memory;
 * a killed ``repro experiment <name> --resume`` restarts at the first
-  missing cell/rung, because each cell checkpoints under a plan-keyed
-  directory (:class:`repro.runtime.checkpoint.PlanCheckpoint`).
+  unfinished cell, because each finished sweep cell writes its result
+  under a plan-keyed directory
+  (:class:`repro.runtime.checkpoint.PlanCheckpoint`).
 
 Cells and the finalize step **declare** which resources they read
 (``needs=`` / ``finalize_needs=``), so a compiled plan is a dependency
@@ -131,10 +132,10 @@ class SweepCell:
     stand-ins, or pulling pre-drawn crawls out of the plan's shared
     resources. Resolution is deferred so heavy inputs stay shared
     through :class:`PlanResources` instead of being captured per cell.
-    ``needs`` names the plan resources ``build`` reads. A fully
-    rung-cached cell of a resumed plan replays from its checkpoint
-    without ``build`` ever running, so its resources are never built
-    unless another cell reads them.
+    ``needs`` names the plan resources ``build`` reads. A finished cell
+    of a resumed plan replays from its checkpoint file without
+    ``build`` ever running, so its resources are never built unless
+    another cell reads them.
     """
 
     key: str

@@ -16,11 +16,11 @@ runs on :class:`ProcessSweepExecutor` (fresh-draw sweeps via
 shared substrate once through shared memory
 (:mod:`repro.runtime.sharedmem` — one ambient pool per plan run,
 deduplicated across cells; cell-local blocks are retired from the
-persistent workers when their cell finishes), bounding variate memory
-via the batched engine's chunked step windows, and checkpointing every
-completed ladder rung plus the compressed per-replicate observations
-(:mod:`repro.runtime.checkpoint`) so paper-scale runs survive being
-killed. Select the executor per call
+persistent workers when their cell finishes) and bounding variate
+memory via the batched engine's chunked step windows. With a checkpoint
+root, every plan, serial or parallel, writes each finished sweep cell's
+result to one checksummed file (:mod:`repro.runtime.checkpoint`), so
+paper-scale runs survive being killed. Select the executor per call
 (``run_nrmse_sweep(executor="process", workers=4)``), per scope
 (:func:`runtime_options`), per environment (``REPRO_EXECUTOR`` /
 ``REPRO_WORKERS`` — how CI runs whole suites under the parallel path),
@@ -76,45 +76,38 @@ worker count — by construction rather than by tolerance:
    in a different order. A slot is rewritten two rungs later, and
    rung ``si + 2`` is queued only after rung ``si`` is folded, so the
    only rows that could see a rewrite are the ones the reduction keeps
-   past their fold (the cross-sample blocks, a checkpointed rung): the
-   driver copies exactly those out of the slot first.
-4. **Resume is exact — and substrate-free when possible.**
-   Checkpointed rungs are replayed from disk while workers fold their
-   integer multiplicity state forward
-   (:meth:`repro.stats.prefix.IncrementalPrefixLadder.fold` — adding a
-   draw's multiplicity is order-free integer arithmetic), and ladders
-   are seeded from the checkpointed ``observe_both`` observations —
-   arrays that round-trip npz exactly — instead of re-measuring, so a
-   resumed sweep finishes with the same bits as an uninterrupted one.
-   Checkpoints are double-keyed: the plan directory by the plan
-   manifest (experiment id + cell grid), each cell's sweep directory
-   by a manifest fingerprint (seeds or pre-drawn sample digests,
-   size ladder, estimator knobs, graph/partition/sampler content), so a
-   stale checkpoint can never contaminate a non-matching run.
-   Completed cells additionally record their sweep key in the plan's
-   ``cells.json`` and persist their truth arrays, so a resumed plan
-   *replays* a fully rung-cached cell
-   (:func:`repro.runtime.executor.replay_sweep`) without rebuilding
-   its substrate — the remaining cells resume at their first missing
-   rung as before. A killed ``repro experiment <name> --resume``
-   therefore restarts exactly where it died, to the same bytes. One
-   trust boundary is inherent
-   to skipping the rebuild: the replay path cannot re-fingerprint a
-   substrate it never constructs, so it trusts the recorded key under
-   a matching *plan* manifest (experiment id, cell grid, scale preset,
-   master seed). Substrate drift that those inputs cannot see —
-   editing a generator's code between runs — is caught on the
-   build-and-resume path (content digests in the sweep manifest) but
-   not on the replay path; after changing substrate-producing code,
-   run once without ``--resume`` (or delete the plan directory) rather
-   than resuming into it.
+   past their fold (the cross-sample blocks): the driver copies
+   exactly those out of the slot first.
+4. **Resume is exact, at cell grain.** A sweep cell is a pure function
+   of (plan manifest, cell key) by point 1, so the cell is what a
+   checkpoint persists: each finished sweep cell, serial or parallel,
+   writes its :class:`~repro.stats.replication.SweepResult` (sample
+   sizes, NRMSE and coverage arrays, truth category graph) to one
+   atomic, checksummed file in a directory keyed by the plan manifest
+   (experiment id, cell grid, scale preset, master seed). A resumed
+   plan replays each finished cell from its file — arrays round-trip
+   npz exactly — without building the cell's substrate, and recomputes
+   the rest, so ``repro experiment <name> --resume`` finishes with the
+   same bytes as an uninterrupted run at any worker count, serial
+   included, whichever executor wrote the checkpoint. A killed run
+   loses at most the cell in flight: at paper scale the longest cell,
+   fig4's texas S-WRW, takes about 10.6 s. One trust boundary is
+   inherent to skipping the rebuild: nothing re-fingerprints a
+   substrate that is never constructed, so the replay trusts the file
+   under a matching plan manifest. Drift those inputs cannot see —
+   editing a generator's code between runs — is not detected; after
+   changing substrate-producing code, run once without ``--resume`` (or
+   delete the plan directory) rather than resuming into it.
 5. **Failure is survivable — and recovery reproduces the same bits.**
    Because streams are seed-named and shards are re-executable (points
    1-2), a worker that dies or wedges mid-shard is not a lost run: the
    executor's failover path respawns a replacement, replays the
    shard's task from its own seeds, folds forward past every rung the
-   parent already received (the same integer skip-fold the resume path
-   uses), and continues — output byte-identical to an undisturbed run,
+   parent already received
+   (:meth:`repro.stats.prefix.IncrementalPrefixLadder.fold` — adding a
+   draw's multiplicity is order-free integer arithmetic; this skip-fold
+   serves failover only), and continues — output byte-identical to an
+   undisturbed run,
    at any worker count. Retries are budgeted per shard
    (``REPRO_MAX_RETRIES`` / ``--max-retries``, default 2 beyond the
    first attempt); exhaustion raises a structured
@@ -127,9 +120,9 @@ worker count — by construction rather than by tolerance:
    runtime degrades — first to fewer workers (shards multiplex over
    the survivors), ultimately to in-process serial execution — each
    step with a single :class:`RuntimeWarning`, never a crash, and
-   never different bytes. Checkpoint payloads carry embedded checksums:
-   a corrupt file is quarantined as ``*.corrupt`` and its rows
-   recomputed instead of poisoning a resume. All of it is exercised
+   never different bytes. Checkpoint cell files carry embedded
+   checksums: a corrupt file is quarantined as ``*.corrupt`` and its
+   cell recomputed instead of poisoning a resume. All of it is exercised
    deterministically by the fault-injection harness
    (:mod:`repro.runtime.faults`, ``REPRO_FAULTS``) rather than waiting
    for real hardware to misbehave.
@@ -147,20 +140,21 @@ worker count — by construction rather than by tolerance:
 ``tests/runtime/`` enforces all six properties —
 ``test_scheduler.py`` at the plan-schedule grain (fig4 and fig6
 process output bit-equal to serial at 1/2/3 workers, mid-plan kill,
-substrate-free replay), ``test_plan.py`` at the plan grain —
+substrate-free replay), ``test_plan.py`` at the plan grain,
+``test_checkpoint.py`` at the cell-file grain —
 and the golden sweep regression additionally pins the executor against
 the serial path, and both against the ``tests/oracles.py`` reference
 sweep, for every registered design.
 """
 
-from repro.runtime.checkpoint import PlanCheckpoint, SweepCheckpoint
+from repro.runtime.checkpoint import PlanCheckpoint
 from repro.runtime.config import (
     RuntimeOptions,
     active_options,
     resolve_executor,
     runtime_options,
 )
-from repro.runtime.executor import ProcessSweepExecutor, replay_sweep
+from repro.runtime.executor import ProcessSweepExecutor
 from repro.runtime.plan import run_plan
 from repro.runtime.pool import (
     PersistentWorkerPool,
@@ -178,13 +172,11 @@ __all__ = [
     "ProcessSweepExecutor",
     "RuntimeOptions",
     "SharedArrayPool",
-    "SweepCheckpoint",
     "TelemetryRecorder",
     "WorkerDied",
     "WorkerFailure",
     "active_options",
     "default_pool",
-    "replay_sweep",
     "reset_default_pools",
     "resolve_executor",
     "run_plan",

@@ -5,10 +5,11 @@ per call, but the experiment drivers (Figs. 3/4/6, Table 2) never pass
 them — they would have to thread ``workers=`` through every driver
 signature. Instead the CLI (``repro run --workers 4 --resume``) and
 tests install an ambient :class:`RuntimeOptions` via
-:func:`runtime_options`, and ``run_nrmse_sweep`` consults it whenever a
-knob was not given explicitly. Resolution order per knob:
+:func:`runtime_options`, and ``run_nrmse_sweep`` (executor, workers) and
+:func:`repro.runtime.plan.run_plan` (checkpoint, resume) consult it
+whenever a knob was not given explicitly. Resolution order per knob:
 
-1. the explicit ``run_nrmse_sweep`` argument;
+1. the explicit ``run_nrmse_sweep``/``run_plan`` argument;
 2. the innermost active :func:`runtime_options` context;
 3. the ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` / ``REPRO_CHECKPOINT`` /
    ``REPRO_RESUME`` / ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``
@@ -52,9 +53,10 @@ class RuntimeOptions:
     executor: str | None = None
     #: Worker processes for the process executor (``None``: cpu count).
     workers: int | None = None
-    #: Checkpoint root directory (manifest-keyed subdirs per sweep).
+    #: Checkpoint root directory of plan runs (one plan-keyed
+    #: directory per plan, one result file per finished sweep cell).
     checkpoint: Path | None = None
-    #: Continue a matching checkpoint instead of restarting it.
+    #: Replay a matching plan checkpoint instead of restarting it.
     #: Tri-state: ``None`` falls through to the next layer, so an inner
     #: scope can force a fresh run with an explicit ``False``.
     resume: bool | None = None
@@ -156,42 +158,31 @@ def active_options() -> RuntimeOptions:
     return merged
 
 
-def resolve_executor(
-    executor: "str | object | None",
-    workers: int | None,
-    checkpoint: "str | os.PathLike | None",
-    resume: bool | None,
-):
+def resolve_executor(executor: "str | object | None", workers: int | None):
     """Resolve ``run_nrmse_sweep`` executor arguments to an executor.
 
     Returns ``None`` for the serial in-process path, or an object with
     the executor ``run(...)`` interface. Strings name the built-in
     executors; anything else is assumed to *be* an executor instance
     and is returned unchanged — in that case the instance already
-    carries its worker/checkpoint configuration, so combining it with
-    the explicit knobs is rejected rather than silently ignored.
+    carries its worker configuration, so combining it with an explicit
+    ``workers`` is rejected rather than silently ignored.
     """
     ambient = active_options()
     if executor is None:
         executor = ambient.executor
         if executor is None:
-            # Nothing selected an executor explicitly, but the process
-            # knobs were: asking for workers or a checkpoint *is* asking
-            # for the process executor — running serial would silently
-            # drop both.
-            knobs_given = (
-                workers is not None
-                or checkpoint is not None
-                or resume is not None
-            )
-            executor = "process" if knobs_given else "serial"
+            # Nothing selected an executor explicitly, but a worker
+            # count was: asking for workers *is* asking for the process
+            # executor — running serial would silently drop it.
+            executor = "process" if workers is not None else "serial"
     if not isinstance(executor, str):
-        if workers is not None or checkpoint is not None or resume is not None:
+        if workers is not None:
             from repro.exceptions import EstimationError
 
             raise EstimationError(
-                "pass workers/checkpoint/resume either to the executor "
-                "instance or as run_nrmse_sweep arguments, not both"
+                "pass workers either to the executor instance or as a "
+                "run_nrmse_sweep argument, not both"
             )
         return executor
     if executor == "serial":
@@ -205,11 +196,5 @@ def resolve_executor(
     from repro.runtime.executor import ProcessSweepExecutor
 
     return ProcessSweepExecutor(
-        workers=workers if workers is not None else ambient.workers,
-        checkpoint=checkpoint if checkpoint is not None else ambient.checkpoint,
-        resume=(
-            resume
-            if resume is not None
-            else (ambient.resume if ambient.resume is not None else False)
-        ),
+        workers=workers if workers is not None else ambient.workers
     )

@@ -17,18 +17,15 @@ fresh-draw (:meth:`ProcessSweepExecutor.run`) and pre-drawn
 
 Parent/worker protocol (one duplex pipe per worker)::
 
-    worker -> ("sampled", nodes|None, weights|None)   after sampling
-    worker -> ("observed", fields|None)               after the ladder
-                                                      build (fields only
-                                                      when the parent
-                                                      asked to persist
-                                                      observations)
+    worker -> ("sampled",)                            after sampling
+    worker -> ("observed",)                           after the ladder
+                                                      build
     parent -> ("rung", si, size)                      compute rung si
     worker -> ("rows", si)                            its rows are in
                                                       reply slot si % 2
-    parent -> ("skip", si, size)                      rung restored from
-    worker -> ("skipped", si)                         a checkpoint; fold
-                                                      state forward only
+    parent -> ("skip", si, size)                      failover replay:
+    worker -> ("skipped", si)                         fold state forward
+                                                      past rung si only
     parent -> ("stop",)                               shut down
     worker -> ("error", traceback)                    any time, fatal
     worker -> ("heartbeat",)                          liveness pulse
@@ -64,44 +61,29 @@ shared memory (:func:`_reply_slots`); rung ``si`` fills slot
 queue-before-fold order needs: rung ``si + 1`` writes the other slot
 while the parent folds this one, and rung ``si + 2`` is queued only
 after this one is folded. Rows the reduction keeps past their fold —
-the cross-sample pseudo-truth's held blocks, a checkpointed rung — are
-copied out of the slot first.
+the cross-sample pseudo-truth's held blocks — are copied out of the
+slot first.
 
-Rung-by-rung control is what makes checkpoint/resume work: after every
-gathered rung the parent persists that rung's rows, so a later run with
-the same manifest replays finished rungs from disk (workers only fold
-their multiplicity state forward — exact, integer arithmetic) and
-resumes computing at the first missing rung. The ``observed`` phase
-additionally persists each replicate's compressed ``observe_both``
-measurement, so a resumed run seeds its ladders straight from disk
-instead of re-running the per-replicate observation pass.
+The executor persists nothing: checkpoints are written a whole sweep
+cell at a time by :func:`repro.runtime.plan.run_plan`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import pickle
 import queue
 import signal
 import threading
 import traceback
 import warnings
-from io import BytesIO
-from pathlib import Path
 
 import numpy as np
 
 from repro.exceptions import EstimationError
-from repro.graph.adjacency import Graph
 from repro.graph.category_graph import true_category_graph
-from repro.graph.partition import CategoryPartition
-from repro.graph.union import UnionCSR
 from repro.log import get_logger
 from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import faults, sharedmem, telemetry
-from repro.runtime.checkpoint import SweepCheckpoint, read_rung, read_truth
 from repro.runtime.config import DEFAULT_MAX_RETRIES, active_options
 from repro.runtime.pool import (
     WorkerDied,
@@ -113,13 +95,9 @@ from repro.runtime.pool import (
     parse_reply,
     read_spill,
 )
-from repro.sampling.base import NodeSample, Sampler
+from repro.sampling.base import Sampler
 from repro.sampling.batch import sample_streams
-from repro.sampling.observation import (
-    InducedObservation,
-    StarObservation,
-    observation_planes,
-)
+from repro.sampling.observation import observation_planes
 from repro.stats.prefix import IncrementalPrefixLadder
 from repro.stats.replication import (
     RungReducer,
@@ -128,110 +106,9 @@ from repro.stats.replication import (
     _rung_rows,
 )
 
-__all__ = ["ProcessSweepExecutor", "replay_sweep", "serve_shard"]
+__all__ = ["ProcessSweepExecutor", "serve_shard"]
 
 _LOG = get_logger(__name__)
-
-
-# ----------------------------------------------------------------------
-# Sweep fingerprinting (manifest keys for checkpoints)
-# ----------------------------------------------------------------------
-def _array_digest(*arrays: np.ndarray) -> str:
-    digest = hashlib.sha256()
-    for array in arrays:
-        digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
-
-
-class _FingerprintPickler(pickle.Pickler):
-    """Canonicalizing pickler for sampler fingerprints.
-
-    Lazily-computed caches (``Graph._arc_sources``, a partition's
-    neighbor histogram) make naive ``pickle.dumps`` bytes depend on what
-    was *called* before fingerprinting, not on what the sampler *is*. This
-    pickler replaces graphs, partitions, and raw arrays with content
-    digests, so equal samplers always fingerprint equally and a resumed
-    run finds its checkpoint.
-    """
-
-    def persistent_id(self, obj):
-        if isinstance(obj, Graph):
-            return ("graph", _array_digest(obj.indptr, obj.indices))
-        if isinstance(obj, CategoryPartition):
-            return ("partition", _array_digest(obj.labels), tuple(obj.names))
-        if isinstance(obj, UnionCSR):
-            return (
-                "union",
-                tuple(_array_digest(g.indptr, g.indices) for g in obj.graphs),
-            )
-        if type(obj) is np.ndarray and obj.dtype != object:
-            return ("array", _array_digest(obj), obj.dtype.str, obj.shape)
-        return None
-
-
-def _sampler_fingerprint(sampler: Sampler) -> str:
-    buffer = BytesIO()
-    _FingerprintPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(sampler)
-    return hashlib.sha256(buffer.getvalue()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Observation round trips (checkpointed ladder state)
-# ----------------------------------------------------------------------
-def _observation_fields(
-    induced: InducedObservation, star: StarObservation
-) -> dict:
-    """The npz-serializable field dict of one replicate's observations.
-
-    Inverse of :func:`_observations_restore`; the field list is pinned
-    by :data:`repro.runtime.checkpoint.OBSERVATION_FIELDS`.
-    """
-    return {
-        "draw_to_distinct": star.draw_to_distinct,
-        "distinct_nodes": star.distinct_nodes,
-        "distinct_categories": star.distinct_categories,
-        "distinct_multiplicities": star.distinct_multiplicities,
-        "distinct_weights": star.distinct_weights,
-        "induced_edges": induced.induced_edges,
-        "distinct_degrees": star.distinct_degrees,
-        "neighbor_indptr": star.neighbor_indptr,
-        "neighbor_categories": star.neighbor_categories,
-        "neighbor_counts": star.neighbor_counts,
-        "design": np.asarray(star.design),
-        "uniform": np.asarray(star.uniform),
-        "num_draws": np.asarray(star.num_draws, dtype=np.int64),
-    }
-
-
-def _observations_restore(
-    names: tuple, fields: dict
-) -> tuple[InducedObservation, StarObservation]:
-    """Rebuild one replicate's ``observe_both`` pair from stored fields.
-
-    Arrays round-trip through npz exactly, so the rebuilt pair is
-    field-for-field identical to the one ``observe_both`` computed —
-    which is what keeps resumed ladders bit-identical to fresh ones.
-    """
-    base = {
-        "names": names,
-        "num_draws": int(fields["num_draws"]),
-        "draw_to_distinct": fields["draw_to_distinct"],
-        "distinct_nodes": fields["distinct_nodes"],
-        "distinct_categories": fields["distinct_categories"],
-        "distinct_multiplicities": fields["distinct_multiplicities"],
-        "distinct_weights": fields["distinct_weights"],
-        "uniform": bool(fields["uniform"]),
-        "design": str(fields["design"]),
-    }
-    induced = InducedObservation(induced_edges=fields["induced_edges"], **base)
-    star = StarObservation(
-        distinct_degrees=fields["distinct_degrees"],
-        neighbor_indptr=fields["neighbor_indptr"],
-        neighbor_categories=fields["neighbor_categories"],
-        neighbor_counts=fields["neighbor_counts"],
-        **base,
-    )
-    return induced, star
 
 
 # ----------------------------------------------------------------------
@@ -288,8 +165,8 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
     The transport is injected — ``recv()`` returns the next parent
     command tuple, ``send(*parts)`` replies — because the shard no
     longer owns a process: it runs as one task thread of a persistent
-    pool worker (:mod:`repro.runtime.pool`), which multiplexes several
-    tasks (cells) over one connection. Exceptions propagate to the
+    pool worker (:mod:`repro.runtime.pool`), which can multiplex
+    several shard tasks over one connection. Exceptions propagate to the
     caller, which reports them under this task's id.
 
     When the parent enabled telemetry for the task (``cfg["telemetry"]``)
@@ -310,40 +187,16 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
     world = sharedmem.loads(payload)
     graph, partition = world["graph"], world["partition"]
     if cfg["mode"] == "predrawn":
-        if world["samples"] is not None:
-            samples = world["samples"]
-        else:
-            # Observation-seeded resume: the restored pairs carry
-            # everything the ladders need, samples were not shipped.
-            samples = [None] * len(cfg["shard"])
-        send("sampled", None, None)
-    elif cfg["samples"] is not None:
-        sampler = world["sampler"]
-        nodes, weights = cfg["samples"]
-        samples = [
-            NodeSample(
-                nodes[i],
-                weights[i],
-                design=sampler.design,
-                uniform=sampler.uniform,
-            )
-            for i in range(len(cfg["seeds"]))
-        ]
-        send("sampled", None, None)
-    elif world.get("observations") is not None:
-        # Checkpoint-restored observations carry everything the
-        # ladders need; re-walking the replicates would be wasted.
-        samples = [None] * len(cfg["shard"])
-        send("sampled", None, None)
+        samples = world["samples"]
     else:
-        sampler = world["sampler"]
         streams = [np.random.default_rng(seed) for seed in cfg["seeds"]]
         with telemetry.span_in(
             collector, "sample", cat="worker",
             task=task_label, replicates=len(shard_ids), n=cfg["n"],
         ):
-            batch = sample_streams(sampler, cfg["n"], streams)
-            samples = batch.replicates()
+            samples = sample_streams(
+                world["sampler"], cfg["n"], streams
+            ).replicates()
         if ("kill", "sample") in {
             tuple(d) for d in (cfg.get("faults") or ())
         }:
@@ -352,38 +205,18 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
             # the sample phase unanswered, the work is lost, and the
             # replacement task must redraw from the original seeds.
             os.kill(os.getpid(), signal.SIGKILL)
-        if cfg["want_samples"]:
-            send("sampled", batch.nodes, batch.weights)
-        else:
-            send("sampled", None, None)
-    restored = world.get("observations")
+    send("sampled")
     names = tuple(partition.names)
     spec = cfg["spec"]
     with telemetry.span_in(
         collector, "observe", cat="worker",
         task=task_label, replicates=len(samples),
-        restored=restored is not None,
     ):
         ladders = [
-            IncrementalPrefixLadder(
-                graph,
-                partition,
-                sample,
-                observations=(
-                    None
-                    if restored is None
-                    else _observations_restore(names, restored[local])
-                ),
-            )
-            for local, sample in enumerate(samples)
+            IncrementalPrefixLadder(graph, partition, sample)
+            for sample in samples
         ]
-    if cfg["want_observations"]:
-        send(
-            "observed",
-            [_observation_fields(*ladder.observations) for ladder in ladders],
-        )
-    else:
-        send("observed", None)
+    send("observed")
     truth_sizes = cfg["truth_sizes"]
     slots = _reply_slots(
         sharedmem.attach(cfg["reply"]), len(ladders), len(names)
@@ -446,56 +279,6 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
             send("rows", si)
         else:  # pragma: no cover - protocol misuse
             raise RuntimeError(f"unknown executor command {command!r}")
-
-
-# ----------------------------------------------------------------------
-# Substrate-free replay of fully rung-cached sweeps
-# ----------------------------------------------------------------------
-def replay_sweep(cell_root: "str | os.PathLike", sweep_key: str) -> "SweepResult | None":
-    """Rebuild a fully rung-cached sweep's result straight from disk.
-
-    ``cell_root`` is a cell's sweep-checkpoint root and ``sweep_key``
-    the manifest key the plan checkpoint recorded for it
-    (:meth:`repro.runtime.checkpoint.PlanCheckpoint.record_cell`). When
-    the manifest, the persisted truth arrays, and every rung file are
-    present, the rung files are fed to the same ``RungReducer`` an
-    uninterrupted run streams its rungs into — bit-identical, because
-    every input array round-trips npz exactly. Returns ``None`` on any
-    gap; the caller then falls back to building the cell's substrate
-    and running it normally (which re-fingerprints and re-validates the
-    checkpoint the usual way).
-
-    This is what lets a resumed plan skip reconstructing a completed
-    cell's substrate entirely — at paper scale, a world rebuild per
-    resume. The flip side is a deliberate trust boundary: without the
-    substrate there is nothing to re-fingerprint, so the replay trusts
-    the recorded key under its matching plan manifest (experiment id,
-    cell grid, scale, seed). Drift those inputs cannot express —
-    generator *code* edited between runs — is only caught on the
-    build path; see the contract in :mod:`repro.runtime`.
-    """
-    directory = Path(cell_root) / f"sweep-{sweep_key}"
-    manifest_path = directory / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    sizes = np.asarray(manifest.get("sizes", ()), dtype=np.int64)
-    replications = int(manifest.get("replications", 0))
-    categories = manifest.get("categories")
-    if sizes.size == 0 or replications < 1 or not categories:
-        return None
-    truth = read_truth(directory, tuple(categories))
-    if truth is None:
-        return None
-    truth_mode = str(manifest.get("truth_mode", "exact"))
-    reducer = RungReducer(sizes, truth, truth_mode, replications)
-    for si, size in enumerate(sizes):
-        rows = read_rung(directory / f"rung_{si:03d}.npz", int(size))
-        if rows is None or rows[0].shape != (replications, len(categories)):
-            return None
-        reducer.add(si, rows)
-    return reducer.result()
 
 
 # ----------------------------------------------------------------------
@@ -565,20 +348,16 @@ class _InProcessChannel:
         self._thread.join(timeout=30)
 
 
-#: "No phase reply stored yet" marker (``None`` is a legitimate value:
-#: a shard that sampled nothing persistable replies ``(None, None)``).
-_UNSET = object()
-
-
 class _ShardRun:
     """Parent-side failover state of one shard's task.
 
     Everything needed to re-dispatch the shard from scratch on a
     replacement worker: the immutable payload/cfg (re-seeding is
     implicit — seeds live in the cfg, streams are rebuilt from them),
-    the rungs whose replies the parent has collected (``progress``,
-    appended per shard on collection and replayed as exact ``skip``
-    folds), and the one queued command — the next rung, sent before
+    the phase replies already collected (``phases``), the rungs whose
+    replies the parent has collected (``progress``, appended per shard
+    on collection and replayed as exact ``skip`` folds), and the one
+    queued command — the next rung, sent before
     the collected rows are folded — that was in flight when the worker
     died (re-sent after the replay catches up).
     """
@@ -592,8 +371,7 @@ class _ShardRun:
         "retries",
         "progress",
         "pending",
-        "sampled",
-        "observed",
+        "phases",
         "phase",
     )
 
@@ -606,8 +384,7 @@ class _ShardRun:
         self.retries: list[dict] = []
         self.progress: list[tuple[int, int]] = []
         self.pending: "tuple | None" = None
-        self.sampled = _UNSET
-        self.observed = _UNSET
+        self.phases: set[str] = set()
         self.phase = "open"
 
 
@@ -729,14 +506,10 @@ class _FailoverDriver:
         run.phase = expected if si is None else f"{expected} (rung {si})"
         while True:
             # A recovery replay may already have collected this phase's
-            # reply from the replacement task (same bytes, by the
-            # determinism contract) — never recv it twice.
-            if expected == "sampled" and run.sampled is not _UNSET:
+            # reply from the replacement task — never recv it twice.
+            if expected in run.phases:
                 run.pending = None
-                return run.sampled
-            if expected == "observed" and run.observed is not _UNSET:
-                run.pending = None
-                return run.observed
+                return None
             try:
                 value = run.channel.recv(
                     expected, si, timeout=self.task_timeout
@@ -744,10 +517,8 @@ class _FailoverDriver:
             except WorkerDied as failure:
                 self._recover(run, failure)
                 continue
-            if expected == "sampled":
-                run.sampled = value
-            elif expected == "observed":
-                run.observed = value
+            if expected in ("sampled", "observed"):
+                run.phases.add(expected)
             run.pending = None
             return value
 
@@ -811,19 +582,16 @@ class _FailoverDriver:
         """Fast-forward a freshly opened replacement task.
 
         Deterministic by the runtime contract: the replacement samples
-        the same replicates from the same seeds (or re-restores the
-        same checkpointed observations), rebuilds identical ladders,
-        and ``skip``-folds past every rung the parent already holds —
-        the same exact integer fold a checkpoint resume uses — so the
-        rows it will produce for the remaining rungs are byte-identical
-        to what the lost worker would have sent.
+        the same replicates from the same seeds (or reads the same
+        pre-drawn ones), rebuilds identical ladders, and ``skip``-folds
+        past every rung the parent already holds — exact integer
+        arithmetic — so the rows it will produce for the remaining
+        rungs are byte-identical to what the lost worker would have
+        sent.
         """
-        run.sampled = run.channel.recv(
-            "sampled", timeout=self.task_timeout
-        )
-        run.observed = run.channel.recv(
-            "observed", timeout=self.task_timeout
-        )
+        for phase in ("sampled", "observed"):
+            run.channel.recv(phase, timeout=self.task_timeout)
+            run.phases.add(phase)
         for si, size in run.progress:
             run.channel.send("skip", si, size)
             run.channel.recv("skipped", si, timeout=self.task_timeout)
@@ -852,14 +620,6 @@ class ProcessSweepExecutor:
         Shard count (default: CPU count). Clamped to the replication
         count; the shard assignment never influences results, only
         wall-clock.
-    checkpoint:
-        Checkpoint *root* directory. Each sweep writes into a
-        manifest-keyed subdirectory (see
-        :mod:`repro.runtime.checkpoint`); ``None`` disables
-        checkpointing.
-    resume:
-        Continue a matching checkpoint (skip its sampling phase and
-        completed rungs) instead of clearing it.
     mp_context:
         A ``multiprocessing`` context; defaults to ``fork`` where
         available (workers then inherit the parent's imports) and
@@ -882,11 +642,6 @@ class ProcessSweepExecutor:
 
     Attributes
     ----------
-    last_checkpoint:
-        The :class:`~repro.runtime.checkpoint.SweepCheckpoint` opened
-        by the most recent run on this instance (``None`` without a
-        checkpoint root). ``run_plan`` reads its manifest key to
-        record completed cells for substrate-free resume.
     failover_log:
         One dict per recovery event of the most recent run (shard
         slot, pid, exitcode, phase, reason, spill, timeout flag) —
@@ -899,8 +654,6 @@ class ProcessSweepExecutor:
     def __init__(
         self,
         workers: int | None = None,
-        checkpoint: "str | os.PathLike | None" = None,
-        resume: bool = False,
         mp_context=None,
         max_retries: int | None = None,
         task_timeout: float | None = None,
@@ -909,11 +662,8 @@ class ProcessSweepExecutor:
         if workers is not None and workers < 1:
             raise EstimationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers) if workers is not None else default_workers()
-        self.checkpoint_root = None if checkpoint is None else Path(checkpoint)
-        self.resume = bool(resume)
         self.label = label
         self._mp_context = mp_context
-        self.last_checkpoint = None
         self.failover_log: list[dict] = []
         ambient = active_options()
         if max_retries is None:
@@ -948,45 +698,8 @@ class ProcessSweepExecutor:
         ``spec`` and ``replications`` arrive validated by
         :func:`~repro.stats.replication.run_nrmse_sweep`.
         """
-        sizes = spec.sizes
-        n = int(sizes[-1])
+        n = int(spec.sizes[-1])
         seeds = spawn_seeds(ensure_rng(rng), replications)
-        truth = true_category_graph(graph, partition)
-        checkpoint = self._open_checkpoint(
-            graph, partition, sampler, spec, replications, seeds
-        )
-        self.last_checkpoint = checkpoint
-        if checkpoint is not None:
-            checkpoint.save_truth(truth)
-        cached_rungs = self._load_cached_rungs(checkpoint, sizes)
-        fully_cached = len(cached_rungs) == len(sizes)
-        # Resume restores the cheapest sufficient state: a
-        # fully-checkpointed sweep replays from its rung files alone
-        # (_drive early-returns before spawning workers); restored
-        # observations seed the ladders directly, making the draw
-        # matrices redundant (workers then skip sampling outright); the
-        # samples are decompressed only as the fallback when the
-        # observations are absent, and then the workers rebuild — and
-        # re-persist — the observation state from them.
-        observations = (
-            checkpoint.load_observations(replications)
-            if checkpoint is not None and self.resume and not fully_cached
-            else None
-        )
-        saved = (
-            checkpoint.load_samples()
-            if checkpoint
-            and self.resume
-            and not fully_cached
-            and observations is None
-            else None
-        )
-        if saved is not None and saved[0].shape != (replications, n):
-            saved = None
-
-        persist_samples = (
-            checkpoint is not None and saved is None and observations is None
-        )
 
         def make_cfg(shard):
             return {
@@ -994,12 +707,6 @@ class ProcessSweepExecutor:
                 "shard": [int(i) for i in shard],
                 "seeds": [seeds[i] for i in shard],
                 "n": n,
-                "want_samples": persist_samples,
-                "samples": (
-                    None
-                    if saved is None
-                    else (saved[0][shard], saved[1][shard])
-                ),
             }
 
         return self._drive(
@@ -1007,13 +714,8 @@ class ProcessSweepExecutor:
             partition,
             spec,
             replications,
-            truth,
-            checkpoint,
-            observations,
-            cached_rungs,
             make_payload=lambda shard: {"sampler": sampler},
             make_cfg=make_cfg,
-            persist_samples=persist_samples,
         )
 
     # ------------------------------------------------------------------
@@ -1037,49 +739,16 @@ class ProcessSweepExecutor:
         :func:`~repro.stats.replication.run_nrmse_sweep_from_samples`.
         """
         samples = list(samples)
-        replications = len(samples)
-        sizes = spec.sizes
-        truth = true_category_graph(graph, partition)
-        checkpoint = self._open_predrawn_checkpoint(
-            graph, partition, samples, spec
-        )
-        self.last_checkpoint = checkpoint
-        if checkpoint is not None:
-            checkpoint.save_truth(truth)
-        cached_rungs = self._load_cached_rungs(checkpoint, sizes)
-        observations = (
-            checkpoint.load_observations(replications)
-            if checkpoint is not None
-            and self.resume
-            and len(cached_rungs) < len(sizes)
-            else None
-        )
-
-        def make_cfg(shard):
-            return {
-                "mode": "predrawn",
-                "shard": [int(i) for i in shard],
-            }
-
-        def make_payload(shard):
-            # Observation-seeded resume: the ladders never touch the
-            # samples, so skip shipping them entirely.
-            if observations is not None:
-                return {"samples": None}
-            return {"samples": [samples[i] for i in shard]}
-
         return self._drive(
             graph,
             partition,
             spec,
-            replications,
-            truth,
-            checkpoint,
-            observations,
-            cached_rungs,
-            make_payload=make_payload,
-            make_cfg=make_cfg,
-            persist_samples=False,
+            len(samples),
+            make_payload=lambda shard: {"samples": [samples[i] for i in shard]},
+            make_cfg=lambda shard: {
+                "mode": "predrawn",
+                "shard": [int(i) for i in shard],
+            },
         )
 
     # ------------------------------------------------------------------
@@ -1089,14 +758,9 @@ class ProcessSweepExecutor:
         partition,
         spec: SweepSpec,
         replications: int,
-        truth,
-        checkpoint: "SweepCheckpoint | None",
-        observations: "list[dict] | None",
-        cached_rungs: dict,
         *,
         make_payload,
         make_cfg,
-        persist_samples: bool,
     ) -> SweepResult:
         """Spawn shard workers and drive the rung loop (both modes).
 
@@ -1104,38 +768,20 @@ class ProcessSweepExecutor:
         unlinked, and retired on the workers, with the cell's other
         blocks.
         """
-        # Reset per run: a fully-cached replay below never constructs a
-        # driver, and without this a previous run's recovery log would
-        # survive on the instance as stale diagnostics.
-        self.failover_log = []
         sweep_label = self.label or "sweep"
         sizes = spec.sizes
         k = len(sizes)
+        truth = true_category_graph(graph, partition)
         reducer = RungReducer(sizes, truth, spec.truth_mode, replications)
-        if len(cached_rungs) == k:
-            # Every rung is already checkpointed: assemble the result
-            # straight from disk — no workers, no resampling, no ladder
-            # rebuilds (a finished sweep re-resumed is a pure replay).
-            telemetry.counter("checkpoint.sweep_cache_hits", 1)
-            with telemetry.span(
-                "sweep.replay", cat="driver", task=sweep_label, rungs=k
-            ):
-                for si in range(k):
-                    reducer.add(si, cached_rungs[si])
-                return reducer.result()
-
-        if observations is None:
-            # Built before pickling, so the planes ride every shard's
-            # payload and no worker rebuilds them.
-            with telemetry.span("observe.planes", cat="driver", task=sweep_label):
-                observation_planes(graph, partition)
+        # Built before pickling, so the planes ride every shard's
+        # payload and no worker rebuilds them.
+        with telemetry.span("observe.planes", cat="driver", task=sweep_label):
+            observation_planes(graph, partition)
         num_workers = min(self.workers, replications)
         shards = np.array_split(np.arange(replications), num_workers)
-        want_observations = checkpoint is not None and observations is None
         # Rows the reduction keeps past their fold: the cross-sample
-        # pseudo-truth holds every block until the last rung, and a
-        # checkpoint writes the whole rung once all shards are in.
-        copy_rows = checkpoint is not None or spec.truth_mode == "cross-sample"
+        # pseudo-truth holds every block until the last rung.
+        copy_rows = spec.truth_mode == "cross-sample"
         categories = len(partition.names)
         worker_pool = default_pool(self._mp_context)
 
@@ -1145,12 +791,11 @@ class ProcessSweepExecutor:
         # crawl samples behind every fig6 cell, a fig4 dataset stand-in
         # behind its three design cells — resolve to existing tokens and
         # cross the process boundary once for the whole plan. Everything
-        # else (cell-local graphs and samplers, checkpoint-restored
-        # observations) publishes through a run-local pool whose blocks
-        # are unlinked — and *retired* from the persistent workers — as
-        # soon as this run's tasks have closed, so plan-wide
-        # shared-memory footprint stays at the resources plus the cell
-        # currently running.
+        # else (cell-local graphs and samplers, the reply blocks)
+        # publishes through a run-local pool whose blocks are unlinked —
+        # and *retired* from the persistent workers — as soon as this
+        # run's tasks have closed, so plan-wide shared-memory footprint
+        # stays at the resources plus the cell currently running.
         ambient = sharedmem.active_pool()
         with faults.env_scope(), sharedmem.SharedArrayPool() as local_pool:
             publish_pool = (
@@ -1179,11 +824,6 @@ class ProcessSweepExecutor:
                             {
                                 "graph": graph,
                                 "partition": partition,
-                                "observations": (
-                                    None
-                                    if observations is None
-                                    else [observations[i] for i in shard]
-                                ),
                                 **make_payload(shard),
                             },
                             publish_pool,
@@ -1200,7 +840,6 @@ class ProcessSweepExecutor:
                             "n_pop": graph.num_nodes,
                             "spec": spec,
                             "truth_sizes": truth.sizes,
-                            "want_observations": want_observations,
                             "reply": reply,
                             **make_cfg(shard),
                         }
@@ -1210,77 +849,45 @@ class ProcessSweepExecutor:
                         driver.open(_ShardRun(slot, shard, payload, cfg))
 
                 runs = driver.runs
-                with telemetry.span(
-                    "phase.sample", cat="driver", task=sweep_label
+                for reply_kind, span in (
+                    ("sampled", "phase.sample"), ("observed", "phase.observe")
                 ):
-                    sampled = [
-                        driver.collect(run, "sampled") for run in runs
-                    ]
-                    if persist_samples and checkpoint is not None:
-                        nodes = np.concatenate([part[0] for part in sampled])
-                        node_weights = np.concatenate(
-                            [part[1] for part in sampled]
-                        )
-                        checkpoint.save_samples(nodes, node_weights)
-                with telemetry.span(
-                    "phase.observe", cat="driver", task=sweep_label
-                ):
-                    observed = [
-                        driver.collect(run, "observed") for run in runs
-                    ]
-                    if want_observations and checkpoint is not None:
-                        checkpoint.save_observations(
-                            [
-                                fields
-                                for shard_obs in observed
-                                for fields in shard_obs
-                            ]
-                        )
+                    with telemetry.span(span, cat="driver", task=sweep_label):
+                        for run in runs:
+                            driver.collect(run, reply_kind)
 
                 def queue(run, si):
                     # Every shard holds one queued command: its next rung.
                     if si < k:
-                        kind = "skip" if si in cached_rungs else "rung"
-                        driver.command(run, kind, si, int(sizes[si]))
+                        driver.command(run, "rung", si, int(sizes[si]))
 
                 for run in runs:
                     queue(run, 0)
                 for si, size in enumerate(sizes):
                     size = int(size)
-                    cached = cached_rungs.get(si)
                     with telemetry.span(
                         "rung", cat="driver", task=sweep_label,
-                        rung=si, size=size, cached=cached is not None,
+                        rung=si, size=size,
                     ):
                         rung = (
                             [np.empty(shape) for shape in reducer.row_shapes]
-                            if copy_rows and cached is None
+                            if copy_rows
                             else None
                         )
                         for run in runs:
-                            driver.collect(
-                                run, "rows" if cached is None else "skipped", si
-                            )
+                            driver.collect(run, "rows", si)
                             # Folded into this shard's ladders: what a
                             # replacement task must skip past to catch up.
                             run.progress.append((si, size))
                             queue(run, si + 1)
-                            if cached is None:
-                                rows = replies[run.slot][si % 2]
-                                if rung is not None:
-                                    rows = _copy_rows(
-                                        rows, rung, int(run.shard[0])
-                                    )
-                                # Shards own contiguous replicate blocks,
-                                # so shard order is replicate order.
-                                reducer.fold(si, rows)
-                                del rows
-                        if cached is not None:
-                            reducer.add(si, cached)
-                        else:
-                            if checkpoint is not None:
-                                checkpoint.save_rung(si, size, tuple(rung))
-                            reducer.close(si)
+                            rows = replies[run.slot][si % 2]
+                            if rung is not None:
+                                rows = _copy_rows(rows, rung, int(run.shard[0]))
+                            # Shards own contiguous replicate blocks, so
+                            # shard order is replicate order.
+                            reducer.fold(si, rows)
+                            del rows
+                        reducer.close(si)
                 if recorder is not None:
                     # Flush each task's recorded events back over the
                     # reply channel (best-effort diagnostics: a shard
@@ -1307,66 +914,3 @@ class ProcessSweepExecutor:
                 sharedmem.release(local_pool.block_names)
 
         return reducer.result()
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _open_checkpoint(
-        self, graph, partition, sampler, spec, replications, seeds
-    ) -> "SweepCheckpoint | None":
-        if self.checkpoint_root is None:
-            return None
-        manifest = {
-            "mode": "fresh",
-            "design": sampler.design,
-            "replications": int(replications),
-            "sizes": [int(s) for s in spec.sizes],
-            "seeds": seeds,
-            "weight_size_plugin": spec.weight_size_plugin,
-            "mean_degree_model": spec.mean_degree_model,
-            "graph": _array_digest(graph.indptr, graph.indices),
-            "partition": _array_digest(partition.labels),
-            "categories": list(partition.names),
-            "sampler": _sampler_fingerprint(sampler),
-        }
-        return SweepCheckpoint(self.checkpoint_root, manifest, self.resume)
-
-    def _load_cached_rungs(self, checkpoint, sizes) -> dict:
-        """Every completed rung's rows, loaded once up front.
-
-        The rung loop replays from this dict instead of re-reading the
-        files; callers use its coverage to decide whether the heavier
-        samples/observations state needs loading at all.
-        """
-        if not (checkpoint and self.resume):
-            return {}
-        return {
-            si: rows
-            for si, size in enumerate(sizes)
-            if (rows := checkpoint.load_rung(si, int(size))) is not None
-        }
-
-    def _open_predrawn_checkpoint(
-        self, graph, partition, samples, spec
-    ) -> "SweepCheckpoint | None":
-        if self.checkpoint_root is None:
-            return None
-        manifest = {
-            "mode": "predrawn",
-            "replications": len(samples),
-            "sizes": [int(s) for s in spec.sizes],
-            "weight_size_plugin": spec.weight_size_plugin,
-            "mean_degree_model": spec.mean_degree_model,
-            "truth_mode": spec.truth_mode,
-            "graph": _array_digest(graph.indptr, graph.indices),
-            "partition": _array_digest(partition.labels),
-            "categories": list(partition.names),
-            # Content fingerprints of every replicate crawl: a plan
-            # resumed against regenerated-but-identical walks matches,
-            # while any drift in a single draw changes the key.
-            "samples": [
-                [_array_digest(s.nodes, s.weights), s.design, bool(s.uniform)]
-                for s in samples
-            ],
-        }
-        return SweepCheckpoint(self.checkpoint_root, manifest, self.resume)

@@ -27,12 +27,11 @@ string per :func:`inject` argument)::
                                                 no replies, no
                                                 heartbeats (timeout
                                                 escalation territory)
-    corrupt-checkpoint[:file=KIND][,times=N]    truncate the next
-                                                checkpoint payload of
-                                                KIND (rung |
-                                                observations | samples
-                                                | truth; default any)
-                                                after its atomic write
+    corrupt-checkpoint[:file=cell][,times=N]    truncate the next
+                                                checkpoint cell file
+                                                (one finished sweep
+                                                cell's result) after
+                                                its atomic write
     corrupt-manifest[:file=KIND][,times=N]      truncate the next
                                                 on-disk plane manifest
                                                 after its atomic write
@@ -60,9 +59,10 @@ an undisturbed run.
 
 Scoping: plans armed with :func:`inject` are always active.
 The environment plan is consulted only inside an :func:`env_scope`
-(entered by the executor's drive loop and parallel plan runs) so that
-a CI job exporting ``REPRO_FAULTS`` chaos-tests the *runtime machinery*
-without corrupting unrelated unit tests' direct checkpoint round trips.
+(entered by the executor's drive loop and by parallel or checkpointed
+plan runs) so that a CI job exporting ``REPRO_FAULTS`` chaos-tests the
+*runtime machinery* without corrupting unrelated unit tests' direct
+checkpoint round trips.
 Budgets persist across scopes: one process consumes each environment
 fault at most ``times`` times total.
 """
@@ -240,7 +240,8 @@ def _env_plan() -> "FaultPlan | None":
 def env_scope():
     """Arm the ``REPRO_FAULTS`` plan for the enclosed block.
 
-    Entered by the executor drive loop and parallel plan runs; direct
+    Entered by the executor drive loop and by parallel or checkpointed
+    plan runs; direct
     checkpoint/pool use outside any runtime run never sees environment
     faults, so a chaos CI job only exercises the recovery machinery.
     """

@@ -11,9 +11,9 @@ at a time, in plan order, routing each
 ones — and running :class:`~repro.experiments.plan.ComputeCell` steps
 in-process. Resources build lazily, on the first cell that reads them.
 
-Three runtime services wrap a parallel plan run:
+Three runtime services wrap a plan run:
 
-* **One shared-memory pool per plan run**
+* **One shared-memory pool per parallel plan run**
   (:func:`repro.runtime.sharedmem.shared_pool`): executors publish
   substrate arrays into the ambient pool, which deduplicates by object
   identity — so the Facebook world behind five Table 2 crawl cells, or
@@ -21,15 +21,15 @@ Three runtime services wrap a parallel plan run:
   process boundary exactly once for the whole plan. Every cell's shard
   tasks run on the one persistent worker pool
   (:mod:`repro.runtime.pool`), so workers spawn once per process.
-* **Plan-keyed checkpoints**
+* **Cell-grain checkpoints**
   (:class:`repro.runtime.checkpoint.PlanCheckpoint`): with a checkpoint
-  root configured, every sweep cell checkpoints into its own
-  subdirectory of a directory keyed by the plan manifest, and records
-  its sweep key once complete. A killed
-  ``repro experiment fig6 --workers W --resume`` therefore replays
-  recorded cells from their rung files without building their
-  substrates, and resumes computing at the first missing cell/rung —
-  to the same bytes as an uninterrupted run.
+  root configured, every finished sweep cell, serial or parallel,
+  writes its result to one checksummed file under a directory keyed by
+  the plan manifest. A killed ``repro experiment fig6 --resume``
+  therefore replays finished cells from their files without building
+  their substrates, and recomputes the cell that was in flight and the
+  ones after it — to the same bytes as an uninterrupted run, at any
+  worker count.
 * **Determinism by construction**: cells derive their RNG streams from
   the master seed by fixed integer keys (:func:`repro.rng.derive_rng`),
   and each sweep inherits the executor's bit-identical-for-any-worker-
@@ -47,7 +47,7 @@ from repro.log import get_logger
 from repro.runtime import faults, sharedmem, telemetry
 from repro.runtime.checkpoint import PlanCheckpoint
 from repro.runtime.config import active_options, resolve_executor
-from repro.runtime.executor import ProcessSweepExecutor, replay_sweep
+from repro.runtime.executor import ProcessSweepExecutor
 from repro.runtime.pool import default_pool
 
 __all__ = ["run_plan"]
@@ -69,17 +69,19 @@ def run_plan(
     ----------
     plan:
         A compiled :class:`~repro.experiments.plan.SweepPlan`.
-    executor / workers / checkpoint / resume:
+    executor / workers:
         Optional overrides for the sweep cells; each ``None`` defers to
         the ambient runtime configuration
         (:func:`repro.runtime.runtime_options`, then the environment),
         exactly like the per-sweep entry points. ``executor`` must be a
-        built-in executor *name* (``"serial"``/``"process"``) — a plan
-        threads per-cell checkpoint roots through these knobs, which an
-        executor instance's fixed configuration cannot carry.
-        ``checkpoint`` names the user-facing checkpoint *root*; the
-        plan creates a plan-keyed directory under it with one
-        sweep-checkpoint subdirectory per cell.
+        built-in executor *name* (``"serial"``/``"process"``): a
+        parallel plan gives every cell its own labelled executor, which
+        one instance cannot be.
+    checkpoint / resume:
+        The checkpoint *root* (the plan writes one result file per
+        finished sweep cell into a plan-keyed directory under it) and
+        whether to replay an earlier run's finished cells instead of
+        clearing them; ``None`` defers to the ambient configuration.
 
     Returns
     -------
@@ -92,41 +94,24 @@ def run_plan(
     if executor is not None and not isinstance(executor, str):
         from repro.exceptions import ExperimentError
 
-        # An instance's fixed checkpoint/worker configuration cannot
-        # express per-cell checkpoint roots; rejecting it here (rather
-        # than letting resolve_executor trip over the ambient
-        # checkpoint being threaded through as an explicit knob) keeps
-        # the error actionable.
         raise ExperimentError(
             "run_plan accepts executor names ('serial'/'process'), not "
-            "executor instances; pass workers/checkpoint/resume "
-            "separately"
+            "executor instances; pass workers separately"
         )
     ambient = active_options()
     checkpoint_root = checkpoint if checkpoint is not None else ambient.checkpoint
     resume_flag = resume if resume is not None else bool(ambient.resume)
 
     # Executor resolution is uniform across cells (jobs carry no
-    # executor knobs), so probe it once with the arguments the sweeps
-    # would resolve: plans with sweep cells bound for the process
-    # executor get a plan checkpoint and an ambient pool (named
-    # resources pre-published once, cells chain off it). Serial and
-    # compute-only plans skip shared memory — publishing resources
-    # nobody attaches would duplicate them in /dev/shm — and must also
-    # skip opening (or clearing!) a plan checkpoint, because their
-    # cells ignore checkpoint roots entirely and a fresh-mode clear
-    # would destroy a prior parallel run's files while writing nothing.
-    probe = (
-        resolve_executor(
-            executor,
-            workers,
-            checkpoint_root,
-            resume_flag if checkpoint_root is not None else resume,
-        )
-        if plan.sweep_cells
-        else None
-    )
+    # executor knobs), so probe it once: a plan with sweep cells bound
+    # for the process executor gets an ambient pool (named resources
+    # published once, cells chain off it). Serial and compute-only
+    # plans skip shared memory — publishing resources nobody attaches
+    # would duplicate them in /dev/shm.
+    probe = resolve_executor(executor, workers) if plan.sweep_cells else None
     parallel = probe is not None
+    # Compute-only plans have nothing to persist, so they never open
+    # (or clear) a plan directory.
     plan_checkpoint = (
         PlanCheckpoint(
             checkpoint_root,
@@ -141,13 +126,8 @@ def run_plan(
             },
             resume_flag,
         )
-        if checkpoint_root is not None and parallel
+        if checkpoint_root is not None and plan.sweep_cells
         else None
-    )
-    recorded = (
-        plan_checkpoint.recorded_cells()
-        if plan_checkpoint is not None and resume_flag
-        else {}
     )
 
     resources = PlanResources(
@@ -158,34 +138,36 @@ def run_plan(
     )
 
     outputs: dict[str, object] = {}
-    # A parallel run is one fault-injection scope: a CI chaos job
-    # exporting REPRO_FAULTS exercises pool growth, resource-side
-    # derived planes and every checkpoint write, while unit tests
-    # touching the checkpoint layer directly stay undisturbed.
-    with faults.env_scope() if parallel else nullcontext(), telemetry.span(
+    # A parallel or checkpointed run is one fault-injection scope: a CI
+    # chaos job exporting REPRO_FAULTS exercises pool growth,
+    # resource-side derived planes and every cell-file write, while
+    # unit tests touching the checkpoint layer directly stay
+    # undisturbed.
+    armed = parallel or plan_checkpoint is not None
+    with faults.env_scope() if armed else nullcontext(), telemetry.span(
         "plan", cat="plan", plan=plan.name, cells=len(plan.cells)
     ), sharedmem.shared_pool() if parallel else nullcontext() as ambient_pool:
         try:
             for cell in plan.cells:
-                result = _replayed(cell, plan_checkpoint, recorded)
+                if not isinstance(cell, SweepCell):
+                    with telemetry.span(
+                        "cell", cat="plan", key=cell.key, kind="compute"
+                    ):
+                        outputs[cell.key] = cell.compute(resources)
+                    continue
+                result = _replayed(cell, plan_checkpoint)
                 if result is None:
-                    cell_executor = (
+                    result = _run_sweep_cell(
+                        cell,
+                        resources,
                         ProcessSweepExecutor(
-                            workers=probe.workers,
-                            checkpoint=(
-                                None
-                                if plan_checkpoint is None
-                                else plan_checkpoint.cell_root(cell.key)
-                            ),
-                            resume=plan_checkpoint is not None and resume_flag,
-                            label=cell.label,
+                            workers=probe.workers, label=cell.label
                         )
-                        if parallel and isinstance(cell, SweepCell)
-                        else None
+                        if parallel
+                        else None,
                     )
-                    result = _run_cell(
-                        cell, resources, cell_executor, plan_checkpoint
-                    )
+                    if plan_checkpoint is not None:
+                        plan_checkpoint.save_cell(cell.key, result)
                 outputs[cell.key] = result
         finally:
             if ambient_pool is not None:
@@ -225,16 +207,15 @@ def _published_on_build(name, factory):
     return build
 
 
-def _replayed(cell, plan_checkpoint, recorded):
-    """The cell's result replayed from its recorded checkpoint, or ``None``.
+def _replayed(cell, plan_checkpoint):
+    """The cell's result replayed from its checkpoint file, or ``None``.
 
-    Only a recorded cell whose rung files are complete replays; its
-    ``build`` never runs, so resources only it reads are never built.
+    A replayed cell's ``build`` never runs, so resources only it reads
+    are never built.
     """
-    sweep_key = recorded.get(cell.key)
-    if sweep_key is None:
+    if plan_checkpoint is None:
         return None
-    result = replay_sweep(plan_checkpoint.cell_root(cell.key), sweep_key)
+    result = plan_checkpoint.load_cell(cell.key)
     if result is not None:
         _LOG.debug("cell %s replayed from checkpoint", cell.key)
         telemetry.counter("plan.cells_replayed", 1)
@@ -242,21 +223,17 @@ def _replayed(cell, plan_checkpoint, recorded):
     return result
 
 
-def _run_cell(cell, resources, executor, plan_checkpoint):
-    """Run one cell: a compute step, or a sweep on ``executor``.
+def _run_sweep_cell(cell, resources, executor):
+    """Run one sweep cell on ``executor``.
 
     ``executor`` is the cell's :class:`ProcessSweepExecutor`, or
     ``None`` for the in-process serial sweep.
     """
-    from repro.experiments.plan import SweepCell
     from repro.stats.replication import (
         run_nrmse_sweep,
         run_nrmse_sweep_from_samples,
     )
 
-    if not isinstance(cell, SweepCell):
-        with telemetry.span("cell", cat="plan", key=cell.key, kind="compute"):
-            return cell.compute(resources)
     sweep_executor = "serial" if executor is None else executor
     with telemetry.span("cell", cat="plan", key=cell.key, kind="sweep"):
         job = cell.build(resources)
@@ -283,9 +260,7 @@ def _run_cell(cell, resources, executor, plan_checkpoint):
                 truth_mode=job.truth_mode,
                 executor=sweep_executor,
             )
-    if executor is None:
-        return result
-    if executor.failover_log:
+    if executor is not None and executor.failover_log:
         # Recovery events already reached the telemetry plane (and the
         # log) from inside the driver; this summary line keeps per-cell
         # attribution visible even with telemetry disabled.
@@ -293,8 +268,4 @@ def _run_cell(cell, resources, executor, plan_checkpoint):
             "cell %s recovered from %d worker failure(s)",
             cell.key, len(executor.failover_log),
         )
-    if plan_checkpoint is not None and executor.last_checkpoint is not None:
-        # Recorded only now — after every rung landed — so a recorded
-        # key always names a complete, replayable sweep directory.
-        plan_checkpoint.record_cell(cell.key, executor.last_checkpoint.key)
     return result

@@ -14,14 +14,15 @@ Wire protocol (parent -> worker)::
 
     ("open",  task_id, payload, cfg)   start a shard task
     ("rung",  task_id, si, size)       compute rung si
-    ("skip",  task_id, si, size)       fold past a checkpointed rung
+    ("skip",  task_id, si, size)       fold past rung si (failover
+                                       replay of a replacement task)
     ("telemetry", task_id, -1, 0)      flush the task's telemetry
     ("close", task_id)                 task finished; join + forget it
     ("retire", block_names)            drop shared-memory attachments
     ("shutdown",)                      exit the worker process
 
 Worker -> parent messages are the executor's shard replies prefixed
-with their task id (``(task_id, "sampled", ...)``, ``(task_id,
+with their task id (``(task_id, "sampled")``, ``(task_id,
 "rows", si)``, ``(task_id, "error", traceback)``, ...); a dedicated
 parent-side reader thread per worker routes them to the right task's
 queue, which also guarantees the pipe always drains — a worker can
@@ -251,8 +252,11 @@ def _pool_worker_main(conn) -> None:
     """Worker process: dispatch messages to per-task threads."""
     # A fork-inherited ambient recorder belongs to the parent; shard
     # tasks record into task-local collectors instead (executor side),
-    # so drop it rather than silently swallowing events here.
+    # so drop it rather than silently swallowing events here. The
+    # parent's shared-memory mappings are inherited too, and are not
+    # this worker's to keep.
     telemetry.reset_for_worker()
+    sharedmem.reset_for_worker()
     send_lock = threading.Lock()
 
     def reply(task_id, *parts):
@@ -408,10 +412,6 @@ def parse_reply(message, expected: str, rung_index: "int | None"):
         raise EstimationError(
             f"unexpected worker reply {message[0]!r} (wanted {expected!r})"
         )
-    if expected == "sampled":
-        return message[1:]
-    if expected == "observed":
-        return message[1]
     if expected == "telemetry":
         return message[2]
     return None
@@ -498,9 +498,12 @@ class TaskChannel:
 class PersistentWorkerPool:
     """A lazily-grown pool of persistent sweep workers.
 
-    Thread-safe: several driver threads may open tasks concurrently,
-    interleaving their shards on the same workers. Workers are
-    daemonic; :meth:`shutdown` (or interpreter exit) retires them.
+    A plan runs its cells one at a time, so one sweep driver leases
+    workers and opens its shard tasks at a time (a degraded sweep
+    multiplexes several shards on one worker). The lock keeps the
+    handle list and task ids consistent for library callers that run
+    sweeps from several threads. Workers are daemonic; :meth:`shutdown`
+    (or interpreter exit) retires them.
     """
 
     def __init__(self, mp_context=None):

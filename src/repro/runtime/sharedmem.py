@@ -36,7 +36,9 @@ handles at process exit; the *persistent* pool workers of
 :mod:`repro.runtime.pool` instead receive an explicit retire message
 when a cell's run finishes and call :func:`release`, so a plan's
 worker-side footprint stays at the long-lived resources plus the cell
-currently running. The same lifecycle covers the writable *reply*
+currently running. A worker *forked* while the parent maps blocks also
+inherits the parent's own mappings, which no retire names; it drops
+them on start (:func:`reset_for_worker`). The same lifecycle covers the writable *reply*
 blocks a pool allocates (:meth:`SharedArrayPool.allocate`, mapped with
 :func:`attach`): workers write their rung rows there and the parent
 reads them in place. Pools are thread-safe: several threads may publish
@@ -49,6 +51,7 @@ import os
 import pickle
 import sys
 import threading
+import weakref
 from contextlib import contextmanager
 from io import BytesIO
 from multiprocessing import shared_memory
@@ -65,6 +68,7 @@ __all__ = [
     "dumps",
     "loads",
     "release",
+    "reset_for_worker",
     "shared_pool",
 ]
 
@@ -119,6 +123,7 @@ class SharedArrayPool:
         self._pinned: list[np.ndarray] = []
         self._published_bytes = 0
         self._lock = threading.Lock()
+        _POOLS.add(self)
 
     def publish(self, array: np.ndarray) -> tuple:
         """The persistent-id token of ``array``, publishing on first use.
@@ -238,6 +243,33 @@ class SharedArrayPool:
             self.close()
         except Exception:
             pass
+
+
+#: Every live pool of this process, so a forked worker can find the
+#: parent's blocks it inherited (:func:`reset_for_worker`).
+_POOLS: "weakref.WeakSet[SharedArrayPool]" = weakref.WeakSet()
+
+
+def reset_for_worker() -> None:
+    """Unmap the pool blocks a forked worker inherited from its parent.
+
+    A pool worker forked while the parent holds blocks (a plan's
+    resources in the ambient pool, a cell's run-local blocks) starts
+    with the parent's mappings of them. Retire messages release only
+    the worker's own attachments, so without this each inherited
+    mapping would outlive its unlinked file for the worker's lifetime.
+    The parent owns the files; the worker only closes its copies of
+    the mappings and drops the pools' handles, unlinking nothing. Call
+    it first thing in the child, while it has a single thread, which is
+    why no pool lock is taken.
+    """
+    for pool in list(_POOLS):
+        blocks, pool._blocks = pool._blocks, []
+        for block in blocks:
+            try:
+                block.close()
+            except BufferError:  # pragma: no cover - a view survived
+                _UNRELEASABLE.append(block)
 
 
 class PoolChain:

@@ -85,9 +85,7 @@ _STANDARD_COUNTERS = (
     "failover.recoveries",
     "faults.injected",
     "checkpoint.saves",
-    "checkpoint.rungs_loaded",
     "checkpoint.quarantined",
-    "checkpoint.sweep_cache_hits",
     "plan.cells_replayed",
     "planes.built",
     "planes.built_bytes",

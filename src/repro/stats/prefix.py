@@ -60,11 +60,7 @@ from repro.exceptions import EstimationError
 from repro.graph.adjacency import Graph
 from repro.graph.partition import CategoryPartition
 from repro.sampling.base import NodeSample
-from repro.sampling.observation import (
-    InducedObservation,
-    StarObservation,
-    observe_both,
-)
+from repro.sampling.observation import observe_both
 
 __all__ = ["IncrementalPrefixLadder", "RungEstimates"]
 
@@ -98,15 +94,8 @@ class IncrementalPrefixLadder:
         graph: Graph,
         partition: CategoryPartition,
         sample: NodeSample,
-        observations: "tuple[InducedObservation, StarObservation] | None" = None,
     ):
-        if observations is None:
-            self._induced, self._star = observe_both(graph, partition, sample)
-        else:
-            # Checkpoint-restored observations (repro.runtime): arrays
-            # round-trip exactly through npz, so a ladder seeded from
-            # disk is field-for-field the ladder observe_both builds.
-            self._induced, self._star = observations
+        self._induced, self._star = observe_both(graph, partition, sample)
         star = self._star
         self._num_draws = star.num_draws
         self._multiplicities = np.zeros(star.num_distinct, dtype=np.int64)
@@ -144,25 +133,16 @@ class IncrementalPrefixLadder:
         """Full sample length (the largest valid prefix)."""
         return self._num_draws
 
-    @property
-    def observations(self) -> tuple[InducedObservation, StarObservation]:
-        """The full-sample ``(induced, star)`` pair behind the ladder.
-
-        The parallel executor serializes these into its checkpoint so a
-        resumed run can seed new ladders without re-measuring.
-        """
-        return self._induced, self._star
-
     def fold(self, size: int) -> None:
         """Advance the prefix state to ``size`` without estimating.
 
-        The resume path of the parallel executor
-        (:mod:`repro.runtime`): rungs already persisted in a checkpoint
-        are replayed from disk, and each worker only *folds* its
-        replicates past them. Folding is pure integer multiplicity
-        accumulation — order-free and exact — so the estimates of every
-        later rung are bit-identical whether the earlier rungs were
-        computed or skipped.
+        The failover path of the parallel executor
+        (:mod:`repro.runtime`): a replacement task for a lost shard
+        *folds* its replicates past the rungs the parent already
+        received, then computes the rest. Folding is pure integer
+        multiplicity accumulation — order-free and exact — so the
+        estimates of every later rung are bit-identical whether the
+        earlier rungs were computed or skipped.
         """
         self._fold(size)
 

@@ -37,20 +37,19 @@ each replicate's rows as its ladder produces them, the executor each
 shard's block, into running Eq. 17 sums
 (:class:`~repro.stats.errors.RunningNRMSE`) that add rows in
 replicate order whatever the blocks — the resulting
-:class:`SweepResult` is bit-identical for any worker count, and
-supports rung-level checkpoint/resume. Both entry points ride it:
-:func:`run_nrmse_sweep` shards sampling *and* the ladder, while
-:func:`run_nrmse_sweep_from_samples` (pre-drawn crawls) ships the
-replicate samples through shared memory and shards the ladder phase
-alone. Each resolves executor/workers/checkpoint/resume from its
-arguments, then the ambient runtime configuration
+:class:`SweepResult` is bit-identical for any worker count. Both entry
+points ride it: :func:`run_nrmse_sweep` shards sampling *and* the
+ladder, while :func:`run_nrmse_sweep_from_samples` (pre-drawn crawls)
+ships the replicate samples through shared memory and shards the
+ladder phase alone. Each resolves executor/workers from its arguments,
+then the ambient runtime configuration
 (:func:`repro.runtime.runtime_options`, the ``REPRO_*`` environment),
-identically.
+identically. Checkpoints are a plan concern: a plan run persists each
+finished sweep's :class:`SweepResult` (:mod:`repro.runtime.checkpoint`).
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -177,8 +176,6 @@ def run_nrmse_sweep(
     mean_degree_model: str = "per-category",
     executor: "str | object | None" = None,
     workers: int | None = None,
-    checkpoint: "str | os.PathLike | None" = None,
-    resume: "bool | None" = None,
 ) -> SweepResult:
     """Sweep NRMSE vs sample size with freshly drawn replicate samples.
 
@@ -202,14 +199,11 @@ def run_nrmse_sweep(
         ``REPRO_EXECUTOR``/``REPRO_WORKERS`` environment variables,
         else serial). Output is bit-identical across executors and
         worker counts.
-    workers / checkpoint / resume:
-        Process-executor knobs: shard count, the checkpoint root
-        directory (a manifest-keyed per-sweep subdirectory is created
-        under it, with one file per completed ladder rung), and whether
-        a matching checkpoint should be continued instead of restarted
-        (``None`` defers to the ambient configuration). Ignored by the
-        serial executor; rejected alongside an executor *instance*,
-        which already carries its own configuration.
+    workers:
+        Process-executor shard count (``None`` defers to the ambient
+        configuration; given alone, it selects the process executor).
+        Rejected alongside an executor *instance*, which already
+        carries its own configuration.
     """
     spec = SweepSpec(sample_sizes, weight_size_plugin, mean_degree_model)
     if replications < 1:
@@ -219,7 +213,7 @@ def run_nrmse_sweep(
     gen = ensure_rng(rng)
     from repro.runtime.config import resolve_executor  # deferred: cycle
 
-    active = resolve_executor(executor, workers, checkpoint, resume)
+    active = resolve_executor(executor, workers)
     sampler = (
         sampler_factory
         if isinstance(sampler_factory, Sampler)
@@ -243,8 +237,6 @@ def run_nrmse_sweep_from_samples(
     truth_mode: str = "exact",
     executor: "str | object | None" = None,
     workers: int | None = None,
-    checkpoint: "str | os.PathLike | None" = None,
-    resume: "bool | None" = None,
 ) -> SweepResult:
     """Sweep NRMSE using pre-drawn replicate samples (e.g. crawl walks).
 
@@ -255,13 +247,12 @@ def run_nrmse_sweep_from_samples(
     all samples" — scoring each estimator kind against the average of
     its own full-length estimates, which measures variance but not bias.
 
-    ``executor``/``workers``/``checkpoint``/``resume`` mirror
-    :func:`run_nrmse_sweep` exactly: ``None`` defers to the ambient
-    runtime configuration (:func:`repro.runtime.runtime_options`, then
-    the ``REPRO_EXECUTOR``/``REPRO_WORKERS`` environment), so the
-    pre-drawn ladder phase shards across the same worker pool as the
-    fresh-draw path — with the same bit-identical-for-any-worker-count
-    contract and rung-level checkpoint/resume.
+    ``executor``/``workers`` mirror :func:`run_nrmse_sweep` exactly:
+    ``None`` defers to the ambient runtime configuration
+    (:func:`repro.runtime.runtime_options`, then the
+    ``REPRO_EXECUTOR``/``REPRO_WORKERS`` environment), so the pre-drawn
+    ladder phase shards across the same worker pool as the fresh-draw
+    path — with the same bit-identical-for-any-worker-count contract.
     """
     spec = SweepSpec(
         sample_sizes, weight_size_plugin, mean_degree_model, truth_mode
@@ -275,7 +266,7 @@ def run_nrmse_sweep_from_samples(
         )
     from repro.runtime.config import resolve_executor  # deferred: cycle
 
-    active = resolve_executor(executor, workers, checkpoint, resume)
+    active = resolve_executor(executor, workers)
     if active is not None:
         return active.run_from_samples(graph, partition, list(samples), spec)
     return _serial_sweep(graph, partition, samples, spec)
@@ -324,8 +315,8 @@ class RungReducer:
     ``fold(si, rows)`` takes the next block of replicates of rung
     ``si``: its four ``(B, ...)`` row arrays in :func:`_rung_rows` order,
     blocks arriving in replicate order. ``close(si)`` ends the rung once
-    all ``R`` replicates are in; ``add(si, rows)`` folds a whole rung and
-    closes it. ``result()`` returns the :class:`SweepResult`.
+    all ``R`` replicates are in. ``result()`` returns the
+    :class:`SweepResult`.
 
     Under exact truth each block goes straight into per-rung
     :class:`~repro.stats.errors.RunningNRMSE` sums and is let go, so
@@ -349,13 +340,6 @@ class RungReducer:
         self._held = {}
         self._closing = set()
         self._missing = set(range(len(sizes)))
-
-    def add(self, si: int, rows: Sequence[np.ndarray]) -> None:
-        """Fold and close rung ``si`` from all its ``(R, ...)`` rows."""
-        if [row.shape for row in rows] != self.row_shapes:
-            raise EstimationError(f"rung {si} rows are not {self.row_shapes}")
-        self.fold(si, rows)
-        self.close(si)
 
     def fold(self, si: int, rows: Sequence[np.ndarray]) -> None:
         """Fold the next block of rung ``si``'s replicates, or hold it

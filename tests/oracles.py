@@ -317,7 +317,7 @@ def reference_prefix_observations(ladder, size):
     ``observe_*(...).subset_draws(np.arange(size))``.
     """
     ladder.fold(size)
-    induced_full, star = ladder.observations
+    induced_full, star = ladder._induced, ladder._star
     multiplicities = ladder._multiplicities
     kept = np.flatnonzero(multiplicities > 0)
     remap = np.full(star.num_distinct, -1, dtype=np.int64)

@@ -1,4 +1,6 @@
-"""Runtime-suite fixtures: the shared-memory leak reaper.
+"""Runtime-suite fixtures: the shared-memory leak reaper, and a guard
+that keeps an environment fault plan away from byte-level checkpoint
+checks.
 
 The runtime layer's whole premise is that the *parent* owns every
 ``/dev/shm`` block it publishes — workers attach untracked, dead
@@ -48,3 +50,17 @@ def shared_memory_leak_reaper():
         f"runtime suite leaked {len(leaked)} shared-memory block(s) "
         f"(reaped): {leaked}"
     )
+
+
+@pytest.fixture
+def no_env_faults(monkeypatch):
+    """Run the test without a ``REPRO_FAULTS`` environment plan.
+
+    A fault plan from the environment (a chaos run's) tears the first
+    cell file the process writes, whichever test writes it. Tests that
+    read a cell file's bytes, or assert that a resume is a pure replay,
+    would then check recovery instead of what they name; recovery from
+    torn files has its own tests in ``test_faults.py`` and
+    ``test_checkpoint.py``.
+    """
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)

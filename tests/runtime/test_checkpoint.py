@@ -1,10 +1,12 @@
-"""Checkpoint/resume: a killed sweep resumes bit-identically.
+"""Cell-grain checkpoints: a killed plan resumes bit-identically.
 
-The scenario the subsystem exists for: a paper-scale run dies after
-rung ``k``; re-running with ``resume=True`` must (a) reuse the
-persisted samples and completed rungs rather than recomputing them and
-(b) finish with output bit-identical to the uninterrupted run — even
-with a different worker count.
+The scenario the subsystem exists for: a paper-scale plan dies while a
+cell is in flight. Every finished sweep cell has written its result to
+one checksummed file under the plan-keyed directory; re-running with
+``resume=True`` must (a) replay those cells from their files rather
+than recomputing them and (b) finish with output bit-identical to the
+uninterrupted run — whichever executor wrote the checkpoint and
+whichever resumes it.
 """
 
 from __future__ import annotations
@@ -14,185 +16,261 @@ import json
 import numpy as np
 import pytest
 
+from repro.experiments.plan import SweepCell, SweepJob, SweepPlan
 from repro.generators import planted_category_graph
-from repro.runtime.checkpoint import SweepCheckpoint
-from repro.sampling import StratifiedWeightedWalkSampler
-from repro.stats import run_nrmse_sweep
+from repro.runtime.checkpoint import CHECKPOINT_FORMAT, _payload_checksum
+from repro.runtime.plan import run_plan
+from repro.sampling import RandomWalkSampler, StratifiedWeightedWalkSampler
 
 from tests.runtime.test_executor import assert_sweeps_equal
 
 LADDER = (40, 120, 360)
 REPLICATIONS = 6
 SEED = 5
+CELLS = ("swrw", "rw", "crawls")
 
 
-@pytest.fixture(scope="module")
-def world():
-    graph, partition = planted_category_graph(k=6, scale=60, rng=7)
-    return graph, partition
+def _plan(seed=SEED):
+    """Three sweep cells over one planted graph: two fresh-draw designs
+    and one pre-drawn, cross-sample cell."""
 
+    def world():
+        return planted_category_graph(k=6, scale=60, rng=7)
 
-@pytest.fixture(scope="module")
-def serial(world):
-    graph, partition = world
-    return run_nrmse_sweep(
-        graph,
-        partition,
-        StratifiedWeightedWalkSampler(graph, partition),
-        LADDER,
-        replications=REPLICATIONS,
-        rng=SEED,
-        executor="serial",
+    def fresh(design):
+        def build(resources):
+            graph, partition = resources["world"]
+            sampler = (
+                StratifiedWeightedWalkSampler(graph, partition)
+                if design == "swrw"
+                else RandomWalkSampler(graph)
+            )
+            return SweepJob(
+                graph=graph,
+                partition=partition,
+                sizes=LADDER,
+                sampler=sampler,
+                replications=REPLICATIONS,
+                rng=seed,
+            )
+
+        return build
+
+    def crawls(resources):
+        graph, partition = resources["world"]
+        samples = RandomWalkSampler(graph).sample_many(
+            LADDER[-1], REPLICATIONS, rng=seed + 1
+        )
+        return SweepJob(
+            graph=graph,
+            partition=partition,
+            sizes=LADDER,
+            samples=list(samples),
+            truth_mode="cross-sample",
+        )
+
+    builds = {"swrw": fresh("swrw"), "rw": fresh("rw"), "crawls": crawls}
+    return SweepPlan(
+        name="checkpoint-probe",
+        cells=tuple(
+            SweepCell(key=key, build=builds[key], needs=("world",))
+            for key in CELLS
+        ),
+        resources={"world": world},
+        context={"seed": seed},
     )
 
 
-def _run(world, root, *, workers=2, resume=False, rng=SEED):
-    graph, partition = world
-    return run_nrmse_sweep(
-        graph,
-        partition,
-        StratifiedWeightedWalkSampler(graph, partition),
-        LADDER,
-        replications=REPLICATIONS,
-        rng=rng,
-        executor="process",
+def _run(root=None, *, workers=None, resume=False, seed=SEED):
+    return run_plan(
+        _plan(seed),
+        executor="serial" if workers is None else "process",
         workers=workers,
         checkpoint=root,
         resume=resume,
     )
 
 
-def test_checkpointed_run_writes_manifest_samples_and_rung_files(
-    world, serial, tmp_path
+def _assert_plans_equal(expected, actual, context):
+    assert list(expected) == list(actual), context
+    for key in expected:
+        assert_sweeps_equal(expected[key], actual[key], f"{context}: {key}")
+
+
+@pytest.fixture(scope="module")
+def serial():
+    return _run()
+
+
+def _plan_dir(root):
+    (plan_dir,) = root.glob("plan-*")
+    return plan_dir
+
+
+@pytest.mark.usefixtures("no_env_faults")
+def test_checkpointed_run_writes_manifest_and_cell_files(serial, tmp_path):
+    result = _run(tmp_path, workers=2)
+    _assert_plans_equal(serial, result, "checkpointed run")
+    plan_dir = _plan_dir(tmp_path)
+    names = sorted(path.name for path in plan_dir.iterdir())
+    assert names == sorted(["plan.json"] + [f"{key}.npz" for key in CELLS])
+    manifest = json.loads((plan_dir / "plan.json").read_text())
+    assert manifest["plan"] == "checkpoint-probe"
+    assert manifest["cells"] == list(CELLS)
+    assert manifest["format"] == CHECKPOINT_FORMAT == 4
+    # The file holds the cell's SweepResult, byte for byte.
+    with np.load(plan_dir / "swrw.npz") as data:
+        assert data["sample_sizes"].tolist() == list(LADDER)
+        for field in ("size_nrmse", "weight_nrmse", "size_coverage"):
+            for kind in ("induced", "star"):
+                want = getattr(serial["swrw"], field)[kind]
+                got = data[f"{field}_{kind}"]
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (field, kind)
+        np.testing.assert_array_equal(
+            data["truth_weights"], serial["swrw"].truth.weights
+        )
+        assert tuple(data["truth_names"]) == serial["swrw"].truth.names
+
+
+@pytest.mark.parametrize(
+    "writer, resumer",
+    [(None, 3), (3, None)],
+    ids=["serial-then-3-workers", "3-workers-then-serial"],
+)
+def test_killed_mid_cell_resumes_bit_identically(
+    serial, tmp_path, writer, resumer
 ):
-    result = _run(world, tmp_path)
-    assert_sweeps_equal(serial, result, "checkpointed run")
-    sweep_dir = next(tmp_path.glob("sweep-*"))
-    names = sorted(path.name for path in sweep_dir.iterdir())
-    assert names == [
-        "manifest.json",
-        "observations.npz",
-        "rung_000.npz",
-        "rung_001.npz",
-        "rung_002.npz",
-        "samples.npz",
-        "truth.npz",
-    ]
-    manifest = json.loads((sweep_dir / "manifest.json").read_text())
-    assert manifest["design"] == "swrw"
-    assert manifest["sizes"] == list(LADDER)
-    assert len(manifest["seeds"]) == REPLICATIONS
+    """A kill during cell 1 leaves cell 0's file only; the resumed run,
+    on the other executor, replays cell 0 and recomputes the rest."""
+    _run(tmp_path, workers=writer)
+    plan_dir = _plan_dir(tmp_path)
+    for key in CELLS[1:]:
+        (plan_dir / f"{key}.npz").unlink()
+    resumed = _run(tmp_path, workers=resumer, resume=True)
+    _assert_plans_equal(serial, resumed, "resume after a mid-cell kill")
+    for key in CELLS:
+        assert (plan_dir / f"{key}.npz").exists(), key
 
 
-def test_killed_after_rung_k_resumes_bit_identically(world, serial, tmp_path):
-    _run(world, tmp_path)
-    sweep_dir = next(tmp_path.glob("sweep-*"))
-    # Simulate a kill after rung 0 completed: later rungs never landed.
-    (sweep_dir / "rung_001.npz").unlink()
-    (sweep_dir / "rung_002.npz").unlink()
-    resumed = _run(world, tmp_path, workers=3, resume=True)
-    assert_sweeps_equal(serial, resumed, "resume after rung 0")
-    assert (sweep_dir / "rung_002.npz").exists()
+@pytest.mark.usefixtures("no_env_faults")
+def test_resume_really_reads_the_checkpoint(serial, tmp_path):
+    """A tampered cell file (with a valid checksum) surfaces on resume.
 
-
-def test_resume_really_reads_the_checkpoint(world, serial, tmp_path):
-    """Tampered rung rows (with a valid checksum) surface on resume.
-
-    The tamper re-stamps the payload checksum, modeling rows that were
-    *computed* differently rather than corrupted on disk — the one case
-    the integrity layer must NOT mask, or this test could pass with a
-    resume path that silently recomputes everything.
+    The tamper re-stamps the payload checksum, modeling a result that
+    was *computed* differently rather than corrupted on disk — the one
+    case the integrity layer must NOT mask, or this test could pass
+    with a resume path that silently recomputes everything.
     """
-    from repro.runtime.checkpoint import _payload_checksum
-
-    _run(world, tmp_path)
-    sweep_dir = next(tmp_path.glob("sweep-*"))
-    path = sweep_dir / "rung_000.npz"
+    _run(tmp_path)
+    path = _plan_dir(tmp_path) / "swrw.npz"
     data = dict(np.load(path))
     data.pop("checksum")
-    data["sizes_induced"] = data["sizes_induced"] + 1.0
+    data["size_nrmse_induced"] = data["size_nrmse_induced"] + 1.0
     data["checksum"] = np.asarray(_payload_checksum(data))
     np.savez(path, **data)
-    tampered = _run(world, tmp_path, resume=True)
+    tampered = _run(tmp_path, workers=2, resume=True)
     assert not np.array_equal(
-        serial.size_nrmse["induced"],
-        tampered.size_nrmse["induced"],
+        serial["swrw"].size_nrmse["induced"],
+        tampered["swrw"].size_nrmse["induced"],
         equal_nan=True,
-    ), "resume ignored the persisted rung rows"
+    ), "resume ignored the persisted cell"
     # A fresh (resume=False) run clears the directory and recomputes.
-    fresh = _run(world, tmp_path, resume=False)
-    assert_sweeps_equal(serial, fresh, "fresh run after tampering")
+    fresh = _run(tmp_path, workers=2)
+    _assert_plans_equal(serial, fresh, "fresh run after tampering")
 
 
-def test_checksumless_rewrite_is_quarantined_and_recomputed(
-    world, serial, tmp_path
-):
-    """A rung file failing checksum verification degrades, not poisons.
+@pytest.mark.usefixtures("no_env_faults")
+def test_checksumless_rewrite_is_quarantined_and_recomputed(serial, tmp_path):
+    """A cell file failing checksum verification degrades, not poisons.
 
-    Rewriting the rung without a checksum models on-disk corruption
-    (torn write, bit rot): the resumed run must quarantine the file as
-    ``*.corrupt``, recompute the rung, and still match serial exactly.
+    Rewriting the file without a checksum models on-disk corruption
+    (bit rot, a hand edit): the resumed run must quarantine the file as
+    ``*.corrupt``, recompute the cell, and still match serial exactly.
     """
-    _run(world, tmp_path)
-    sweep_dir = next(tmp_path.glob("sweep-*"))
-    path = sweep_dir / "rung_000.npz"
+    _run(tmp_path, workers=2)
+    path = _plan_dir(tmp_path) / "rw.npz"
     data = dict(np.load(path))
     data.pop("checksum")
-    data["sizes_induced"] = data["sizes_induced"] + 1.0
+    data["size_nrmse_induced"] = data["size_nrmse_induced"] + 1.0
     np.savez(path, **data)
-    resumed = _run(world, tmp_path, resume=True)
-    assert_sweeps_equal(serial, resumed, "resume past quarantined rung")
-    assert (sweep_dir / "rung_000.npz.corrupt").exists()
-    assert (sweep_dir / "rung_000.npz").exists(), "rung was not rewritten"
+    resumed = _run(tmp_path, resume=True)
+    _assert_plans_equal(serial, resumed, "resume past a quarantined cell")
+    assert path.with_name("rw.npz.corrupt").exists()
+    assert path.exists(), "the cell was not rewritten"
 
 
-def test_different_seeds_use_different_manifest_directories(world, tmp_path):
-    _run(world, tmp_path, rng=SEED)
-    _run(world, tmp_path, rng=SEED + 1, resume=True)
-    assert len(list(tmp_path.glob("sweep-*"))) == 2
+def test_torn_cell_file_is_quarantined_and_recomputed(serial, tmp_path):
+    """A cell file cut short (a torn write) is quarantined, and the
+    cell recomputed and rewritten."""
+    _run(tmp_path)
+    path = _plan_dir(tmp_path) / "crawls.npz"
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    resumed = _run(tmp_path, workers=2, resume=True)
+    _assert_plans_equal(serial, resumed, "resume past a torn cell")
+    assert path.with_name("crawls.npz.corrupt").exists()
+    with np.load(path) as rewritten:
+        assert "checksum" in rewritten.files
 
 
-def test_checkpoint_rejects_size_mismatched_rungs(tmp_path):
-    checkpoint = SweepCheckpoint(tmp_path, {"probe": 1}, resume=False)
-    rows = (
-        np.ones((2, 3)),
-        np.ones((2, 3)),
-        np.ones((2, 3, 3)),
-        np.ones((2, 3, 3)),
+def test_different_seeds_use_different_manifest_directories(tmp_path):
+    _run(tmp_path, seed=SEED)
+    _run(tmp_path, seed=SEED + 1)
+    plan_dirs = sorted(tmp_path.glob("plan-*"))
+    assert len(plan_dirs) == 2
+    # The fresh seed-(SEED + 1) run left the seed-SEED files alone.
+    for plan_dir in plan_dirs:
+        assert len(list(plan_dir.glob("*.npz"))) == len(CELLS)
+
+
+def test_fresh_checkpoint_clears_stale_files(serial, tmp_path):
+    _run(tmp_path)
+    plan_dir = _plan_dir(tmp_path)
+    stale = [plan_dir / "gone.npz", plan_dir / "rw.npz.corrupt"]
+    for path in stale:
+        path.write_bytes(b"stale")
+    before = (plan_dir / "swrw.npz").stat().st_mtime_ns
+    fresh = _run(tmp_path, workers=2)
+    _assert_plans_equal(serial, fresh, "fresh run over stale files")
+    assert not any(path.exists() for path in stale)
+    assert (plan_dir / "swrw.npz").stat().st_mtime_ns != before, (
+        "a fresh run must rewrite, not replay, its cells"
     )
-    checkpoint.save_rung(0, size=40, rows=rows)
-    assert checkpoint.load_rung(0, size=40) is not None
-    assert checkpoint.load_rung(0, size=99) is None
-    assert checkpoint.load_rung(1, size=40) is None
-    assert checkpoint.completed_rungs([40, 120]) == [0]
 
 
-def test_fresh_checkpoint_clears_stale_files(tmp_path):
-    first = SweepCheckpoint(tmp_path, {"probe": 2}, resume=False)
-    first.save_samples(np.zeros((2, 4), dtype=np.int64), np.ones((2, 4)))
-    assert first.samples_path.exists()
-    reopened = SweepCheckpoint(tmp_path, {"probe": 2}, resume=True)
-    assert reopened.load_samples() is not None
-    cleared = SweepCheckpoint(tmp_path, {"probe": 2}, resume=False)
-    assert cleared.load_samples() is None
+@pytest.mark.usefixtures("no_env_faults")
+def test_fully_checkpointed_sweep_replays_without_resampling(
+    serial, tmp_path, monkeypatch
+):
+    """Resuming a *finished* plan is a pure replay from the cell files:
+    no sampler draws a single replicate."""
+    from repro.sampling.base import Sampler
+
+    _run(tmp_path, workers=2)
+
+    def explode(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("a replayed plan resampled")
+
+    monkeypatch.setattr(Sampler, "sample_many", explode)
+    replayed = _run(tmp_path, resume=True)
+    _assert_plans_equal(serial, replayed, "pure replay")
 
 
-def test_resume_skips_the_observation_rebuild(world, serial, tmp_path, monkeypatch):
-    """A resumed fresh-draw sweep seeds ladders from observations.npz.
+@pytest.mark.usefixtures("no_env_faults")
+def test_resume_skips_the_observation_rebuild(serial, tmp_path, monkeypatch):
+    """A resumed plan never re-measures a finished cell's samples.
 
     ``observe_both`` is monkeypatched to explode; fork-context workers
-    inherit the patch, so bit-identical resumed output proves the
-    per-replicate observation pass never re-ran. The persistent pool
-    is reset after patching so the resumed run forks *fresh* workers
-    that carry the tripwire (pooled workers pre-date the patch).
+    inherit the patch, so bit-identical resumed output proves no
+    observation pass ran, in the driver or in a worker. The persistent
+    pool is reset after patching so the resumed run forks *fresh*
+    workers that carry the tripwire (pooled workers pre-date the
+    patch).
     """
     from repro.runtime.pool import reset_default_pools
 
-    _run(world, tmp_path)
-    sweep_dir = next(tmp_path.glob("sweep-*"))
-    assert (sweep_dir / "observations.npz").exists()
-    (sweep_dir / "rung_001.npz").unlink()
-    (sweep_dir / "rung_002.npz").unlink()
+    _run(tmp_path)
 
     import repro.stats.prefix as prefix_module
 
@@ -202,66 +280,7 @@ def test_resume_skips_the_observation_rebuild(world, serial, tmp_path, monkeypat
     monkeypatch.setattr(prefix_module, "observe_both", explode)
     reset_default_pools()
     try:
-        resumed = _run(world, tmp_path, workers=2, resume=True)
+        resumed = _run(tmp_path, workers=2, resume=True)
     finally:
         reset_default_pools()
-    assert_sweeps_equal(serial, resumed, "observation-seeded resume")
-
-
-def test_observation_round_trip_is_exact(world, tmp_path):
-    from repro.runtime.executor import (
-        _observation_fields,
-        _observations_restore,
-    )
-    from repro.sampling.observation import observe_both
-
-    graph, partition = world
-    sample = StratifiedWeightedWalkSampler(graph, partition).sample(300, rng=1)
-    induced, star = observe_both(graph, partition, sample)
-    checkpoint = SweepCheckpoint(tmp_path, {"probe": 3}, resume=False)
-    checkpoint.save_observations([_observation_fields(induced, star)])
-    assert checkpoint.load_observations(expected=2) is None  # count guard
-    restored = checkpoint.load_observations(expected=1)
-    induced2, star2 = _observations_restore(
-        tuple(partition.names), restored[0]
-    )
-    assert star2.design == star.design and star2.uniform == star.uniform
-    assert star2.num_draws == star.num_draws
-    for field in (
-        "draw_to_distinct",
-        "distinct_nodes",
-        "distinct_categories",
-        "distinct_multiplicities",
-        "distinct_weights",
-    ):
-        before = getattr(star, field)
-        after = getattr(star2, field)
-        assert before.dtype == after.dtype
-        np.testing.assert_array_equal(before, after)
-    np.testing.assert_array_equal(induced2.induced_edges, induced.induced_edges)
-    for field in (
-        "distinct_degrees",
-        "neighbor_indptr",
-        "neighbor_categories",
-        "neighbor_counts",
-    ):
-        np.testing.assert_array_equal(getattr(star2, field), getattr(star, field))
-
-
-def test_fully_checkpointed_sweep_replays_without_resampling(
-    world, serial, tmp_path
-):
-    """Resuming a *finished* sweep is a pure replay from the rung files.
-
-    Observable: the early-return path never runs the sampling phase, so
-    a deleted samples.npz is not recreated (the old behavior re-walked
-    all R replicates just to throw the draws away).
-    """
-    _run(world, tmp_path)
-    sweep_dir = next(tmp_path.glob("sweep-*"))
-    (sweep_dir / "samples.npz").unlink()
-    replayed = _run(world, tmp_path, resume=True)
-    assert_sweeps_equal(serial, replayed, "pure replay")
-    assert not (sweep_dir / "samples.npz").exists(), (
-        "a fully-checkpointed resume should not resample"
-    )
+    _assert_plans_equal(serial, resumed, "observation-free resume")

@@ -307,7 +307,7 @@ def test_cli_resume_requires_checkpoint(capsys):
 
 
 def test_bare_process_knobs_imply_the_process_executor(world, serial_sweeps):
-    """workers=/checkpoint= without executor= must not silently run serial."""
+    """workers= without executor= must not silently run serial."""
     graph, partition, relation = world
     parallel = run_nrmse_sweep(
         graph,

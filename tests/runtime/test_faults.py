@@ -2,7 +2,7 @@
 
 The acceptance bar of the fault-tolerant runtime: a worker SIGKILLed
 mid-rung, a task that hangs past its heartbeat deadline, a worker pool
-that cannot (re)spawn, and a checkpoint file corrupted on disk must all
+that cannot (re)spawn, and a checkpoint cell file torn on disk must all
 degrade — never crash — and the recovered run's output must be
 byte-identical to an undisturbed serial run. Failures are *scheduled
 inputs* here (:mod:`repro.runtime.faults`), so every recovery path runs
@@ -257,40 +257,48 @@ def test_mid_plan_worker_kill_is_byte_identical():
 # ----------------------------------------------------------------------
 # Checkpoint corruption: quarantine and recompute
 # ----------------------------------------------------------------------
-def test_corrupted_rung_write_is_quarantined_on_resume(world, serial, tmp_path):
-    with faults.inject("corrupt-checkpoint:file=rung,times=1"):
-        first = _sweep(
-            world, ProcessSweepExecutor(workers=2, checkpoint=tmp_path)
+def _one_cell_plan(world):
+    from repro.experiments.plan import SweepCell, SweepJob, SweepPlan
+
+    graph, partition = world
+
+    def build(resources):
+        return SweepJob(
+            graph=graph,
+            partition=partition,
+            sizes=LADDER,
+            sampler=StratifiedWeightedWalkSampler(graph, partition),
+            replications=REPLICATIONS,
+            rng=SEED,
         )
-    assert_sweeps_equal(serial, first, "run with a corrupted rung write")
-    resumed = _sweep(
-        world,
-        ProcessSweepExecutor(workers=2, checkpoint=tmp_path, resume=True),
-    )
-    assert_sweeps_equal(serial, resumed, "resume past injected corruption")
-    sweep_dir = next(tmp_path.glob("sweep-*"))
-    assert list(sweep_dir.glob("*.corrupt")), (
-        "the truncated rung file was not quarantined"
+
+    return SweepPlan(
+        name="corrupt-probe",
+        cells=(SweepCell(key="only", build=build),),
+        context={"seed": SEED},
     )
 
 
-def test_corrupt_observations_fall_back_to_recomputing(world, serial, tmp_path):
-    _sweep(world, ProcessSweepExecutor(workers=2, checkpoint=tmp_path))
-    sweep_dir = next(tmp_path.glob("sweep-*"))
-    (sweep_dir / "rung_001.npz").unlink()
-    (sweep_dir / "rung_002.npz").unlink()
-    path = sweep_dir / "observations.npz"
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])  # torn write
-    resumed = _sweep(
-        world,
-        ProcessSweepExecutor(workers=2, checkpoint=tmp_path, resume=True),
+def test_corrupted_cell_write_is_quarantined_on_resume(world, serial, tmp_path):
+    from repro.runtime.plan import run_plan
+
+    with faults.inject("corrupt-checkpoint:file=cell,times=1") as plan:
+        first = run_plan(
+            _one_cell_plan(world), executor="process", workers=2,
+            checkpoint=tmp_path,
+        )
+    assert plan.pending() == 0, "the cell write was never torn"
+    assert_sweeps_equal(serial, first["only"], "run with a torn cell write")
+    resumed = run_plan(
+        _one_cell_plan(world), executor="process", workers=2,
+        checkpoint=tmp_path, resume=True,
     )
-    assert_sweeps_equal(serial, resumed, "resume past corrupt observations")
-    assert (sweep_dir / "observations.npz.corrupt").exists()
-    assert (sweep_dir / "observations.npz").exists(), (
-        "the observations were not re-persisted after quarantine"
+    assert_sweeps_equal(serial, resumed["only"], "resume past a torn cell")
+    plan_dir = next(tmp_path.glob("plan-*"))
+    assert (plan_dir / "only.npz.corrupt").exists(), (
+        "the truncated cell file was not quarantined"
     )
+    assert (plan_dir / "only.npz").exists(), "the cell was not rewritten"
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,12 @@ through a compiled plan, serial and ``--workers N`` outputs are
 bit-identical for any worker count — including the *pre-drawn* paths
 (fig6's crawl sweeps, the ablation plug-in study) that used to reduce
 serially — and a killed checkpointed plan resumes to the same bytes at
-the first missing cell/rung.
+the first unfinished cell.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -81,10 +83,9 @@ def test_ablation_plugin_bit_identical_for_any_worker_count(
 def test_killed_fig6_plan_resumes_to_the_same_bytes(fig6_serial, tmp_path):
     """A parallel fig6 run killed mid-cell resumes bit-identically.
 
-    The kill is simulated by pruning the checkpoint to a prefix state a
-    real kill produces (rung files land atomically, one per completed
-    rung): cell 1 complete, cell 2 stopped after its first rung, later
-    cells never started.
+    The kill is simulated by pruning the checkpoint to the state a real
+    kill during cell 2 leaves (cell files land atomically, one per
+    finished cell): cell 1's file only.
     """
     with runtime_options(
         executor="process", workers=2, checkpoint=tmp_path
@@ -92,39 +93,30 @@ def test_killed_fig6_plan_resumes_to_the_same_bytes(fig6_serial, tmp_path):
         first = run_experiment("fig6", preset=TINY, rng=0)
     assert_results_equal(fig6_serial, first, "checkpointed run")
     plan_dir = next(tmp_path.glob("plan-*"))
-    cell_dirs = sorted(d for d in plan_dir.iterdir() if d.is_dir())
-    assert len(cell_dirs) == 5, "one sweep-checkpoint root per fig6 cell"
-    # Prune to the mid-cell kill state.
-    survivors = {cell_dirs[0].name}
-    for cell_dir in cell_dirs[1:]:
-        sweep_dir = next(cell_dir.glob("sweep-*"))
-        if cell_dir == cell_dirs[1]:
-            for rung in sorted(sweep_dir.glob("rung_*.npz"))[1:]:
-                rung.unlink()
-            survivors.add(cell_dir.name)
-        else:
-            import shutil
-
-            shutil.rmtree(cell_dir)
-    assert {d.name for d in plan_dir.iterdir() if d.is_dir()} == survivors
+    cell_files = sorted(plan_dir.glob("*.npz"))
+    assert len(cell_files) == 5, "one result file per fig6 cell"
+    for cell_file in cell_files[1:]:
+        cell_file.unlink()
 
     with runtime_options(
         executor="process", workers=3, checkpoint=tmp_path, resume=True
     ):
         resumed = run_experiment("fig6", preset=TINY, rng=0)
     assert_results_equal(fig6_serial, resumed, "resumed after mid-cell kill")
-    # The resumed run completed every cell's checkpoint again.
-    assert len([d for d in plan_dir.iterdir() if d.is_dir()]) == 5
+    # The resumed run wrote every cell's file again.
+    assert sorted(plan_dir.glob("*.npz")) == cell_files
 
 
-def test_plan_resume_reuses_persisted_observations(tmp_path, monkeypatch):
-    """Resume must seed ladders from observations.npz, not re-measure.
+@pytest.mark.usefixtures("no_env_faults")
+def test_plan_resume_reuses_persisted_cells(tmp_path, monkeypatch):
+    """Resume must replay finished cells, not re-measure their samples.
 
     With the fork start method the workers inherit the parent's
     monkeypatched modules, so making ``observe_both`` explode proves
-    the resumed ladder build never calls it. The persistent worker
-    pool is reset *after* patching — pooled workers forked by earlier
-    sweeps would otherwise pre-date the patch and defuse the tripwire.
+    no resumed cell ran a ladder, in the driver or in a worker. The
+    persistent worker pool is reset *after* patching — pooled workers
+    forked by earlier sweeps would otherwise pre-date the patch and
+    defuse the tripwire.
     """
     from repro.experiments import run_ablations
     from repro.runtime.pool import reset_default_pools
@@ -132,13 +124,7 @@ def test_plan_resume_reuses_persisted_observations(tmp_path, monkeypatch):
     with runtime_options(executor="process", workers=2, checkpoint=tmp_path):
         first = run_ablations(which=("plugin",), preset=TINY, rng=0)
     plan_dir = next(tmp_path.glob("plan-*"))
-    pruned = 0
-    for sweep_dir in plan_dir.glob("*/sweep-*"):
-        assert (sweep_dir / "observations.npz").exists()
-        for rung in sweep_dir.glob("rung_*.npz"):
-            rung.unlink()
-            pruned += 1
-    assert pruned, "expected checkpointed rungs to prune"
+    assert len(list(plan_dir.glob("*.npz"))) == 3
 
     def explode(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("resume re-measured a replicate sample")
@@ -156,7 +142,7 @@ def test_plan_resume_reuses_persisted_observations(tmp_path, monkeypatch):
         # The patched module is baked into the fresh workers; retire
         # them so later tests fork clean ones.
         reset_default_pools()
-    assert_results_equal(first, resumed, "observation-seeded resume")
+    assert_results_equal(first, resumed, "replayed cells")
 
 
 def test_compile_experiment_exposes_every_registry_entry():
@@ -185,21 +171,34 @@ def test_every_replicated_experiment_has_sweep_cells():
         assert len(plan.sweep_cells) == count, experiment_id
 
 
-def test_serial_run_never_touches_a_parallel_plan_checkpoint(tmp_path):
-    """A serial run with a checkpoint root configured must not clear a
-    prior parallel run's plan directory (serial cells ignore
-    checkpoints, so clearing would destroy data and write nothing)."""
+@pytest.mark.usefixtures("no_env_faults")
+def test_serial_run_resumes_a_parallel_plan_checkpoint(tmp_path):
+    """Serial and parallel runs of one plan share its checkpoint
+    directory: a serial ``--resume`` replays every cell a ``--workers``
+    run wrote, leaving the files as they were."""
     from repro.experiments import run_ablations
+    from repro.runtime import telemetry_scope
 
     with runtime_options(executor="process", workers=2, checkpoint=tmp_path):
-        run_ablations(which=("plugin",), preset=TINY, rng=0)
+        first = run_ablations(which=("plugin",), preset=TINY, rng=0)
     plan_dir = next(tmp_path.glob("plan-*"))
-    rungs_before = sorted(plan_dir.glob("*/sweep-*/rung_*.npz"))
-    assert rungs_before
+    files_before = {
+        path.name: path.read_bytes() for path in plan_dir.glob("*.npz")
+    }
+    assert len(files_before) == 3
 
-    with runtime_options(executor="serial", checkpoint=tmp_path):
-        run_ablations(which=("plugin",), preset=TINY, rng=0)
-    assert sorted(plan_dir.glob("*/sweep-*/rung_*.npz")) == rungs_before
+    metrics_path = tmp_path / "metrics.json"
+    with telemetry_scope(metrics=metrics_path), runtime_options(
+        executor="serial", checkpoint=tmp_path, resume=True
+    ):
+        resumed = run_ablations(which=("plugin",), preset=TINY, rng=0)
+    assert_results_equal(first, resumed, "serial resume of a parallel run")
+    counters = json.loads(metrics_path.read_text())["counters"]
+    assert counters["plan.cells_replayed"] == 3
+    assert counters["checkpoint.saves"] == 0
+    assert {
+        path.name: path.read_bytes() for path in plan_dir.glob("*.npz")
+    } == files_before
 
 
 def test_plans_with_different_context_use_different_directories(tmp_path):
@@ -216,7 +215,7 @@ def test_plans_with_different_context_use_different_directories(tmp_path):
     assert len(plan_dirs) == 2
     # The seed-0 artifacts survived the fresh (non-resume) seed-1 run.
     for plan_dir in plan_dirs:
-        assert list(plan_dir.glob("*/sweep-*/rung_000.npz"))
+        assert len(list(plan_dir.glob("*.npz"))) == 3
 
 
 def test_fresh_sweep_jobs_reject_cross_sample_truth():

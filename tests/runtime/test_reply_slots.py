@@ -3,11 +3,12 @@
 Each shard of a process sweep writes rung ``si``'s rows into slot
 ``si % 2`` of its own reply block, and the driver folds them from
 there. The slots are reused every other rung, so any row the reduction
-keeps past its fold (the cross-sample pseudo-truth's held blocks, a
-checkpointed rung) must be copied out first: the sweeps below run
-enough rungs to reuse both slots and must equal the serial sweep byte
-for byte. The reply itself names only the rung, and every reply block
-is unlinked, on every exit path the runtime recovers from.
+keeps past its fold (the cross-sample pseudo-truth's held blocks) must
+be copied out first: the sweeps below run enough rungs to reuse both
+slots and must equal the serial sweep byte for byte, also as the cell
+of a checkpointed plan, whose file on disk must hold those bytes too.
+The reply itself names only the rung, and every reply block is
+unlinked, on every exit path the runtime recovers from.
 """
 
 from __future__ import annotations
@@ -17,16 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.experiments.plan import SweepCell, SweepJob, SweepPlan
 from repro.generators import planted_category_graph
-from repro.graph.category_graph import true_category_graph
-from repro.rng import ensure_rng
 from repro.runtime import faults, pool, sharedmem
 from repro.runtime.executor import ProcessSweepExecutor
+from repro.runtime.plan import run_plan
 from repro.runtime.pool import reset_default_pools
 from repro.sampling import RandomWalkSampler
 from repro.stats import run_nrmse_sweep, run_nrmse_sweep_from_samples
-from repro.stats.prefix import IncrementalPrefixLadder
-from repro.stats.replication import _rung_rows
 
 #: Four rungs: rungs 2 and 3 overwrite the slots rungs 0 and 1 used.
 LADDER = (40, 120, 240, 360)
@@ -57,30 +56,26 @@ def assert_bytes_equal(serial, parallel, context):
             assert got.tobytes() == want.tobytes(), f"{context}: {attr}[{kind}]"
 
 
-def serial_rows(graph, partition, samples):
-    """Every rung's ``(R, ...)`` rows, straight from the serial ladder."""
-    truth = true_category_graph(graph, partition)
-    ladders = [
-        IncrementalPrefixLadder(graph, partition, sample) for sample in samples
+def run_as_cell(job, checkpoint):
+    """``job`` as the one cell of a plan at 2 workers, checkpointed
+    under ``checkpoint`` unless it is ``None``."""
+    plan = SweepPlan(
+        name="slots",
+        cells=(SweepCell(key="only", build=lambda resources: job),),
+        context={"seed": SEED},
+    )
+    return run_plan(plan, executor="process", workers=2, checkpoint=checkpoint)[
+        "only"
     ]
-    rungs = []
-    for size in LADDER:
-        rows = [
-            _rung_rows(ladder.estimates(size, graph.num_nodes), "star", truth.sizes)
-            for ladder in ladders
-        ]
-        rungs.append(tuple(np.stack([r[f] for r in rows]) for f in range(4)))
-    return rungs
 
 
-def assert_checkpoint_rows(executor, expected):
-    checkpoint = executor.last_checkpoint
-    for si, size in enumerate(LADDER):
-        rows = checkpoint.load_rung(si, size)
-        assert rows is not None, f"rung {si} was not checkpointed"
-        for field, (got, want) in enumerate(zip(rows, expected[si])):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), f"rung {si} field {field}"
+def assert_cell_file_bytes(root, expected):
+    with np.load(next(root.glob("plan-*")) / "only.npz") as data:
+        for attr in FIELDS:
+            for kind in ("induced", "star"):
+                got, want = data[f"{attr}_{kind}"], getattr(expected, attr)[kind]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), f"file {attr}[{kind}]"
 
 
 # ----------------------------------------------------------------------
@@ -89,43 +84,39 @@ def assert_checkpoint_rows(executor, expected):
 @pytest.mark.parametrize("checkpoint", [False, True])
 @pytest.mark.parametrize("truth_mode", ["exact", "cross-sample"])
 def test_predrawn_sweeps_survive_slot_reuse(
-    world, crawls, tmp_path, truth_mode, checkpoint
+    world, crawls, tmp_path, truth_mode, checkpoint, request
 ):
+    if checkpoint:
+        request.getfixturevalue("no_env_faults")
     graph, partition = world
     serial = run_nrmse_sweep_from_samples(
         graph, partition, crawls, LADDER, executor="serial",
         truth_mode=truth_mode,
     )
-    executor = ProcessSweepExecutor(
-        workers=2, checkpoint=tmp_path if checkpoint else None
-    )
-    parallel = run_nrmse_sweep_from_samples(
-        graph, partition, crawls, LADDER, executor=executor,
+    job = SweepJob(
+        graph=graph, partition=partition, sizes=LADDER, samples=crawls,
         truth_mode=truth_mode,
     )
+    parallel = run_as_cell(job, tmp_path if checkpoint else None)
     assert_bytes_equal(serial, parallel, f"{truth_mode}, checkpoint={checkpoint}")
     if checkpoint:
-        assert_checkpoint_rows(executor, serial_rows(graph, partition, crawls))
+        assert_cell_file_bytes(tmp_path, serial)
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_checkpointed_fresh_draw_rungs_survive_slot_reuse(world, tmp_path):
     graph, partition = world
-    kwargs = dict(replications=REPLICATIONS, rng=SEED)
     serial = run_nrmse_sweep(
         graph, partition, RandomWalkSampler(graph), LADDER,
-        executor="serial", **kwargs,
+        replications=REPLICATIONS, rng=SEED, executor="serial",
     )
-    executor = ProcessSweepExecutor(workers=2, checkpoint=tmp_path)
-    parallel = run_nrmse_sweep(
-        graph, partition, RandomWalkSampler(graph), LADDER,
-        executor=executor, **kwargs,
+    job = SweepJob(
+        graph=graph, partition=partition, sizes=LADDER,
+        sampler=RandomWalkSampler(graph), replications=REPLICATIONS, rng=SEED,
     )
+    parallel = run_as_cell(job, tmp_path)
     assert_bytes_equal(serial, parallel, "checkpointed fresh draw")
-    # The serial path draws every replicate from the master generator.
-    samples = RandomWalkSampler(graph).sample_many(
-        LADDER[-1], REPLICATIONS, rng=ensure_rng(SEED)
-    )
-    assert_checkpoint_rows(executor, serial_rows(graph, partition, samples))
+    assert_cell_file_bytes(tmp_path, serial)
 
 
 @pytest.mark.parametrize("truth_mode", ["exact", "cross-sample"])

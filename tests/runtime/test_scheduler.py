@@ -4,8 +4,8 @@
 plan order. A parallel plan — each cell on its own process executor,
 every cell's shard tasks on the one persistent worker pool — produces
 **byte-identical** output to the serial plan for any worker count; a
-killed plan resumes to the same bytes; and a fully rung-cached cell
-resumes without its substrate ever being built.
+killed plan resumes to the same bytes; and a finished cell resumes from
+its checkpoint file without its substrate ever being built.
 """
 
 from __future__ import annotations
@@ -102,42 +102,30 @@ def test_parallel_plan_runs_one_cell_at_a_time(fig6_serial, tmp_path):
 def test_mid_plan_kill_with_two_cells_in_flight_resumes_to_same_bytes(
     fig6_serial, tmp_path
 ):
-    """Two cells died mid-ladder, later cells never started;
-    ``--resume`` must finish the plan to the same bytes.
+    """Two successive kills, each losing the cell in flight; ``--resume``
+    must finish the plan to the same bytes, serially.
 
-    The checkpoint is pruned to one cell complete, two cells each
-    missing their later rungs (what two successive kills leave), the
-    rest absent — and ``cells.json`` still claiming the pruned cells,
-    which replay must detect as incomplete and recompute.
+    The ``--workers 2`` checkpoint is pruned to what two kills leave
+    behind when each struck a different cell: cells 1 and 2 have no
+    file, the others do.
     """
     with runtime_options(executor="process", workers=2, checkpoint=tmp_path):
         first = run_experiment("fig6", preset=TINY, rng=0)
     assert_results_equal(fig6_serial, first, "checkpointed run")
     plan_dir = next(tmp_path.glob("plan-*"))
-    cell_dirs = sorted(d for d in plan_dir.iterdir() if d.is_dir())
-    assert len(cell_dirs) == 5
-    import shutil
+    cell_files = sorted(plan_dir.glob("*.npz"))
+    assert len(cell_files) == 5
+    for cell_file in cell_files[1:3]:
+        cell_file.unlink()
 
-    for index, cell_dir in enumerate(cell_dirs):
-        if index == 0:
-            continue  # completed before the kill
-        elif index in (1, 2):  # killed mid-ladder: first rung landed
-            sweep_dir = next(cell_dir.glob("sweep-*"))
-            for rung in sorted(sweep_dir.glob("rung_*.npz"))[1:]:
-                rung.unlink()
-        else:  # never started
-            shutil.rmtree(cell_dir)
-
-    with runtime_options(
-        executor="process", workers=3, checkpoint=tmp_path, resume=True
-    ):
+    with runtime_options(executor="serial", checkpoint=tmp_path, resume=True):
         resumed = run_experiment("fig6", preset=TINY, rng=0)
     assert_results_equal(fig6_serial, resumed, "resume after mid-plan kill")
-    assert len([d for d in plan_dir.iterdir() if d.is_dir()]) == 5
+    assert sorted(plan_dir.glob("*.npz")) == cell_files
 
 
 # ----------------------------------------------------------------------
-# Substrate-free replay of recorded cells
+# Substrate-free replay of finished cells
 # ----------------------------------------------------------------------
 def _probe_plan(calls: dict):
     """One fresh-draw sweep cell over one counted resource."""
@@ -166,36 +154,32 @@ def _probe_plan(calls: dict):
     )
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_fully_cached_cell_resumes_without_rebuilding_its_substrate(tmp_path):
     calls = {"resource": 0, "build": 0}
     first = run_plan(
         _probe_plan(calls), executor="process", workers=2, checkpoint=tmp_path
     )
     assert calls == {"resource": 1, "build": 1}
-
-    plan_dir = next(tmp_path.glob("plan-*"))
-    recorded = json.loads((plan_dir / "cells.json").read_text())
-    assert set(recorded) == {"only"}
+    cell_file = next(tmp_path.glob("plan-*")) / "only.npz"
+    assert cell_file.exists()
 
     replay_calls = {"resource": 0, "build": 0}
     replayed = run_plan(
         _probe_plan(replay_calls),
-        executor="process",
-        workers=2,
+        executor="serial",
         checkpoint=tmp_path,
         resume=True,
     )
     # The whole point: neither the resource nor the cell substrate was
-    # ever constructed — the result came from cells.json + truth.npz +
-    # the rung files alone.
+    # ever constructed — the result came from the cell file alone.
     assert replay_calls == {"resource": 0, "build": 0}
     assert_sweeps_equal(first["only"], replayed["only"], "substrate-free replay")
+    assert replayed["only"].truth.names == first["only"].truth.names
 
-    # A pruned rung invalidates the recorded key's replay: the cell
-    # falls back to the build-and-resume path (and the bytes still
-    # match).
-    sweep_dir = next((plan_dir / "only").glob("sweep-*"))
-    sorted(sweep_dir.glob("rung_*.npz"))[-1].unlink()
+    # A missing cell file sends the cell down the build path (and the
+    # bytes still match).
+    cell_file.unlink()
     fallback_calls = {"resource": 0, "build": 0}
     fallback = run_plan(
         _probe_plan(fallback_calls),
@@ -205,17 +189,21 @@ def test_fully_cached_cell_resumes_without_rebuilding_its_substrate(tmp_path):
         resume=True,
     )
     assert fallback_calls == {"resource": 1, "build": 1}
-    assert_sweeps_equal(first["only"], fallback["only"], "post-tamper resume")
+    assert_sweeps_equal(first["only"], fallback["only"], "rebuilt cell")
+    assert cell_file.exists()
 
 
 def test_recorded_cells_survive_for_every_sweep_cell(tmp_path):
     with runtime_options(executor="process", workers=2, checkpoint=tmp_path):
         run_experiment("fig6", preset=TINY, rng=0)
     plan_dir = next(tmp_path.glob("plan-*"))
-    recorded = json.loads((plan_dir / "cells.json").read_text())
-    assert set(recorded) == {"MHRW09", "RW09", "UIS09", "RW10", "S-WRW10"}
-    for cell_key, sweep_key in recorded.items():
-        assert (plan_dir / cell_key / f"sweep-{sweep_key}").is_dir()
+    assert {path.stem for path in plan_dir.glob("*.npz")} == {
+        "MHRW09", "RW09", "UIS09", "RW10", "S-WRW10"
+    }
+    others = {path.name for path in plan_dir.iterdir()} - {
+        path.name for path in plan_dir.glob("*.npz")
+    }
+    assert others == {"plan.json"}, "cell files are the only record"
 
 
 # ----------------------------------------------------------------------
@@ -247,22 +235,14 @@ def test_persistent_pool_reuses_workers_across_sweeps():
     assert_sweeps_equal(first, second, "pooled back-to-back sweeps")
 
 
-def test_plan_resource_blocks_are_retired_from_persistent_workers():
-    """A finished plan must not leak its resource arrays into workers.
-
-    Cell-local blocks are retired per cell; the plan's *ambient*
-    resource blocks are retired when the plan ends. Without that, every
-    plan run pins one dead copy of its substrate in each persistent
-    worker for the process lifetime (observable on Linux as unlinked
-    ``psm_*`` mappings in ``/proc/<pid>/maps``).
-    """
+def _assert_workers_map_no_unlinked_block():
+    """No pool worker still maps a ``psm_*`` block that was unlinked
+    (observable on Linux as ``(deleted)`` lines in ``/proc/<pid>/maps``)."""
     import pathlib
     import time
 
     if not pathlib.Path("/proc").exists():  # pragma: no cover - non-Linux
         pytest.skip("needs /proc to observe worker mappings")
-    with runtime_options(executor="process", workers=2):
-        run_experiment("fig6", preset=TINY, rng=0)
     deadline = time.monotonic() + 10.0
     while True:  # retire messages drain asynchronously
         pinned = {
@@ -279,6 +259,36 @@ def test_plan_resource_blocks_are_retired_from_persistent_workers():
             break
         time.sleep(0.1)
     assert not any(pinned.values()), pinned
+
+
+def test_plan_resource_blocks_are_retired_from_persistent_workers():
+    """A finished plan must not leak its resource arrays into workers.
+
+    Cell-local blocks are retired per cell; the plan's *ambient*
+    resource blocks are retired when the plan ends. Without that, every
+    plan run pins one dead copy of its substrate in each persistent
+    worker for the process lifetime.
+    """
+    with runtime_options(executor="process", workers=2):
+        run_experiment("fig6", preset=TINY, rng=0)
+    _assert_workers_map_no_unlinked_block()
+
+
+def test_workers_forked_mid_plan_drop_the_inherited_resource_mappings():
+    """Workers forked while the driver maps the plan's resource blocks
+    must not keep the driver's mappings of them.
+
+    After a pool reset, the plan's first cell publishes the fig6 world
+    into the ambient pool and only then forks the workers, so each
+    worker starts with the driver's own mappings of those blocks.
+    Retires release only a worker's attachments; the inherited ones are
+    dropped when the worker starts.
+    """
+    reset_default_pools()
+    with runtime_options(executor="process", workers=2):
+        run_experiment("fig6", preset=TINY, rng=0)
+    assert default_pool().worker_pids(), "the plan forked no worker"
+    _assert_workers_map_no_unlinked_block()
 
 
 def test_worker_failures_leave_the_pool_usable():

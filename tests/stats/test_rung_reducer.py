@@ -165,17 +165,20 @@ def test_rows_are_let_go_once_their_truth_is_known():
     exact = RungReducer(sizes, truth, "exact", 4)
     rows = _rung_rows(gen, 4, 3)
     alive = weakref.ref(rows[2])
-    exact.add(0, rows)
+    exact.fold(0, rows)
+    exact.close(0)
     del rows
     assert alive() is None
 
     cross = RungReducer(sizes, truth, "cross-sample", 4)
     rows = _rung_rows(gen, 4, 3)
     alive = weakref.ref(rows[2])
-    cross.add(0, rows)
+    cross.fold(0, rows)
+    cross.close(0)
     del rows
     assert alive() is not None
-    cross.add(1, _rung_rows(gen, 4, 3))
+    cross.fold(1, _rung_rows(gen, 4, 3))
+    cross.close(1)
     assert alive() is None
     assert np.isfinite(cross.result().weight_nrmse["star"][0, 0, 1])
 
@@ -185,11 +188,10 @@ def test_missing_rung_and_bad_rows_are_named():
     truth = _truth(gen, 2)
     reducer = RungReducer(np.array([5, 10]), truth, "exact", 3)
     good = _rung_rows(gen, 3, 2)
-    reducer.add(0, good)
+    reducer.fold(0, good)
+    reducer.close(0)
     with pytest.raises(EstimationError, match=r"rungs \[1\] not reduced"):
         reducer.result()
-    with pytest.raises(EstimationError, match="rung 1 rows are not"):
-        reducer.add(1, [row[:2] for row in good])
     reducer.fold(1, [row[:2] for row in good])
     with pytest.raises(EstimationError, match="rung 1 closed with 2 of 3"):
         reducer.close(1)

@@ -90,6 +90,30 @@ class TestExperimentCommand:
         assert "table1" in capsys.readouterr().out
         assert (tmp_path / "table1.txt").exists()
 
+    def test_checkpoint_without_workers_runs_serially(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """--checkpoint alone keeps the serial executor and still writes
+        one result file per sweep cell."""
+        import repro.runtime.plan as plan_module
+        from repro.experiments import SCALE_PRESETS, compile_experiment
+
+        for name in ("REPRO_EXECUTOR", "REPRO_WORKERS", "REPRO_FAULTS"):
+            monkeypatch.delenv(name, raising=False)
+
+        def no_process_executor(*args, **kwargs):
+            raise AssertionError("--checkpoint selected the process executor")
+
+        monkeypatch.setattr(
+            plan_module, "ProcessSweepExecutor", no_process_executor
+        )
+        root = tmp_path / "ckpt"
+        argv = ["experiment", "fig3a", "--scale", "small"]
+        assert main(argv + ["--checkpoint", str(root)]) == 0
+        (plan_dir,) = root.glob("plan-*")
+        plan = compile_experiment("fig3a", preset=SCALE_PRESETS["small"])
+        assert len(list(plan_dir.glob("*.npz"))) == len(plan.sweep_cells) > 0
+
     def test_resume_requires_checkpoint(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment", "fig6", "--resume"])
