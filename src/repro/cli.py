@@ -146,7 +146,8 @@ def _add_runtime_arguments(command: argparse.ArgumentParser) -> None:
             "checkpoint root directory; each finished sweep cell writes "
             "its result to one checksummed file under a plan-keyed "
             "subdirectory (serial or parallel; does not select "
-            "--workers)"
+            "--workers). Plans without sweep cells (fig5, fig7, table1, "
+            "table2) checkpoint nothing and warn"
         ),
     )
     command.add_argument(

@@ -239,6 +239,7 @@ def _generate(
         builder.add_edges(block)
 
     graph = builder.build()
+    del builder, block  # free the edge keys before bridging
 
     # 3. Bridge stray components if requested.
     if config.connect:

@@ -181,7 +181,10 @@ class Graph:
         """The ``u < v`` arcs in CSR order, as a ``(2, |E|)`` array ``[u, v]``.
 
         int32 when ``N < 2**31``. Cached like :attr:`arc_sources`,
-        through the same plane store. Read-only view.
+        through the same plane store. Read-only view. Read by induced
+        observation, ``induced_subgraph``, ``edge_chunks`` (bridging),
+        :meth:`edges` and :meth:`edge_array`; ``connected_components``
+        derives the same plane without caching it here.
         """
         if self._upper_edges is None:
             from repro.graph.planes import derived_upper_edges

@@ -1,8 +1,8 @@
 """Incremental construction of :class:`repro.graph.adjacency.Graph`.
 
-:class:`GraphBuilder` accumulates edges (as NumPy chunks, so bulk adds
-are cheap), then :meth:`GraphBuilder.build` deduplicates, symmetrises and
-emits a validated CSR graph in one vectorised pass.
+:class:`GraphBuilder` accumulates edges (as chunks of int64 edge keys,
+so bulk adds are cheap), then :meth:`GraphBuilder.build` deduplicates,
+symmetrises and emits a validated CSR graph in one vectorised pass.
 
 The builder is also the library's *storage seam*: when the ambient
 storage mode (:func:`repro.graph.storage.active_storage_mode` —
@@ -47,7 +47,7 @@ class GraphBuilder:
         if num_nodes < 0:
             raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
         self._num_nodes = int(num_nodes)
-        self._chunks: list[np.ndarray] = []
+        self._keys: list[np.ndarray] = []
         self._num_added = 0
         self._streaming = (
             storage.StreamingCSRBuilder(self._num_nodes)
@@ -83,7 +83,9 @@ class GraphBuilder:
         if self._streaming is not None:
             self._streaming.add_edges(arr)
         else:
-            self._chunks.append(arr)
+            # Canonical lo * n + hi keys, half the bytes of the pairs.
+            lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
+            self._keys.append(lo * np.int64(self._num_nodes) + hi)
 
     def edge_count_upper_bound(self) -> int:
         """Number of edge records added so far (before deduplication)."""
@@ -92,28 +94,37 @@ class GraphBuilder:
     def build(self) -> Graph:
         """Deduplicate, symmetrise and emit the CSR graph.
 
-        In-RAM mode this is one vectorised pass; in memmap mode the
-        spilled runs are external-merged into an on-disk CSR and the
-        returned graph's planes are read-only file mappings. Both paths
-        produce the same bytes.
+        In-RAM mode :meth:`add_edges` keeps each batch as its canonical
+        ``lo * n + hi`` keys, and :func:`~repro.graph.storage.unique_keys`
+        deduplicates their concatenation. A row lists a node's lower
+        neighbours, then its higher ones, so the sorted keys fill the
+        (lo -> hi) slots and one sort of the transposed keys the
+        (hi -> lo) slots. In memmap mode the spilled runs are
+        external-merged into an on-disk CSR of read-only file mappings.
+        Both paths produce the same bytes.
         """
         n = self._num_nodes
         if self._streaming is not None:
             return self._streaming.build().graph()
-        if not self._chunks:
+        if not self._keys:
             return Graph.empty(n)
-        raw = np.concatenate(self._chunks)
-        # Canonicalise each edge as the key lo * n + hi and deduplicate.
-        lo = np.minimum(raw[:, 0], raw[:, 1])
-        hi = np.maximum(raw[:, 0], raw[:, 1])
-        lo, hi = np.divmod(storage.unique_keys(lo * np.int64(n) + hi), n)
-        # Symmetrise: each edge contributes two directed arcs. The arcs
-        # are distinct, so sorting their src * n + dst keys is the
-        # lexicographic (src, dst) order.
-        arcs = np.concatenate((lo * np.int64(n) + hi, hi * np.int64(n) + lo))
-        arcs.sort()
-        src, dst = np.divmod(arcs, n)
+        keys = storage.unique_keys(np.concatenate(self._keys))
+        hi = keys % n
+        keys //= n  # now the lo endpoints
+        below, above = np.bincount(hi, minlength=n), np.bincount(keys, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        np.cumsum(below + above, out=indptr[1:])
+        # True at the (lo -> hi) slots: each row's last ``above`` arcs.
+        upper = np.repeat(
+            np.tile((False, True), n), np.column_stack((below, above)).ravel()
+        )
+        indices = np.empty(2 * len(keys), dtype=np.int64)
+        indices[upper] = hi
+        # Transposed keys sort by (hi, lo): the (hi -> lo) arcs in order.
+        hi *= n
+        keys += hi
+        keys.sort()
+        np.remainder(keys, n, out=keys)
+        indices[~upper] = keys
         # Invariants hold by construction; skip the O(N·d) re-validation.
-        return Graph(indptr, dst, validate=False)
+        return Graph(indptr, indices, validate=False)

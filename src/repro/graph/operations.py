@@ -13,6 +13,7 @@ import numpy as np
 from repro.exceptions import GraphError
 from repro.graph.adjacency import Graph
 from repro.graph.builder import GraphBuilder
+from repro.graph.planes import derived_upper_edges
 from repro.graph.storage import edge_chunks
 
 __all__ = [
@@ -32,16 +33,15 @@ def connected_components(graph: Graph) -> np.ndarray:
     """Component id per node, numbered in order of each component's
     smallest node (ids are ``0..num_components-1``).
 
-    Min-label hooking plus pointer jumping: each round hooks every root
-    under the smallest root it shares an edge with, then flattens the
-    trees to stars, so each root is the smallest node of its tree.
+    Min-label hooking plus pointer jumping over the int32 upper-edge
+    plane: each round hooks every root under the smallest root it shares
+    an edge with, then flattens the trees to stars, so each root is the
+    smallest node of its tree.
     """
     n = graph.num_nodes
-    indptr = np.asarray(graph.indptr)
-    dst = np.asarray(graph.indices)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    half = src < dst
-    src, dst = src[half], dst[half]
+    # Not graph.upper_edges: a plane cached here would ride the graph's
+    # pickle, even when the graph's own planes are file mappings.
+    src, dst = derived_upper_edges(graph.indptr, graph.indices)
     parent = np.arange(n, dtype=np.int64)
     while True:
         root_src, root_dst = parent[src], parent[dst]
@@ -50,9 +50,11 @@ def connected_components(graph: Graph) -> np.ndarray:
             break
         # Edges inside one star never cross again; drop them.
         src, dst = src[cross], dst[cross]
-        lo = np.minimum(root_src[cross], root_dst[cross])
-        hi = np.maximum(root_src[cross], root_dst[cross])
-        np.minimum.at(parent, hi, lo)
+        root_src, root_dst = root_src[cross], root_dst[cross]
+        # Hooking both ways hooks the larger root under the smaller: a
+        # root's parent is at most itself, so the other way is a no-op.
+        np.minimum.at(parent, root_src, root_dst)
+        np.minimum.at(parent, root_dst, root_src)
         while not np.array_equal(parent, grand := parent[parent]):
             parent = grand
     roots = parent == np.arange(n)

@@ -701,7 +701,10 @@ def _histogram_block(labels, num_categories, indptr, indices, block):
     )
     keys += labels[np.asarray(indices[lo:hi])]
     keys.sort()
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
     rows, categories = np.divmod(keys[starts], num_categories)
     return rows, categories, np.diff(starts, append=len(keys))
 

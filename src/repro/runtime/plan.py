@@ -41,6 +41,7 @@ Three runtime services wrap a plan run:
 from __future__ import annotations
 
 import os
+import warnings
 from contextlib import nullcontext
 
 from repro.log import get_logger
@@ -112,6 +113,10 @@ def run_plan(
     parallel = probe is not None
     # Compute-only plans have nothing to persist, so they never open
     # (or clear) a plan directory.
+    if checkpoint_root is not None and not plan.sweep_cells:
+        message = f"plan {plan.name} has no sweep cells; nothing is checkpointed"
+        _LOG.warning(message)
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     plan_checkpoint = (
         PlanCheckpoint(
             checkpoint_root,

@@ -30,6 +30,7 @@ import numpy as np
 from repro.exceptions import SamplingError
 from repro.graph.adjacency import Graph, gather_runs
 from repro.graph.partition import CategoryPartition
+from repro.graph.storage import DEFAULT_CHUNK_ARCS
 from repro.sampling.base import NodeSample
 
 __all__ = [
@@ -258,6 +259,7 @@ def _observe(
     ``row(v) > row(u)`` exactly when ``v > u``: masking the upper-edge
     plane by membership lists the induced edges in the order a scan of
     the arcs would, and the histogram rows list categories ascending.
+    ``induced_edges`` is column-major: each endpoint column is contiguous.
     """
     base, position = _compress(graph, partition, sample)
     distinct = base["distinct_nodes"]
@@ -266,11 +268,8 @@ def _observe(
         if position is None:
             position = np.full(graph.num_nodes, -1, dtype=np.int64)
             position[distinct] = np.arange(len(distinct))
-        rows_u, rows_v = position[graph.upper_edges]
-        kept = np.flatnonzero((rows_u >= 0) & (rows_v >= 0))
         induced_obs = InducedObservation(
-            induced_edges=np.column_stack((rows_u.take(kept), rows_v.take(kept))),
-            **base,
+            induced_edges=_induced_edges(graph.upper_edges, position), **base
         )
     if star:
         hist_indptr, categories, counts = partition.neighbor_histogram(graph)
@@ -284,6 +283,23 @@ def _observe(
             **base,
         )
     return induced_obs, star_obs
+
+
+def _induced_edges(upper: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """Distinct-row pairs of the upper edges with both ends sampled, in
+    plane (CSR) order, as an ``(m, 2)`` column-major array: bounded blocks
+    of the plane are filtered, then gathered straight into the output."""
+    member = position >= 0
+    step = DEFAULT_CHUNK_ARCS
+    blocks = [slice(lo, lo + step) for lo in range(0, upper.shape[1], step)]
+    kept = [np.flatnonzero(member[upper[0, b]] & member[upper[1, b]]) for b in blocks]
+    out = np.empty((2, sum(map(len, kept))), dtype=np.int64)
+    at = 0
+    for b, sel in zip(blocks, kept):
+        for row in (0, 1):
+            out[row, at : at + len(sel)] = position[upper[row, b].take(sel)]
+        at += len(sel)
+    return out.T
 
 
 def _compress(

@@ -38,8 +38,13 @@ compresses the prefix and then reduces. Consequently
 :meth:`IncrementalPrefixLadder.estimates` returns estimates bit-for-bit
 equal to running the :mod:`repro.core` estimators on
 ``subset_draws(np.arange(size))`` observations.
-``tests/stats/test_prefix.py`` checks both against the frozen seed
-estimators of ``tests/oracles.py``.
+
+The induced numerator runs ``np.bincount`` over one direction of the
+edges, then ``np.add.at`` over the other: ``ufunc.at`` is unbuffered and
+applies its updates in index order, so each bin adds the same values in
+the same sequence as one in-order ``np.bincount`` over the doubled list.
+``tests/stats/test_prefix.py`` checks all of this against the frozen
+seed estimators of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -115,17 +120,17 @@ class IncrementalPrefixLadder:
             + star.neighbor_categories
         )
         self._nbr_counts = star.neighbor_counts.astype(float)
+        # Views of the column-major induced_edges, not copies.
         edges = self._induced.induced_edges
-        self._edge_src = np.ascontiguousarray(edges[:, 0])
-        self._edge_dst = np.ascontiguousarray(edges[:, 1])
+        self._edge_src, self._edge_dst = edges[:, 0], edges[:, 1]
         cats_i = self._categories[self._edge_src]
         cats_j = self._categories[self._edge_dst]
-        self._edge_keys = np.concatenate(
+        self._edge_keys = np.stack(
             (cats_i * np.int64(c) + cats_j, cats_j * np.int64(c) + cats_i)
         )
         # Per-rung scratch (reused to avoid re-allocating the two
         # largest temporaries every rung).
-        self._edge_scratch = np.empty(2 * len(self._edge_src))
+        self._edge_scratch = np.empty(len(self._edge_src))
         self._nbr_scratch = np.empty(len(self._nbr_owner))
 
     @property
@@ -191,7 +196,6 @@ class IncrementalPrefixLadder:
         degree_totals = np.bincount(
             self._categories, weights=ratios * self._degrees, minlength=c
         )
-        num_edges = len(self._edge_src)
         if sparse_rung:
             # Early rungs: reduce only the live histogram entries and the
             # edges with both endpoints sampled (the rest add exact 0.0).
@@ -207,13 +211,7 @@ class IncrementalPrefixLadder:
             contributions = (
                 ratios[self._edge_src[idx]] * ratios[self._edge_dst[idx]]
             )
-            numerator = np.bincount(
-                np.concatenate(
-                    (self._edge_keys[idx], self._edge_keys[num_edges + idx])
-                ),
-                weights=np.concatenate((contributions, contributions)),
-                minlength=c * c,
-            ).reshape(c, c)
+            forward, backward = self._edge_keys[:, idx]
         else:
             np.take(ratios, self._nbr_owner, out=self._nbr_scratch)
             np.multiply(
@@ -222,15 +220,15 @@ class IncrementalPrefixLadder:
             neighbor_matrix = np.bincount(
                 self._nbr_keys, weights=self._nbr_scratch, minlength=c * c
             ).reshape(c, c)
-            scratch = self._edge_scratch
+            contributions = self._edge_scratch
             np.multiply(
-                ratios[self._edge_src], ratios[self._edge_dst],
-                out=scratch[:num_edges],
+                ratios[self._edge_src], ratios[self._edge_dst], out=contributions
             )
-            scratch[num_edges:] = scratch[:num_edges]
-            numerator = np.bincount(
-                self._edge_keys, weights=scratch, minlength=c * c
-            ).reshape(c, c)
+            forward, backward = self._edge_keys
+        # One direction at a time; see the module docstring.
+        numerator = np.bincount(forward, weights=contributions, minlength=c * c)
+        np.add.at(numerator, backward, contributions)
+        numerator = numerator.reshape(c, c)
 
         return RungEstimates(
             sizes_induced=induced_sizes(reweighted, population_size),

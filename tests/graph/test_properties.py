@@ -14,7 +14,7 @@ from repro.graph import (
     true_category_graph,
 )
 from repro.graph.storage import unique_keys
-from tests.oracles import reference_csr
+from tests.oracles import reference_csr, reference_sorted_csr
 
 
 @st.composite
@@ -107,6 +107,32 @@ def test_builder_matches_unique_lexsort_reference(case, chunks):
     assert (graph.indptr.dtype, graph.indices.dtype) == (indptr.dtype, indices.dtype)
     np.testing.assert_array_equal(graph.indptr, indptr)
     np.testing.assert_array_equal(graph.indices, indices)
+
+
+@given(
+    st.integers(min_value=2, max_value=60),
+    st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=120),
+    st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=8),
+)
+@settings(max_examples=80)
+def test_builder_matches_sort_build_reference(n, pairs, chunk_sizes):
+    """Chunks of uneven size, with duplicates and reversed pairs and
+    nodes left isolated, build the bytes of the sort-based build."""
+    raw = np.asarray(
+        [(u % n, v % n) for u, v in pairs if u % n != v % n], dtype=np.int64
+    ).reshape(-1, 2)
+    raw = np.concatenate((raw, raw[::-3, ::-1], raw[:4]))
+    chunks = np.split(raw, np.cumsum(chunk_sizes)[np.cumsum(chunk_sizes) < len(raw)])
+    builder = GraphBuilder(n)
+    for chunk in chunks:
+        builder.add_edges(chunk)
+    graph = builder.build()
+    indptr, indices = reference_sorted_csr(n, chunks)
+    assert (graph.indptr.dtype, graph.indices.dtype) == (indptr.dtype, indices.dtype)
+    np.testing.assert_array_equal(graph.indptr, indptr)
+    np.testing.assert_array_equal(graph.indices, indices)
+    # A second build reads the same kept keys.
+    assert builder.build() == graph
 
 
 @given(st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=80))

@@ -37,7 +37,8 @@ graph's arcs per sample, where production gathers rows of per-graph
 planes (``tests/sampling/test_observation_planes.py``).
 
 The substrate build keeps its seed twins here too: the ``np.unique`` +
-``lexsort`` CSR build, the per-node BFS component labelling, and the
+``lexsort`` CSR build and the later one-sort-of-every-arc CSR build
+(:func:`reference_sorted_csr`), the per-node BFS component labelling, and the
 per-edge rejection loop that draws the planted model's inter-category
 edges (``tests/graph/test_operations.py``,
 ``tests/graph/test_properties.py``,
@@ -55,6 +56,7 @@ import numpy as np
 
 from repro.exceptions import EstimationError
 from repro.graph.adjacency import gather_runs
+from repro.graph.storage import unique_keys
 from repro.graph.category_graph import true_category_graph
 from repro.rng import ensure_rng, spawn_rngs
 from repro.sampling.base import Sampler
@@ -72,6 +74,7 @@ from repro.stats.replication import KINDS, SweepResult, SweepSpec, _rung_rows
 __all__ = [
     "reference_components",
     "reference_csr",
+    "reference_sorted_csr",
     "reference_estimates",
     "reference_inter_category_edges",
     "reference_observe_both",
@@ -368,6 +371,23 @@ def reference_csr(num_nodes, edges):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.add.at(indptr, src[order] + 1, 1)
     return np.cumsum(indptr), dst[order]
+
+
+def reference_sorted_csr(num_nodes, chunks):
+    """``(indptr, indices)`` from the concatenated ``(m, 2)`` chunks, as
+    the sort-based build did before it filled keys per chunk: dedup the
+    canonical keys, then sort the 2U ``src * n + dst`` arc keys."""
+    n = int(num_nodes)
+    raw = np.concatenate(chunks)
+    lo = np.minimum(raw[:, 0], raw[:, 1])
+    hi = np.maximum(raw[:, 0], raw[:, 1])
+    lo, hi = np.divmod(unique_keys(lo * np.int64(n) + hi), n)
+    arcs = np.concatenate((lo * np.int64(n) + hi, hi * np.int64(n) + lo))
+    arcs.sort()
+    src, dst = np.divmod(arcs, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst
 
 
 def reference_components(graph):

@@ -120,6 +120,7 @@ def test_env_faults_only_arm_inside_runtime_scopes(monkeypatch):
 # Shard failover: mid-rung worker death
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.usefixtures("no_env_faults")
 def test_mid_rung_worker_kill_recovers_bit_identically(workers, world, serial):
     executor = ProcessSweepExecutor(workers=workers)
     with faults.inject("kill-worker:rung=1,shard=0"):
@@ -132,6 +133,7 @@ def test_mid_rung_worker_kill_recovers_bit_identically(workers, world, serial):
     assert not entry["timeout"]
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_kill_on_the_queued_last_rung_recovers_bit_identically(world, serial):
     """The kill strikes while the driver folds rung 1: shard 1 already
     holds its queued rung-2 command, which the replacement re-runs."""
@@ -144,6 +146,7 @@ def test_kill_on_the_queued_last_rung_recovers_bit_identically(world, serial):
 
 
 @pytest.mark.parametrize("name", ["bfs", "forest_fire"])
+@pytest.mark.usefixtures("no_env_faults")
 def test_mid_traversal_worker_kill_recovers_bit_identically(name, world):
     """A worker killed while running a traversal frontier kernel.
 
@@ -178,6 +181,7 @@ def test_mid_traversal_worker_kill_recovers_bit_identically(name, world):
     assert not entry["timeout"]
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_phase_sample_spec_yields_the_sample_kill_directive():
     with faults.inject("kill-worker:phase=sample,shard=2"):
         assert faults.take_worker_directives(0) == ()
@@ -185,6 +189,7 @@ def test_phase_sample_spec_yields_the_sample_kill_directive():
         assert faults.take_worker_directives(2) == ()  # budget drained
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_hung_worker_times_out_and_fails_over(world, serial):
     executor = ProcessSweepExecutor(workers=2, task_timeout=0.75)
     with faults.inject("hang-worker:shard=0"):
@@ -195,6 +200,7 @@ def test_hung_worker_times_out_and_fails_over(world, serial):
     )
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_retry_exhaustion_raises_structured_worker_failure(world):
     executor = ProcessSweepExecutor(workers=2, max_retries=1)
     with faults.inject("kill-worker:rung=0,shard=0,times=10"):
@@ -212,6 +218,7 @@ def test_retry_exhaustion_raises_structured_worker_failure(world):
 # ----------------------------------------------------------------------
 # Graceful degradation: spawn failures
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("no_env_faults")
 def test_spawn_failure_degrades_to_in_process_serial(world, serial):
     reset_default_pools()
     executor = ProcessSweepExecutor(workers=2)
@@ -224,6 +231,7 @@ def test_spawn_failure_degrades_to_in_process_serial(world, serial):
     assert_sweeps_equal(serial, result, "in-process serial degradation")
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_spawn_failure_with_a_survivor_multiplexes_shards(world, serial):
     reset_default_pools()
     pool = default_pool()
@@ -241,6 +249,7 @@ def test_spawn_failure_with_a_survivor_multiplexes_shards(world, serial):
 # ----------------------------------------------------------------------
 # Failover inside a plan run
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("no_env_faults")
 def test_mid_plan_worker_kill_is_byte_identical():
     from repro.experiments import run_experiment
     from tests.experiments.test_experiments import TINY
@@ -279,6 +288,7 @@ def _one_cell_plan(world):
     )
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_corrupted_cell_write_is_quarantined_on_resume(world, serial, tmp_path):
     from repro.runtime.plan import run_plan
 

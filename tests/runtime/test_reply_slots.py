@@ -236,6 +236,7 @@ def test_a_killed_worker_leaves_no_block(
     assert_no_block_left(run_blocks, 2)
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_a_condemned_hung_worker_leaves_no_block(
     world, crawls, serial_predrawn, run_blocks
 ):
@@ -247,6 +248,7 @@ def test_a_condemned_hung_worker_leaves_no_block(
     assert_no_block_left(run_blocks, 2)
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_in_process_degradation_leaves_no_block(
     world, crawls, serial_predrawn, run_blocks
 ):

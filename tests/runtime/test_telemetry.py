@@ -185,6 +185,7 @@ def test_worker_collector_is_off_when_not_requested():
 # ----------------------------------------------------------------------
 # Fault attribution: injected chaos lands in the trace, correctly tagged
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("no_env_faults")
 def test_killed_worker_leaves_failover_instant_with_rung_phase(
     world, serial, tmp_path
 ):
@@ -218,6 +219,7 @@ def test_killed_worker_leaves_failover_instant_with_rung_phase(
     )
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_hung_worker_failover_is_tagged_as_timeout(world, serial, tmp_path):
     trace_path = tmp_path / "trace.json"
     executor = ProcessSweepExecutor(workers=2, task_timeout=0.75)
@@ -232,6 +234,7 @@ def test_hung_worker_failover_is_tagged_as_timeout(world, serial, tmp_path):
     ), "the hang was not tagged timeout=True in the trace"
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_degradation_to_serial_leaves_a_degrade_marker(
     world, serial, tmp_path
 ):
@@ -257,6 +260,7 @@ def test_degradation_to_serial_leaves_a_degrade_marker(
 # ----------------------------------------------------------------------
 # Failover logs surface uniformly (the stale-log fix)
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("no_env_faults")
 def test_failover_log_resets_between_runs(world, monkeypatch):
     # The clean-run assertion below needs the run to actually be clean:
     # shield it from any armed chaos environment (the CI chaos job).
@@ -271,6 +275,7 @@ def test_failover_log_resets_between_runs(world, monkeypatch):
     )
 
 
+@pytest.mark.usefixtures("no_env_faults")
 def test_run_from_samples_surfaces_the_failover_log(world):
     graph, partition = world
     sampler = StratifiedWeightedWalkSampler(graph, partition)

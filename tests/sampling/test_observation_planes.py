@@ -91,6 +91,22 @@ def test_observations_match_arc_scan_oracle(
         )
 
 
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_induced_edges_across_plane_blocks(monkeypatch, block):
+    """Gathered in blocks of ``block`` upper edges, the induced edges are
+    the oracle's, column-major with contiguous endpoint columns."""
+    from repro.sampling import observation
+
+    monkeypatch.setattr(observation, "DEFAULT_CHUNK_ARCS", block)
+    gen = np.random.default_rng(block)
+    graph = random_test_graph(gen, 50, 0.15)
+    partition = CategoryPartition(gen.integers(0, 3, size=50))
+    sample = _sample(gen, 50, 30, uniform=False)
+    _assert_matches_oracle(graph, partition, sample)
+    edges = observe_induced(graph, partition, sample).induced_edges
+    assert len(edges) and edges.flags.f_contiguous
+
+
 def test_histogram_key_space_above_dense_threshold():
     # D * C = 1200 * 1000 outgrows both 4 * (arcs) and 2**20, so the
     # oracle histograms with np.unique rather than a dense bincount.

@@ -250,6 +250,65 @@ class TestEstimateEquivalence:
             ladder.estimates(10_000, graph.num_nodes)
 
 
+class TestInducedNumerator:
+    """The ladder's Eq. (8)/(15) numerator: ``np.bincount`` over one edge
+    direction, then ``np.add.at`` over the other, in place of one
+    ``np.bincount`` over the doubled edge list."""
+
+    @staticmethod
+    def _doubled(induced, size, reverse=False):
+        """``(numerator, reweighted)`` of the prefix from one bincount
+        over both directions, first direction first unless ``reverse``."""
+        c = induced.num_categories
+        ratios = np.bincount(
+            induced.draw_to_distinct[:size], minlength=induced.num_distinct
+        ) / induced.distinct_weights
+        src, dst = induced.induced_edges.T
+        cats_i = induced.distinct_categories[src]
+        cats_j = induced.distinct_categories[dst]
+        keys = (cats_i * np.int64(c) + cats_j, cats_j * np.int64(c) + cats_i)
+        contributions = ratios[src] * ratios[dst]
+        numerator = np.bincount(
+            np.concatenate(keys[::-1] if reverse else keys),
+            weights=np.concatenate((contributions, contributions)),
+            minlength=c * c,
+        ).reshape(c, c)
+        reweighted = np.bincount(
+            induced.distinct_categories, weights=ratios, minlength=c
+        )
+        return numerator, reweighted
+
+    @pytest.mark.parametrize("design", ["rw", "wrw"])
+    def test_matches_doubled_bincount_bit_for_bit(self, model, design):
+        """RW and WRW ratios are not small integers, so the summation
+        order shows in the last bits (UIS would hide an order bug)."""
+        from repro.core.edge_weight import induced_weights
+
+        graph, partition = model
+        sample = _samples(model)[design]
+        induced = observe_induced(graph, partition, sample)
+        ladder = IncrementalPrefixLadder(graph, partition, sample)
+        order_shows = False
+        for size in LADDER:
+            numerator, reweighted = self._doubled(induced, size)
+            rung = ladder.estimates(size, graph.num_nodes)
+            expected = induced_weights(numerator, reweighted)
+            assert rung.weights_induced.tobytes() == expected.tobytes(), size
+            swapped, _ = self._doubled(induced, size, reverse=True)
+            order_shows |= swapped.tobytes() != numerator.tobytes()
+        assert order_shows, "no rung's numerator depends on summation order"
+
+    def test_endpoint_columns_are_views_of_induced_edges(self, model):
+        graph, partition = model
+        ladder = IncrementalPrefixLadder(
+            graph, partition, _samples(model)["rw"]
+        )
+        edges = ladder._induced.induced_edges
+        assert edges.flags.f_contiguous and len(edges)
+        assert np.shares_memory(ladder._edge_src, edges)
+        assert np.shares_memory(ladder._edge_dst, edges)
+
+
 class TestSweepEquivalence:
     def test_incremental_ladder_matches_subset_ladder(self, model):
         graph, partition = model

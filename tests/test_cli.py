@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import os
 import subprocess
 import sys
@@ -113,6 +114,20 @@ class TestExperimentCommand:
         (plan_dir,) = root.glob("plan-*")
         plan = compile_experiment("fig3a", preset=SCALE_PRESETS["small"])
         assert len(list(plan_dir.glob("*.npz"))) == len(plan.sweep_cells) > 0
+
+    def test_checkpoint_on_compute_only_plan_warns(self, tmp_path, caplog):
+        """A plan without sweep cells has nothing to checkpoint: the run
+        warns and logs one warning naming the plan, and creates no
+        directory."""
+        root = tmp_path / "ckpt"
+        with caplog.at_level(logging.WARNING, logger="repro"), pytest.warns(
+            RuntimeWarning, match="plan table1 has no sweep cells"
+        ):
+            assert main(["run", "table1", "--checkpoint", str(root)]) == 0
+        warned = [r for r in caplog.records if "no sweep cells" in r.getMessage()]
+        assert len(warned) == 1 and "table1" in warned[0].getMessage()
+        assert warned[0].levelno == logging.WARNING
+        assert not root.exists()
 
     def test_resume_requires_checkpoint(self, capsys):
         with pytest.raises(SystemExit):
