@@ -50,7 +50,7 @@ worker count — by construction rather than by tolerance:
    Shard assignment, worker count, and completion order cannot reach
    a trajectory.
 2. **Kernels are shard-blind and schedule-blind.** A worker advances
-   its replicate block through the same batched frontier kernels the
+   its replicates through the same batched frontier kernels the
    serial sweep uses (:func:`repro.sampling.batch.sample_streams`;
    designs without a kernel run their per-stream sampler there too).
    There is one sampling path and one ladder path; the seed
@@ -60,24 +60,25 @@ worker count — by construction rather than by tolerance:
    ``Generator.random`` calls yield the identical value stream; a
    persistent worker running several shard tasks in parallel threads
    preserves it because tasks share no mutable state.
-3. **Estimation rows share one code path.** Each replicate's rung rows
-   come from the same ``_rung_rows`` /
-   :class:`~repro.stats.prefix.IncrementalPrefixLadder` code the serial
-   sweep runs, over observations gathered from the same observation
-   planes (the driver builds them once and ships them in the payload);
-   each shard writes its rows, unchanged float64, into a shared-memory
-   reply slot (rung ``si`` into slot ``si % 2``; the reply names only
-   the rung), and the driver folds them from there in absolute
-   replicate order into
-   the serial sweep's :class:`~repro.stats.replication.RungReducer`
-   (also for the cross-sample pseudo-truth of the paper's Section 7.2
-   convention), whose running Eq. 17 sums add one replicate row after
-   another however the rows are split into blocks. No float is added
-   in a different order. A slot is rewritten two rungs later, and
-   rung ``si + 2`` is queued only after rung ``si`` is folded, so the
-   only rows that could see a rewrite are the ones the reduction keeps
-   past their fold (the cross-sample blocks): the driver copies
-   exactly those out of the slot first.
+3. **Estimation runs one loop.** Replicate ``r`` belongs to shard
+   ``r mod W``, and each shard runs the serial sweep's per-replicate
+   loop (:func:`~repro.stats.replication._replicate_rows`: one
+   :class:`~repro.stats.prefix.IncrementalPrefixLadder` carried
+   through every rung) on each of its replicates, over observations
+   gathered from the same observation planes (the driver builds them
+   once and ships them in the payload). A shard writes a replicate's
+   rows, unchanged float64, into a shared-memory reply slot (its
+   ``j``-th replicate into slot ``j % 2``; the reply names only the
+   replicate), and the driver folds them from there, replicate by
+   replicate and rung by rung — the serial sweep's fold sequence —
+   into the serial sweep's
+   :class:`~repro.stats.replication.RungReducer` (also for the
+   cross-sample pseudo-truth of the paper's Section 7.2 convention).
+   No float is added in a different order. A slot is rewritten by the
+   shard's replicate after next, which is queued only after this one
+   is folded, so the only rows that could see a rewrite are the ones
+   the reduction keeps past their fold (the cross-sample blocks): the
+   driver copies exactly those out of the slot first.
 4. **Resume is exact, at cell grain.** A sweep cell is a pure function
    of (plan manifest, cell key) by point 1, so the cell is what a
    checkpoint persists: each finished sweep cell, serial or parallel,
@@ -101,14 +102,12 @@ worker count — by construction rather than by tolerance:
 5. **Failure is survivable — and recovery reproduces the same bits.**
    Because streams are seed-named and shards are re-executable (points
    1-2), a worker that dies or wedges mid-shard is not a lost run: the
-   executor's failover path respawns a replacement, replays the
-   shard's task from its own seeds, folds forward past every rung the
-   parent already received
-   (:meth:`repro.stats.prefix.IncrementalPrefixLadder.fold` — adding a
-   draw's multiplicity is order-free integer arithmetic; this skip-fold
-   serves failover only), and continues — output byte-identical to an
-   undisturbed run,
-   at any worker count. Retries are budgeted per shard
+   executor's failover path opens a replacement task on a respawned
+   worker for the shard's replicates the driver has not yet received,
+   from their own seeds (or pre-drawn samples), sends the one queued
+   replicate command again, and continues. Nothing is replayed: a
+   replicate is delivered whole or not at all, so the output is
+   byte-identical to an undisturbed run, at any worker count. Retries are budgeted per shard
    (``REPRO_MAX_RETRIES`` / ``--max-retries``, default 2 beyond the
    first attempt); exhaustion raises a structured
    :class:`~repro.runtime.pool.WorkerFailure` naming the shard, every

@@ -1,31 +1,30 @@
 """Process-parallel sweep executor (see :mod:`repro.runtime`).
 
-The executor turns one replicated NRMSE sweep into ``W`` shard jobs:
-worker ``w`` owns a contiguous block of replicate indices, obtains its
-replicates — reconstructing each RNG stream from its spawned seed and
-advancing the block through the batched frontier kernels
-(:mod:`repro.sampling.batch`), or slicing its block out of *pre-drawn*
-samples (simulated crawls) published through shared memory — and steps
-a per-replicate prefix ladder rung by rung under parent control. Each
-shard writes a rung's rows into a shared-memory reply slot, and the
-parent folds them from there, in replicate order, into the serial
-path's :class:`~repro.stats.replication.RungReducer`, never holding
-``(R, K, C[, C])`` stacks or even a joined rung, which is why the
-output is bit-identical to the serial engine for any worker count, for
-fresh-draw (:meth:`ProcessSweepExecutor.run`) and pre-drawn
+The executor turns one replicated NRMSE sweep into ``W`` shard tasks
+over strided replicates: replicate ``r`` belongs to shard ``r mod W``.
+A shard obtains its replicates — reconstructing each RNG stream from
+its spawned seed and advancing them together through the batched
+frontier kernels (:mod:`repro.sampling.batch`), or slicing them out of
+*pre-drawn* samples (simulated crawls) published through shared memory
+— and then runs the serial sweep's per-replicate loop
+(:func:`~repro.stats.replication._replicate_rows`) on each replicate
+the parent asks for: one prefix ladder alive at a time, carried through
+every rung. The replicate's rows go into a shared-memory reply slot,
+and the parent folds them from there, in replicate order, into the
+serial path's :class:`~repro.stats.replication.RungReducer` — the fold
+sequence of the serial sweep, which is why the output is bit-identical
+to the serial engine for any worker count, for fresh-draw
+(:meth:`ProcessSweepExecutor.run`) and pre-drawn
 (:meth:`ProcessSweepExecutor.run_from_samples`) sweeps alike.
 
 Parent/worker protocol (one duplex pipe per worker)::
 
     worker -> ("sampled",)                            after sampling
-    worker -> ("observed",)                           after the ladder
-                                                      build
-    parent -> ("rung", si, size)                      compute rung si
-    worker -> ("rows", si)                            its rows are in
-                                                      reply slot si % 2
-    parent -> ("skip", si, size)                      failover replay:
-    worker -> ("skipped", si)                         fold state forward
-                                                      past rung si only
+    parent -> ("replicate", r)                        compute replicate r
+                                                      at every rung
+    worker -> ("rows", r)                             its rows are in
+                                                      reply slot
+                                                      (r // W) % 2
     parent -> ("stop",)                               shut down
     worker -> ("error", traceback)                    any time, fatal
     worker -> ("heartbeat",)                          liveness pulse
@@ -33,8 +32,8 @@ Parent/worker protocol (one duplex pipe per worker)::
                                                       timeout is set);
                                                       never a reply —
                                                       recv skips it
-    parent -> ("telemetry", -1, 0)                    flush telemetry
-    worker -> ("telemetry", -1, payload|None)         drained span/counter
+    parent -> ("telemetry",)                          flush telemetry
+    worker -> ("telemetry", payload|None)             drained span/counter
                                                       payload (only when
                                                       the parent enabled
                                                       telemetry for the
@@ -42,27 +41,27 @@ Parent/worker protocol (one duplex pipe per worker)::
                                                       :mod:`repro.runtime.telemetry`)
 
 A dead or hung worker is *not* fatal: the drive loop runs every shard
-through a :class:`_FailoverDriver`, which re-dispatches a lost shard
-onto a replacement worker (same payload, same seeds — the determinism
-contract makes the replacement's rows byte-identical), bounded by
-``max_retries`` before a structured
-:class:`~repro.runtime.pool.WorkerFailure` surfaces.
+through a :class:`_FailoverDriver`, which opens a replacement task for
+the shard's undelivered replicates only (same seeds or samples — the
+determinism contract makes the replacement's rows byte-identical) and
+re-sends the one queued command, bounded by ``max_retries`` before a
+structured :class:`~repro.runtime.pool.WorkerFailure` surfaces.
 
-Each shard holds exactly one queued rung command. As soon as the
-parent collects a shard's reply to rung ``si`` it sends that shard's
-rung ``si + 1`` (or its ``skip``), and only then folds the rows, so the
-worker computes the next rung while the parent reduces this one. One
-command in flight per shard is also all the failover replay has to
-re-send.
+Each shard holds exactly one queued command. The parent goes through
+the replicates in order; as soon as it collects replicate ``r`` from
+shard ``r mod W`` it queues that shard's replicate ``r + W``, and only
+then folds ``r``'s rows, so the worker computes the next replicate
+while the parent reduces this one.
 
 Rows do not cross the pipe. Each shard has a two-slot reply block in
-shared memory (:func:`_reply_slots`); rung ``si`` fills slot
-``si % 2`` and the reply names only the rung. Two slots are what the
-queue-before-fold order needs: rung ``si + 1`` writes the other slot
-while the parent folds this one, and rung ``si + 2`` is queued only
-after this one is folded. Rows the reduction keeps past their fold —
-the cross-sample pseudo-truth's held blocks — are copied out of the
-slot first.
+shared memory (:func:`_reply_slots`), a slot holding one replicate's
+rows at every rung; the shard's ``j``-th replicate fills slot
+``j % 2`` and the reply names only the replicate. Two slots are what
+the queue-before-fold order needs: replicate ``r + W`` writes the other
+slot while the parent folds ``r``, and ``r + 2W`` is queued only after
+``r + W`` is collected, by which time ``r`` is folded. Rows the
+reduction keeps past their fold — the cross-sample pseudo-truth's held
+blocks — are copied out of the slot first.
 
 The executor persists nothing: checkpoints are written a whole sweep
 cell at a time by :func:`repro.runtime.plan.run_plan`.
@@ -70,6 +69,8 @@ cell at a time by :func:`repro.runtime.plan.run_plan`.
 
 from __future__ import annotations
 
+import collections
+import functools
 import os
 import queue
 import signal
@@ -98,12 +99,11 @@ from repro.runtime.pool import (
 from repro.sampling.base import Sampler
 from repro.sampling.batch import sample_streams
 from repro.sampling.observation import observation_planes
-from repro.stats.prefix import IncrementalPrefixLadder
 from repro.stats.replication import (
     RungReducer,
     SweepResult,
     SweepSpec,
-    _rung_rows,
+    _replicate_rows,
 )
 
 __all__ = ["ProcessSweepExecutor", "serve_shard"]
@@ -114,17 +114,17 @@ _LOG = get_logger(__name__)
 # ----------------------------------------------------------------------
 # Reply slots
 # ----------------------------------------------------------------------
-def _reply_words(replicates: int, categories: int) -> int:
+def _reply_words(rungs: int, categories: int) -> int:
     """float64 words of one reply block: two slots of four row arrays."""
-    return 2 * replicates * (2 * categories + 2 * categories**2)
+    return 2 * rungs * (2 * categories + 2 * categories**2)
 
 
-def _reply_slots(block: np.ndarray, replicates: int, categories: int) -> list:
+def _reply_slots(block: np.ndarray, rungs: int, categories: int) -> list:
     """The two slots of a shard's reply block, each the four
-    ``(B, C)``, ``(B, C)``, ``(B, C, C)``, ``(B, C, C)`` row arrays of
-    one rung in ``_rung_rows`` order, as views of ``block``."""
-    b, c = replicates, categories
-    shapes = [(b, c)] * 2 + [(b, c, c)] * 2
+    ``(K, C)``, ``(K, C)``, ``(K, C, C)``, ``(K, C, C)`` row arrays of
+    one replicate in ``_rung_rows`` order, as views of ``block``."""
+    k, c = rungs, categories
+    shapes = [(k, c)] * 2 + [(k, c, c)] * 2
     slots, start = [], 0
     for _ in range(2):
         fields = []
@@ -136,35 +136,24 @@ def _reply_slots(block: np.ndarray, replicates: int, categories: int) -> list:
     return slots
 
 
-def _copy_rows(rows, rung: list, start: int) -> tuple:
-    """Copy one shard's slot rows into its replicates' block of the
-    rung's ``(R, ...)`` arrays and return that block.
-
-    A function of its own, so no local of the driver's frame is left
-    holding a slot view once the copy is made.
-    """
-    kept = tuple(field[start:start + len(rows[0])] for field in rung)
-    for copy, row in zip(kept, rows):
-        np.copyto(copy, row)
-    return kept
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
     """Serve one shard task: obtain the owned replicates, then answer
-    rung commands until told to stop.
+    replicate commands until told to stop.
 
-    Rung ``si``'s rows go straight into slot ``si % 2`` of the shard's
-    reply block (``cfg["reply"]``, a :meth:`SharedArrayPool.allocate
+    ``cfg["shard"]`` lists the task's replicates in order, the shard's
+    undelivered ones for a replacement task; ``cfg["shards"]`` is the
+    stride ``W``. Replicate ``r`` is the shard's ``r // W``-th, and its
+    rows go straight into slot ``(r // W) % 2`` of the shard's reply
+    block (``cfg["reply"]``, a :meth:`SharedArrayPool.allocate
     <repro.runtime.sharedmem.SharedArrayPool.allocate>` token), one
-    replicate row at a time; the reply ``("rows", si)`` carries no
-    array.
+    rung at a time; the reply ``("rows", r)`` carries no array.
 
     The transport is injected — ``recv()`` returns the next parent
-    command tuple, ``send(*parts)`` replies — because the shard no
-    longer owns a process: it runs as one task thread of a persistent
+    command tuple, ``send(*parts)`` replies — because the shard does
+    not own a process: it runs as one task thread of a persistent
     pool worker (:mod:`repro.runtime.pool`), which can multiplex
     several shard tasks over one connection. Exceptions propagate to the
     caller, which reports them under this task's id.
@@ -172,18 +161,18 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
     When the parent enabled telemetry for the task (``cfg["telemetry"]``)
     the shard records sample/observe/rung spans into a task-local
     collector and ships the drained payload back on the parent's
-    ``("telemetry", ...)`` command — the collector is a local, never
+    ``("telemetry",)`` command — the collector is a local, never
     ambient state, so concurrent tasks of one pool worker and
     fork-inherited parent recorders cannot cross-contaminate.
     """
     collector, ship = telemetry.worker_collector(cfg.get("telemetry"))
     task_label = cfg.get("label") or cfg.get("mode", "shard")
     shard_ids = [int(i) for i in (cfg.get("shard") or ())]
+    stride, spec = cfg["shards"], cfg["spec"]
     task_start = telemetry.now_us() if collector is not None else 0
     if collector is not None and shard_ids:
-        collector.name_thread(
-            f"shard r{shard_ids[0]}-r{shard_ids[-1]}"
-        )
+        collector.name_thread(f"shard {shard_ids[0] % stride}")
+    directives = set(map(tuple, cfg.get("faults") or ()))
     world = sharedmem.loads(payload)
     graph, partition = world["graph"], world["partition"]
     if cfg["mode"] == "predrawn":
@@ -194,44 +183,27 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
             collector, "sample", cat="worker",
             task=task_label, replicates=len(shard_ids), n=cfg["n"],
         ):
-            samples = sample_streams(
-                world["sampler"], cfg["n"], streams
-            ).replicates()
-        if ("kill", "sample") in {
-            tuple(d) for d in (cfg.get("faults") or ())
-        }:
+            samples = (
+                sample_streams(world["sampler"], cfg["n"], streams).replicates()
+                if streams
+                else []
+            )
+        if ("kill", "sample") in directives:
             # Injected mid-sample death: SIGKILL after the kernel drew
             # the replicates but before the reply, so the parent sees
             # the sample phase unanswered, the work is lost, and the
             # replacement task must redraw from the original seeds.
             os.kill(os.getpid(), signal.SIGKILL)
     send("sampled")
-    names = tuple(partition.names)
-    spec = cfg["spec"]
-    with telemetry.span_in(
-        collector, "observe", cat="worker",
-        task=task_label, replicates=len(samples),
-    ):
-        ladders = [
-            IncrementalPrefixLadder(graph, partition, sample)
-            for sample in samples
-        ]
-    send("observed")
-    truth_sizes = cfg["truth_sizes"]
+    samples = dict(zip(shard_ids, samples))
     slots = _reply_slots(
-        sharedmem.attach(cfg["reply"]), len(ladders), len(names)
+        sharedmem.attach(cfg["reply"]), len(spec.sizes), len(partition.names)
     )
-    kill_rungs = {
-        directive[1]
-        for directive in map(tuple, cfg.get("faults") or ())
-        if directive and directive[0] == "kill"
-    }
     while True:
         message = recv()
         command = message[0]
         if command == "stop":
             break
-        si, size = message[1], message[2]
         if command == "telemetry":
             # Flush request: close the task span, ship what this task
             # recorded (None under the in-process channel, where the
@@ -243,49 +215,36 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
                     task_start, telemetry.now_us() - task_start,
                     {"replicates": len(shard_ids)},
                 )
-            send("telemetry", si, collector.drain() if ship else None)
+            send("telemetry", collector.drain() if ship else None)
             continue
-        if command == "rung" and si in kill_rungs:
-            # Injected mid-rung death: SIGKILL before computing a row,
-            # so the parent observes exactly what a segfault/OOM-kill
-            # looks like — a clean EOF with the rung unanswered.
-            os.kill(os.getpid(), signal.SIGKILL)
-        if command == "skip":
-            with telemetry.span_in(
-                collector, "skip", cat="worker",
-                task=task_label, rung=si, size=size,
-            ):
-                for ladder in ladders:
-                    ladder.fold(size)
-            send("skipped", si)
-        elif command == "rung":
-            slot = slots[si % 2]
-            with telemetry.span_in(
-                collector, "rung", cat="worker",
-                task=task_label, rung=si, size=size,
-            ):
-                for local, ladder in enumerate(ladders):
-                    rows = _rung_rows(
-                        ladder.estimates(
-                            size,
-                            cfg["n_pop"],
-                            mean_degree_model=spec.mean_degree_model,
-                        ),
-                        spec.weight_size_plugin,
-                        truth_sizes,
-                    )
-                    for field, row in zip(slot, rows):
-                        field[local] = row
-            send("rows", si)
-        else:  # pragma: no cover - protocol misuse
+        if command != "replicate":  # pragma: no cover - protocol misuse
             raise RuntimeError(f"unknown executor command {command!r}")
+        r = message[1]
+        position = r // stride
+        if ("kill", position) in directives:
+            # Injected mid-sweep death: SIGKILL before computing a row,
+            # so the parent observes exactly what a segfault/OOM-kill
+            # looks like — a clean EOF with the replicate unanswered.
+            os.kill(os.getpid(), signal.SIGKILL)
+        slot = slots[position % 2]
+        rungs = _replicate_rows(
+            graph, partition, samples.pop(r), spec, cfg["truth_sizes"],
+            span=functools.partial(
+                telemetry.span_in, collector, cat="worker",
+                task=task_label, replicate=r,
+            ),
+        )
+        for si, rows in enumerate(rungs):
+            for field, row in zip(slot, rows):
+                field[si] = row
+        send("rows", r)
 
 
 # ----------------------------------------------------------------------
 # Failover machinery
 # ----------------------------------------------------------------------
 class _InProcessChannel:
-    """Last-rung degradation: serve a shard on a thread of the parent.
+    """Last-resort degradation: serve a shard on a thread of the parent.
 
     Presents the :class:`~repro.runtime.pool.TaskChannel` surface
     (``send``/``recv``/``close``/``condemn``/``process``) over a pair of
@@ -293,20 +252,15 @@ class _InProcessChannel:
     loop is transport-blind. Used when the pool cannot supply a single
     worker (fork unavailable, respawns exhausted): slower, but the
     sweep completes with identical bytes — the shard computes the same
-    rows from the same seeds wherever it runs. Fault directives and
-    heartbeats are stripped from the cfg: there is no process to kill
-    or time out, and an injected kill executed in-process would take
-    the parent down with it.
+    rows from the same seeds wherever it runs. Its cfg carries no fault
+    directives and no heartbeat: there is no process to kill or time
+    out, and an injected kill executed in-process would take the parent
+    down with it.
     """
 
     process = None
 
     def __init__(self, payload: bytes, cfg: dict):
-        cfg = {
-            key: value
-            for key, value in cfg.items()
-            if key not in ("faults", "heartbeat")
-        }
         self._commands: queue.SimpleQueue = queue.SimpleQueue()
         self._replies: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = False
@@ -330,12 +284,12 @@ class _InProcessChannel:
     def recv(
         self,
         expected: str,
-        rung_index: "int | None" = None,
+        index: "int | None" = None,
         timeout: "float | None" = None,
     ):
         # No timeout: an in-process shard cannot hang without the
         # parent being equally hung (they share the interpreter).
-        return parse_reply(self._replies.get(), expected, rung_index)
+        return parse_reply(self._replies.get(), expected, index)
 
     def condemn(self) -> None:  # pragma: no cover - never hung
         pass
@@ -351,40 +305,36 @@ class _InProcessChannel:
 class _ShardRun:
     """Parent-side failover state of one shard's task.
 
-    Everything needed to re-dispatch the shard from scratch on a
-    replacement worker: the immutable payload/cfg (re-seeding is
-    implicit — seeds live in the cfg, streams are rebuilt from them),
-    the phase replies already collected (``phases``), the rungs whose
-    replies the parent has collected (``progress``, appended per shard
-    on collection and replayed as exact ``skip`` folds), and the one
-    queued command — the next rung, sent before
-    the collected rows are folded — that was in flight when the worker
-    died (re-sent after the replay catches up).
+    ``shard`` lists all the shard's replicates and ``replicates`` the
+    undelivered ones, in order; ``task(replicates)`` builds the payload
+    and cfg of a task serving them, so a replacement task is opened for
+    exactly those. ``sampled`` says whether the parent has collected
+    the shard's ``sampled`` reply, and ``pending`` is the one queued
+    command — the next replicate, sent before the collected rows are
+    folded — that a replacement must be sent again.
     """
 
     __slots__ = (
         "slot",
         "shard",
-        "payload",
-        "cfg",
+        "replicates",
+        "task",
         "channel",
         "retries",
-        "progress",
         "pending",
-        "phases",
+        "sampled",
         "phase",
     )
 
-    def __init__(self, slot: int, shard, payload: bytes, cfg: dict):
+    def __init__(self, slot: int, shard, task):
         self.slot = slot
-        self.shard = shard
-        self.payload = payload
-        self.cfg = cfg
+        self.shard = tuple(int(i) for i in shard)
+        self.replicates = collections.deque(self.shard)
+        self.task = task
         self.channel = None
         self.retries: list[dict] = []
-        self.progress: list[tuple[int, int]] = []
         self.pending: "tuple | None" = None
-        self.phases: set[str] = set()
+        self.sampled = False
         self.phase = "open"
 
 
@@ -392,14 +342,13 @@ class _FailoverDriver:
     """Drives a sweep's shard tasks with retry, failover, degradation.
 
     Owns the leased worker handles and every :class:`_ShardRun`; the
-    executor's rung loop talks to shards exclusively through
+    executor's replicate loop talks to shards exclusively through
     :meth:`command`/:meth:`collect`, and any :class:`WorkerDied` (death
     or heartbeat timeout) surfacing there is converted into a bounded
     recovery: condemn if wedged, re-lease (respawning best-effort),
-    reopen the shard's task with its original payload/cfg minus fault
-    directives, replay its completed rungs as exact integer folds, and
-    re-send the in-flight command. ``max_retries`` failed attempts for
-    one shard raise a structured
+    open a task for the shard's undelivered replicates, and re-send the
+    in-flight command. ``max_retries``
+    failed attempts for one shard raise a structured
     :class:`~repro.runtime.pool.WorkerFailure`. Deterministic task
     errors (``"error"`` replies) are *not* retried — they would fail
     identically every time.
@@ -465,22 +414,22 @@ class _FailoverDriver:
         self._open(run, directives)
 
     def _open(self, run: _ShardRun, directives=()) -> None:
+        payload, cfg = run.task(list(run.replicates))
         while True:
             if not self.handles:
-                run.channel = _InProcessChannel(run.payload, run.cfg)
+                run.channel = _InProcessChannel(payload, cfg)
                 return
-            cfg = run.cfg
             extras = {}
             if directives:
                 extras["faults"] = directives
             interval = self._heartbeat_interval()
             if interval is not None:
                 extras["heartbeat"] = interval
-            if extras:
-                cfg = dict(cfg, **extras)
             handle = self.handles[run.slot % len(self.handles)]
             try:
-                run.channel = self.pool.open_task(handle, run.payload, cfg)
+                run.channel = self.pool.open_task(
+                    handle, payload, dict(cfg, **extras)
+                )
                 return
             except WorkerDied:
                 # Died between lease and open: refresh and retry; the
@@ -490,41 +439,41 @@ class _FailoverDriver:
                 self._lease()
 
     # ------------------------------------------------------------------
-    def command(self, run: _ShardRun, kind: str, si: int, size: int) -> None:
-        """Send a rung-loop command, recovering from a dead worker."""
-        run.pending = (kind, si, size)
-        run.phase = f"send {kind} (rung {si})"
+    def command(self, run: _ShardRun, *message) -> None:
+        """Queue one command on ``run``'s task, recovering from a dead
+        worker."""
+        run.pending = message
+        run.phase = " ".join(["send", *map(str, message)])
         try:
-            run.channel.send(kind, si, size)
+            run.channel.send(*message)
         except WorkerDied as failure:
-            # Recovery replays the shard and re-sends the pending
-            # command itself; nothing further to do here.
+            # Recovery re-sends the pending command itself; nothing
+            # further to do here.
             self._recover(run, failure)
 
-    def collect(self, run: _ShardRun, expected: str, si: "int | None" = None):
+    def collect(self, run: _ShardRun, expected: str, index: "int | None" = None):
         """Receive one expected reply, recovering from death/timeouts."""
-        run.phase = expected if si is None else f"{expected} (rung {si})"
+        run.phase = (
+            expected if index is None else f"{expected} (replicate {index})"
+        )
         while True:
-            # A recovery replay may already have collected this phase's
-            # reply from the replacement task — never recv it twice.
-            if expected in run.phases:
-                run.pending = None
-                return None
             try:
                 value = run.channel.recv(
-                    expected, si, timeout=self.task_timeout
+                    expected, index, timeout=self.task_timeout
                 )
             except WorkerDied as failure:
                 self._recover(run, failure)
                 continue
-            if expected in ("sampled", "observed"):
-                run.phases.add(expected)
+            if expected == "sampled":
+                run.sampled = True
+            elif expected == "rows":
+                run.replicates.popleft()
             run.pending = None
             return value
 
     # ------------------------------------------------------------------
     def _recover(self, run: _ShardRun, failure: WorkerDied) -> None:
-        """One recovery round: record, bound, condemn, re-open, replay."""
+        """One recovery round: record, bound, condemn, re-open, re-send."""
         pid = getattr(failure, "pid", None)
         if pid is None and run.channel is not None and run.channel.process:
             pid = run.channel.process.pid
@@ -574,29 +523,14 @@ class _FailoverDriver:
             faults.take_worker_directives(run.slot) if self.handles else (),
         )
         try:
-            self._replay(run)
+            if run.sampled:
+                # Already collected from the lost task; the replacement
+                # sends its own first.
+                run.channel.recv("sampled", timeout=self.task_timeout)
+            if run.pending is not None:
+                run.channel.send(*run.pending)
         except WorkerDied as next_failure:
             self._recover(run, next_failure)
-
-    def _replay(self, run: _ShardRun) -> None:
-        """Fast-forward a freshly opened replacement task.
-
-        Deterministic by the runtime contract: the replacement samples
-        the same replicates from the same seeds (or reads the same
-        pre-drawn ones), rebuilds identical ladders, and ``skip``-folds
-        past every rung the parent already holds — exact integer
-        arithmetic — so the rows it will produce for the remaining
-        rungs are byte-identical to what the lost worker would have
-        sent.
-        """
-        for phase in ("sampled", "observed"):
-            run.channel.recv(phase, timeout=self.task_timeout)
-            run.phases.add(phase)
-        for si, size in run.progress:
-            run.channel.send("skip", si, size)
-            run.channel.recv("skipped", si, timeout=self.task_timeout)
-        if run.pending is not None:
-            run.channel.send(*run.pending)
 
     # ------------------------------------------------------------------
     def close_all(self) -> None:
@@ -701,11 +635,10 @@ class ProcessSweepExecutor:
         n = int(spec.sizes[-1])
         seeds = spawn_seeds(ensure_rng(rng), replications)
 
-        def make_cfg(shard):
+        def make_cfg(replicates):
             return {
                 "mode": "fresh",
-                "shard": [int(i) for i in shard],
-                "seeds": [seeds[i] for i in shard],
+                "seeds": [seeds[i] for i in replicates],
                 "n": n,
             }
 
@@ -714,7 +647,7 @@ class ProcessSweepExecutor:
             partition,
             spec,
             replications,
-            make_payload=lambda shard: {"sampler": sampler},
+            make_payload=lambda replicates: {"sampler": sampler},
             make_cfg=make_cfg,
         )
 
@@ -732,9 +665,9 @@ class ProcessSweepExecutor:
         The sampling phase is moot — the replicate samples (simulated
         crawls, recorded walks) already exist — so the executor ships
         them to the workers through shared memory and shards only the
-        ladder/estimation phase. Rows are placed by absolute replicate
-        index and reduced by the serial reducer, so the result is
-        bit-identical to the serial path for any worker count.
+        ladder/estimation phase. Rows are folded in replicate order by
+        the serial reducer, so the result is bit-identical to the
+        serial path for any worker count.
         ``spec`` and ``samples`` arrive validated by
         :func:`~repro.stats.replication.run_nrmse_sweep_from_samples`.
         """
@@ -744,11 +677,10 @@ class ProcessSweepExecutor:
             partition,
             spec,
             len(samples),
-            make_payload=lambda shard: {"samples": [samples[i] for i in shard]},
-            make_cfg=lambda shard: {
-                "mode": "predrawn",
-                "shard": [int(i) for i in shard],
+            make_payload=lambda replicates: {
+                "samples": [samples[i] for i in replicates]
             },
+            make_cfg=lambda replicates: {"mode": "predrawn"},
         )
 
     # ------------------------------------------------------------------
@@ -762,27 +694,25 @@ class ProcessSweepExecutor:
         make_payload,
         make_cfg,
     ) -> SweepResult:
-        """Spawn shard workers and drive the rung loop (both modes).
+        """Open the strided shard tasks and drive the replicate loop
+        (both modes).
 
         The shards' reply blocks live in the run-local pool, so they are
         unlinked, and retired on the workers, with the cell's other
         blocks.
         """
         sweep_label = self.label or "sweep"
-        sizes = spec.sizes
-        k = len(sizes)
         truth = true_category_graph(graph, partition)
-        reducer = RungReducer(sizes, truth, spec.truth_mode, replications)
+        reducer = RungReducer(spec.sizes, truth, spec.truth_mode, replications)
         # Built before pickling, so the planes ride every shard's
         # payload and no worker rebuilds them.
         with telemetry.span("observe.planes", cat="driver", task=sweep_label):
             observation_planes(graph, partition)
         num_workers = min(self.workers, replications)
-        shards = np.array_split(np.arange(replications), num_workers)
         # Rows the reduction keeps past their fold: the cross-sample
-        # pseudo-truth holds every block until the last rung.
+        # pseudo-truth holds every replicate's until the last rung.
         copy_rows = spec.truth_mode == "cross-sample"
-        categories = len(partition.names)
+        rungs, categories = len(spec.sizes), len(partition.names)
         worker_pool = default_pool(self._mp_context)
 
         # Inside a plan run the ambient pool already holds the plan's
@@ -815,90 +745,84 @@ class ProcessSweepExecutor:
                     "dispatch", cat="driver", task=sweep_label,
                     shards=num_workers, replications=replications,
                 ):
-                    for slot, shard in enumerate(shards):
-                        # One payload per shard, sliced to what that worker
-                        # reads; large arrays still publish exactly once
-                        # (the pool deduplicates by identity across shards,
-                        # and the ambient pool across a plan's cells).
-                        payload = sharedmem.dumps(
-                            {
-                                "graph": graph,
-                                "partition": partition,
-                                **make_payload(shard),
-                            },
-                            publish_pool,
-                        )
+                    for slot in range(num_workers):
                         reply = local_pool.allocate(
-                            (_reply_words(len(shard), categories),)
+                            (_reply_words(rungs, categories),)
                         )
                         replies.append(
                             _reply_slots(
-                                sharedmem.attach(reply), len(shard), categories
+                                sharedmem.attach(reply), rungs, categories
                             )
                         )
                         cfg = {
-                            "n_pop": graph.num_nodes,
                             "spec": spec,
                             "truth_sizes": truth.sizes,
                             "reply": reply,
-                            **make_cfg(shard),
+                            "shards": num_workers,
                         }
                         if recorder is not None:
                             cfg["telemetry"] = True
                             cfg["label"] = sweep_label
-                        driver.open(_ShardRun(slot, shard, payload, cfg))
+
+                        def task(replicates, cfg=cfg):
+                            # One payload per task, sliced to what that
+                            # worker reads; large arrays still publish
+                            # exactly once (the pool deduplicates by
+                            # identity across shards, and the ambient
+                            # pool across a plan's cells).
+                            payload = sharedmem.dumps(
+                                {
+                                    "graph": graph,
+                                    "partition": partition,
+                                    **make_payload(replicates),
+                                },
+                                publish_pool,
+                            )
+                            return payload, dict(
+                                cfg, shard=replicates, **make_cfg(replicates)
+                            )
+
+                        driver.open(
+                            _ShardRun(
+                                slot,
+                                range(slot, replications, num_workers),
+                                task,
+                            )
+                        )
 
                 runs = driver.runs
-                for reply_kind, span in (
-                    ("sampled", "phase.sample"), ("observed", "phase.observe")
+                with telemetry.span(
+                    "phase.sample", cat="driver", task=sweep_label
                 ):
-                    with telemetry.span(span, cat="driver", task=sweep_label):
-                        for run in runs:
-                            driver.collect(run, reply_kind)
-
-                def queue(run, si):
-                    # Every shard holds one queued command: its next rung.
-                    if si < k:
-                        driver.command(run, "rung", si, int(sizes[si]))
-
+                    for run in runs:
+                        driver.collect(run, "sampled")
                 for run in runs:
-                    queue(run, 0)
-                for si, size in enumerate(sizes):
-                    size = int(size)
+                    driver.command(run, "replicate", run.slot)
+                for r in range(replications):
+                    run = runs[r % num_workers]
                     with telemetry.span(
-                        "rung", cat="driver", task=sweep_label,
-                        rung=si, size=size,
+                        "replicate", cat="driver", task=sweep_label,
+                        replicate=r,
                     ):
-                        rung = (
-                            [np.empty(shape) for shape in reducer.row_shapes]
-                            if copy_rows
-                            else None
+                        driver.collect(run, "rows", r)
+                        if r + num_workers < replications:
+                            driver.command(run, "replicate", r + num_workers)
+                        _fold_replicate(
+                            reducer,
+                            replies[run.slot][(r // num_workers) % 2],
+                            copy_rows,
                         )
-                        for run in runs:
-                            driver.collect(run, "rows", si)
-                            # Folded into this shard's ladders: what a
-                            # replacement task must skip past to catch up.
-                            run.progress.append((si, size))
-                            queue(run, si + 1)
-                            rows = replies[run.slot][si % 2]
-                            if rung is not None:
-                                rows = _copy_rows(rows, rung, int(run.shard[0]))
-                            # Shards own contiguous replicate blocks, so
-                            # shard order is replicate order.
-                            reducer.fold(si, rows)
-                            del rows
-                        reducer.close(si)
+                for si in range(rungs):
+                    reducer.close(si)
                 if recorder is not None:
                     # Flush each task's recorded events back over the
                     # reply channel (best-effort diagnostics: a shard
                     # that died kept its history; its replacement ships
-                    # what the replay re-recorded).
+                    # what it recorded).
                     for run in runs:
-                        driver.command(run, "telemetry", -1, 0)
+                        driver.command(run, "telemetry")
                     for run in runs:
-                        recorder.merge_remote(
-                            driver.collect(run, "telemetry", -1)
-                        )
+                        recorder.merge_remote(driver.collect(run, "telemetry"))
             finally:
                 # Dropped first, so the release below finds no view of
                 # the driver's own left on the reply blocks.
@@ -914,3 +838,16 @@ class ProcessSweepExecutor:
                 sharedmem.release(local_pool.block_names)
 
         return reducer.result()
+
+
+def _fold_replicate(reducer: RungReducer, slot, copy: bool) -> None:
+    """Fold one replicate's rows, rung by rung, from its reply slot —
+    the serial sweep's fold sequence. ``copy`` copies rows the reducer
+    holds past their fold out of the slot, which the shard rewrites.
+
+    A function of its own, so no local of the driver's frame is left
+    holding a slot view.
+    """
+    for si in range(len(slot[0])):
+        rows = [field[si][np.newaxis] for field in slot]
+        reducer.fold(si, [row.copy() for row in rows] if copy else rows)

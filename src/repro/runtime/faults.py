@@ -13,17 +13,20 @@ pool/executor/checkpoint layers at well-defined points.
 Fault specs (semicolon-separated in ``REPRO_FAULTS``, or one spec
 string per :func:`inject` argument)::
 
-    kill-worker[:rung=K][,shard=J][,times=N]    SIGKILL the worker
-                                                serving shard J when
-                                                rung K's command
-                                                arrives (default K=0);
+    kill-worker[:replicate=J][,shard=S][,times=N]
+                                                SIGKILL the worker
+                                                serving shard S when
+                                                the command for its
+                                                J-th replicate
+                                                (counting from 0)
+                                                arrives (default J=0);
                                                 ``phase=sample``
                                                 instead strikes during
                                                 the sampling phase —
                                                 after the walk or
                                                 traversal kernel ran,
                                                 before its reply
-    hang-worker[:shard=J][,times=N]             wedge shard J's task:
+    hang-worker[:shard=S][,times=N]             wedge shard S's task:
                                                 no replies, no
                                                 heartbeats (timeout
                                                 escalation territory)
@@ -48,6 +51,9 @@ string per :func:`inject` argument)::
                                                 rebuilds); default any
     fail-respawn[:times=N]                      make the next N worker
                                                 spawns raise
+
+A spec names only the parameters its kind reads; any other key is
+rejected, so a typo cannot turn into a wildcard.
 
 Every fault carries a budget (``times``, default 1) decremented at
 *issue* time: a ``times=N`` directive strikes at most N task attempts
@@ -86,14 +92,15 @@ __all__ = [
     "take_worker_directives",
 ]
 
-#: Recognized fault kinds (see module docstring for their grammar).
-KINDS = (
-    "kill-worker",
-    "hang-worker",
-    "corrupt-checkpoint",
-    "corrupt-manifest",
-    "fail-respawn",
-)
+#: Recognized fault kinds and the parameters each reads besides
+#: ``times`` (see module docstring for their grammar).
+KINDS = {
+    "kill-worker": ("replicate", "shard", "phase"),
+    "hang-worker": ("shard",),
+    "corrupt-checkpoint": ("file",),
+    "corrupt-manifest": ("file",),
+    "fail-respawn": (),
+}
 
 
 class Fault:
@@ -105,6 +112,18 @@ class Fault:
         if kind not in KINDS:
             raise EstimationError(
                 f"unknown fault kind {kind!r}; use one of {', '.join(KINDS)}"
+            )
+        unknown = sorted(set(params) - set(KINDS[kind]))
+        if unknown:
+            allowed = ", ".join((*KINDS[kind], "times"))
+            raise EstimationError(
+                f"fault {kind!r} takes no parameter {unknown[0]!r}; "
+                f"use {allowed}"
+            )
+        if kind == "kill-worker" and params.get("phase", "sample") != "sample":
+            raise EstimationError(
+                f"fault 'kill-worker' takes phase=sample only, "
+                f"got phase={params['phase']}"
             )
         if times < 1:
             raise EstimationError(
@@ -284,9 +303,10 @@ def take_worker_directives(shard_slot: int) -> tuple:
     """Consume kill/hang faults aimed at ``shard_slot``'s next task.
 
     Returns the directive tuple the executor embeds in the task cfg —
-    ``("kill", rung_index)`` makes :func:`~repro.runtime.executor.serve_shard`
-    SIGKILL its own process when that rung's command arrives (before
-    computing any row, so the parent sees a clean mid-rung death),
+    ``("kill", j)`` makes :func:`~repro.runtime.executor.serve_shard`
+    SIGKILL its own process when the command for the shard's ``j``-th
+    replicate arrives (before computing any row, so the parent sees a
+    clean mid-sweep death),
     ``("kill", "sample")`` (from a ``phase=sample`` spec) kills it in
     the sampling phase instead — after the walk/traversal kernel did
     its work, before the ``sampled`` reply, so the replicates are lost
@@ -302,7 +322,7 @@ def take_worker_directives(shard_slot: int) -> tuple:
         if fault.params.get("phase") == "sample":
             directives.append(("kill", "sample"))
         else:
-            directives.append(("kill", int(fault.params.get("rung", 0))))
+            directives.append(("kill", int(fault.params.get("replicate", 0))))
     fault = take("hang-worker", shard=shard_slot)
     if fault is not None:
         directives.append(("hang",))

@@ -5,7 +5,7 @@ its ladder drained would make a plan with twelve cells pay twelve pool
 spin-ups. This module keeps **one** set of worker processes alive —
 across the cells of a plan, and across back-to-back ``repro run``
 sweeps in one process — and multiplexes *tasks* onto them. A task is
-one shard of one sweep (a contiguous replicate block); each worker
+one shard of one sweep (every ``W``-th replicate); each worker
 runs its tasks in their own threads, so a degraded pool can multiplex
 several shards on one worker, and the parent drives every task
 independently through a :class:`TaskChannel`.
@@ -13,28 +13,26 @@ independently through a :class:`TaskChannel`.
 Wire protocol (parent -> worker)::
 
     ("open",  task_id, payload, cfg)   start a shard task
-    ("rung",  task_id, si, size)       compute rung si
-    ("skip",  task_id, si, size)       fold past rung si (failover
-                                       replay of a replacement task)
-    ("telemetry", task_id, -1, 0)      flush the task's telemetry
+    ("replicate", task_id, r)          compute replicate r's rows
+    ("telemetry", task_id)             flush the task's telemetry
     ("close", task_id)                 task finished; join + forget it
     ("retire", block_names)            drop shared-memory attachments
     ("shutdown",)                      exit the worker process
 
 Worker -> parent messages are the executor's shard replies prefixed
 with their task id (``(task_id, "sampled")``, ``(task_id,
-"rows", si)``, ``(task_id, "error", traceback)``, ...); a dedicated
+"rows", r)``, ``(task_id, "error", traceback)``, ...); a dedicated
 parent-side reader thread per worker routes them to the right task's
 queue, which also guarantees the pipe always drains — a worker can
 never deadlock sending a reply for a task the parent has abandoned.
-A ``"rows"`` reply carries no array: the task wrote rung ``si``'s rows
-into slot ``si % 2`` of its shared-memory reply block (named in the
-``open`` cfg) before sending it.
+A ``"rows"`` reply carries no array: the task wrote replicate ``r``'s
+rows into one of the two slots of its shared-memory reply block (named
+in the ``open`` cfg) before sending it.
 
 Determinism is untouched by any of this: a task computes the same
-per-replicate rows wherever and whenever it runs, the parent places
-them by absolute replicate index, and each sweep's reduction stays the
-serial code path. The pool only changes *when* work happens, never
+per-replicate rows wherever and whenever it runs, the parent folds
+them in replicate order, and each sweep's reduction stays the serial
+code path. The pool only changes *when* work happens, never
 *what* is computed.
 
 Lifecycle: :func:`default_pool` hands out one process-wide pool per
@@ -120,7 +118,7 @@ class WorkerFailure(EstimationError):
         self.replicates = tuple(int(i) for i in replicates)
         self.retries = list(retries)
         span = (
-            f"replicates {self.replicates[0]}-{self.replicates[-1]}"
+            f"replicates {', '.join(map(str, self.replicates))}"
             if self.replicates
             else "no replicates"
         )
@@ -194,7 +192,7 @@ def _heartbeat_loop(task_id, reply, interval, done) -> None:
     """Pulse ``("heartbeat",)`` until the task finishes (worker side).
 
     A free-running thread: it keeps beating while the task computes a
-    long rung (slow is fine), and goes silent only when the *process*
+    long replicate (slow is fine), and goes silent only when the *process*
     is wedged or gone — which is exactly the distinction the parent's
     ``recv`` timeout needs.
     """
@@ -298,8 +296,8 @@ def _pool_worker_main(conn) -> None:
                     # then simply finds them still referenced and keeps
                     # them pinned instead of crashing).
                     entry[0].join(timeout=30)
-            else:  # "rung" | "skip" | "telemetry"
-                tasks[task_id][1].put((kind, message[2], message[3]))
+            else:  # "replicate" | "telemetry"
+                tasks[task_id][1].put((kind, *message[2:]))
     finally:
         for _, commands in tasks.values():
             commands.put(("stop",))
@@ -395,7 +393,7 @@ class _WorkerHandle:
         self.process.join(timeout=5)
 
 
-def parse_reply(message, expected: str, rung_index: "int | None"):
+def parse_reply(message, expected: str, index: "int | None"):
     """Validate one worker reply and strip it to its payload.
 
     Shared by :class:`TaskChannel` and the executor's in-process
@@ -407,25 +405,24 @@ def parse_reply(message, expected: str, rung_index: "int | None"):
     if message[0] == "error":
         raise EstimationError(f"sweep worker failed:\n{message[1]}")
     if message[0] != expected or (
-        rung_index is not None and message[1] != rung_index
+        index is not None and message[1] != index
     ):  # pragma: no cover - protocol misuse
         raise EstimationError(
             f"unexpected worker reply {message[0]!r} (wanted {expected!r})"
         )
     if expected == "telemetry":
-        return message[2]
+        return message[1]
     return None
 
 
 class TaskChannel:
     """Parent-side handle of one shard task running on a pool worker.
 
-    ``send``/``recv`` mirror the old one-pipe-per-worker protocol of
-    the per-sweep executor, so the rung-loop driver code is unchanged;
-    the channel just adds the task id on the way out and strips it on
-    the way back. ``recv`` additionally understands heartbeats: with a
-    ``timeout``, every heartbeat from the task's worker resets the
-    deadline, so a *slow* rung never trips the timeout — only a worker
+    ``send``/``recv`` speak the executor's shard protocol; the channel
+    just adds the task id on the way out and strips it on the way back.
+    ``recv`` additionally understands heartbeats: with a ``timeout``,
+    every heartbeat from the task's worker resets the deadline, so a
+    *slow* replicate never trips the timeout — only a worker
     that stopped beating (wedged or dead) does.
     """
 
@@ -446,7 +443,7 @@ class TaskChannel:
     def recv(
         self,
         expected: str,
-        rung_index: "int | None" = None,
+        index: "int | None" = None,
         timeout: "float | None" = None,
     ):
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -476,7 +473,7 @@ class TaskChannel:
                 if deadline is not None:
                     deadline = time.monotonic() + timeout
                 continue
-            return parse_reply(message, expected, rung_index)
+            return parse_reply(message, expected, index)
 
     def condemn(self) -> None:
         """Condemn the worker serving this task (see ``_WorkerHandle``)."""

@@ -40,7 +40,7 @@ currently running. A worker *forked* while the parent maps blocks also
 inherits the parent's own mappings, which no retire names; it drops
 them on start (:func:`reset_for_worker`). The same lifecycle covers the writable *reply*
 blocks a pool allocates (:meth:`SharedArrayPool.allocate`, mapped with
-:func:`attach`): workers write their rung rows there and the parent
+:func:`attach`): workers write their replicate rows there and the parent
 reads them in place. Pools are thread-safe: several threads may publish
 into one ambient plan pool concurrently.
 """
@@ -166,7 +166,7 @@ class SharedArrayPool:
     def allocate(self, shape, dtype=np.float64) -> tuple:
         """The token of a new, zero-filled block for workers to write into.
 
-        The executor's reply grain: each shard's rung rows land in such
+        The executor's reply grain: each shard's replicate rows land in such
         a block instead of crossing the worker pipe. The block is owned,
         unlinked and retired like a published one, but its bytes count
         as ``shm.reply_bytes``, not ``shm.published_bytes``. Every side

@@ -2,7 +2,7 @@
 
 The parallel stack (batched kernels -> shared-memory executor ->
 SweepPlan -> plan loop -> fault-tolerant pool) is a black box at
-run time without this layer: where does wall clock go — rung compute,
+run time without this layer: where does wall clock go — replicate compute,
 ladder drain, shm publish, driver idle? This module answers that
 with a disabled-by-default event plane:
 
@@ -26,7 +26,7 @@ Two exporters:
 * :meth:`TelemetryRecorder.write_trace` — Chrome/Perfetto trace-event
   JSON (open in https://ui.perfetto.dev or ``chrome://tracing``): one
   timeline row per pool worker and per driver thread, plan cells and
-  ladder rungs as nested spans, failover/hang/degradation as instant
+  the replicates and ladder rungs within them as spans, failover/hang/degradation as instant
   markers;
 * :meth:`TelemetryRecorder.write_metrics` — a flat ``metrics.json``
   summary: per-phase totals, worker utilization %, shm bytes

@@ -26,7 +26,6 @@ from repro.sampling.observation import (
     observe_induced,
     observe_star,
 )
-from repro.sampling.merge import merge_star_observations
 from repro.sampling.multigraph import MultigraphRandomWalkSampler
 from repro.sampling.stratified import StratifiedWeightedWalkSampler
 from repro.sampling.traversal import BreadthFirstSampler, ForestFireSampler
@@ -62,7 +61,6 @@ __all__ = [
     "observe_induced",
     "observe_star",
     "observe_both",
-    "merge_star_observations",
     "geweke_z",
     "autocorrelation",
     "effective_sample_size",

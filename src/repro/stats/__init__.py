@@ -1,6 +1,5 @@
 """Error metrics and replication harnesses (Section 6.1)."""
 
-from repro.stats.compare import CategoryGraphComparison, compare_category_graphs
 from repro.stats.errors import nrmse, nrmse_stack, relative_error
 from repro.stats.percentiles import percentile_edge, positive_weight_pairs
 from repro.stats.prefix import IncrementalPrefixLadder, RungEstimates
@@ -13,8 +12,6 @@ from repro.stats.replication import (
 
 __all__ = [
     "nrmse",
-    "CategoryGraphComparison",
-    "compare_category_graphs",
     "nrmse_stack",
     "relative_error",
     "percentile_edge",

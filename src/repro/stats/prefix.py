@@ -39,10 +39,11 @@ compresses the prefix and then reduces. Consequently
 equal to running the :mod:`repro.core` estimators on
 ``subset_draws(np.arange(size))`` observations.
 
-The induced numerator runs ``np.bincount`` over one direction of the
-edges, then ``np.add.at`` over the other: ``ufunc.at`` is unbuffered and
-applies its updates in index order, so each bin adds the same values in
-the same sequence as one in-order ``np.bincount`` over the doubled list.
+The induced numerator is counted by
+:func:`repro.core.edge_weight.induced_numerator`, which the public
+induced estimator calls too: ``np.bincount`` over one direction of the
+edges, then ``np.add.at`` over the other, in the same order as one
+in-order ``np.bincount`` over the doubled list.
 ``tests/stats/test_prefix.py`` checks all of this against the frozen
 seed estimators of ``tests/oracles.py``.
 """
@@ -60,7 +61,11 @@ from repro.core.category_size import (
     induced_sizes,
     star_sizes,
 )
-from repro.core.edge_weight import induced_weights, star_weights
+from repro.core.edge_weight import (
+    induced_numerator,
+    induced_weights,
+    star_weights,
+)
 from repro.exceptions import EstimationError
 from repro.graph.adjacency import Graph
 from repro.graph.partition import CategoryPartition
@@ -88,10 +93,9 @@ class RungEstimates:
 class IncrementalPrefixLadder:
     """Prefix estimates of one sample, via incremental aggregates.
 
-    Call :meth:`estimates` (or :meth:`fold`) with strictly increasing
-    prefix sizes; each call folds only the draws since the previous rung
-    into the running multiplicity state. Use one instance per sweep —
-    both entry points move the same prefix state forward.
+    Call :meth:`estimates` with strictly increasing prefix sizes; each
+    call folds only the draws since the previous rung into the running
+    multiplicity state. Use one instance per replicate sweep.
     """
 
     def __init__(
@@ -137,19 +141,6 @@ class IncrementalPrefixLadder:
     def num_draws(self) -> int:
         """Full sample length (the largest valid prefix)."""
         return self._num_draws
-
-    def fold(self, size: int) -> None:
-        """Advance the prefix state to ``size`` without estimating.
-
-        The failover path of the parallel executor
-        (:mod:`repro.runtime`): a replacement task for a lost shard
-        *folds* its replicates past the rungs the parent already
-        received, then computes the rest. Folding is pure integer
-        multiplicity accumulation — order-free and exact — so the
-        estimates of every later rung are bit-identical whether the
-        earlier rungs were computed or skipped.
-        """
-        self._fold(size)
 
     def _fold(self, size: int) -> None:
         """Fold draws ``[prefix, size)`` into the multiplicity state."""
@@ -225,10 +216,7 @@ class IncrementalPrefixLadder:
                 ratios[self._edge_src], ratios[self._edge_dst], out=contributions
             )
             forward, backward = self._edge_keys
-        # One direction at a time; see the module docstring.
-        numerator = np.bincount(forward, weights=contributions, minlength=c * c)
-        np.add.at(numerator, backward, contributions)
-        numerator = numerator.reshape(c, c)
+        numerator = induced_numerator(forward, backward, contributions, c)
 
         return RungEstimates(
             sizes_induced=induced_sizes(reweighted, population_size),

@@ -30,18 +30,17 @@ A second axis shards the R replicates across *processes*:
 ``executor="process"`` hands the sweep to the :mod:`repro.runtime`
 executor, which publishes the graph arrays once via shared memory,
 reconstructs each replicate's RNG stream from its spawned seed (so
-shard assignment cannot change a trajectory), and folds each shard's
-rung rows into the serial path's :class:`RungReducer` as they arrive.
-Neither path holds ``(R, K, C, C)`` stacks: the serial sweep folds
-each replicate's rows as its ladder produces them, the executor each
-shard's block, into running Eq. 17 sums
-(:class:`~repro.stats.errors.RunningNRMSE`) that add rows in
-replicate order whatever the blocks — the resulting
-:class:`SweepResult` is bit-identical for any worker count. Both entry
-points ride it: :func:`run_nrmse_sweep` shards sampling *and* the
-ladder, while :func:`run_nrmse_sweep_from_samples` (pre-drawn crawls)
-ships the replicate samples through shared memory and shards the
-ladder phase alone. Each resolves executor/workers from its arguments,
+shard assignment cannot change a trajectory), runs the serial sweep's
+per-replicate loop (:func:`_replicate_rows`) in its workers, and folds
+each replicate's rows into the serial path's :class:`RungReducer` in
+replicate order. Neither path holds ``(R, K, C, C)`` stacks: both fold
+each replicate's rows, rung by rung, into running Eq. 17 sums
+(:class:`~repro.stats.errors.RunningNRMSE`) — the same fold sequence,
+so the resulting :class:`SweepResult` is bit-identical for any worker
+count. Both entry points ride it: :func:`run_nrmse_sweep` shards
+sampling *and* the ladder, while :func:`run_nrmse_sweep_from_samples`
+(pre-drawn crawls) ships the replicate samples through shared memory
+and shards the ladder phase alone. Each resolves executor/workers from its arguments,
 then the ambient runtime configuration
 (:func:`repro.runtime.runtime_options`, the ``REPRO_*`` environment),
 identically. Checkpoints are a plan concern: a plan run persists each
@@ -51,6 +50,7 @@ finished sweep's :class:`SweepResult` (:mod:`repro.runtime.checkpoint`).
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,7 +281,6 @@ def _serial_sweep(
     """Run every replicate's prefix ladder in-process and reduce."""
     sizes = spec.sizes
     truth = true_category_graph(graph, partition)
-    n_pop = graph.num_nodes
     r = len(samples)
     k = len(sizes)
     reducer = RungReducer(sizes, truth, spec.truth_mode, r)
@@ -294,19 +293,45 @@ def _serial_sweep(
         with telemetry.span("observe.planes", cat="driver"):
             observation_planes(graph, partition)
         for sample in samples:
-            ladder = IncrementalPrefixLadder(graph, partition, sample)
-            for si, size in enumerate(sizes):
-                rung = ladder.estimates(
-                    int(size), n_pop, mean_degree_model=spec.mean_degree_model
-                )
-                rows = _rung_rows(rung, spec.weight_size_plugin, truth.sizes)
+            rungs = _replicate_rows(graph, partition, sample, spec, truth.sizes)
+            for si, rows in enumerate(rungs):
                 reducer.fold(si, [row[np.newaxis] for row in rows])
-            # Free this replicate's observations before the next ladder
-            # is built, so peak memory holds one replicate's, not two.
-            del ladder
         for si in range(k):
             reducer.close(si)
     return reducer.result()
+
+
+def _no_span(name: str, **args):
+    return nullcontext()
+
+
+def _replicate_rows(
+    graph: Graph,
+    partition: CategoryPartition,
+    sample: NodeSample,
+    spec: SweepSpec,
+    truth_sizes: np.ndarray | None,
+    span: Callable = _no_span,
+):
+    """Yield one replicate's four rows at each rung of ``spec.sizes``.
+
+    The one sweep loop: the serial sweep and every executor shard task
+    run it, one replicate at a time, so process output equals serial
+    output by construction. One ladder is alive while the generator
+    runs and is let go when it finishes. ``span(name, **args)`` times
+    the ``observe`` and ``rung`` phases (shard tasks pass their
+    telemetry collector's).
+    """
+    with span("observe"):
+        ladder = IncrementalPrefixLadder(graph, partition, sample)
+    for si, size in enumerate(spec.sizes):
+        size = int(size)
+        with span("rung", rung=si, size=size):
+            rung = ladder.estimates(
+                size, graph.num_nodes, mean_degree_model=spec.mean_degree_model
+            )
+            rows = _rung_rows(rung, spec.weight_size_plugin, truth_sizes)
+        yield rows
 
 
 class RungReducer:
@@ -418,9 +443,7 @@ def _rung_rows(
     """One replicate's estimate rows at one rung, plug-in resolved.
 
     The single code path that turns a :class:`RungEstimates` into the
-    four stack rows — serial sweeps and executor workers both call it,
-    which is what makes the parallel stacks bit-identical to the serial
-    ones.
+    four stack rows, called by :func:`_replicate_rows`.
     """
     plugin = _plugin_sizes(
         weight_size_plugin, rung.sizes_star, rung.sizes_induced, truth_sizes

@@ -319,7 +319,7 @@ def reference_prefix_observations(ladder, size):
     describes, field-for-field identical to
     ``observe_*(...).subset_draws(np.arange(size))``.
     """
-    ladder.fold(size)
+    ladder._fold(size)
     induced_full, star = ladder._induced, ladder._star
     multiplicities = ladder._multiplicities
     kept = np.flatnonzero(multiplicities > 0)

@@ -340,7 +340,7 @@ def test_non_positive_workers_env_rejected(monkeypatch, value):
 
 
 def test_driver_never_holds_a_replicate_stack():
-    """The driver reduces each rung as its shard rows arrive.
+    """The driver reduces each replicate's rows as they arrive.
 
     With C = 200 categories, one (R, K, C, C) float64 stack of weight
     estimates is 14.6 MiB. Filling whole stacks before reducing held
@@ -431,8 +431,11 @@ def test_serial_sweep_never_holds_a_replicate_stack():
 def test_each_shard_gets_its_next_rung_before_this_one_is_folded(
     world, monkeypatch
 ):
-    """A shard's worker computes rung si+1 while the driver folds its
-    rung-si rows: its next command is on the channel before the fold."""
+    """A shard's worker computes its next replicate while the driver
+    folds this one: replicate ``r + W`` is on the channel before any of
+    ``r``'s rungs is folded, and ``r + 2W``, which reuses ``r``'s reply
+    slot, only after the last of them. The folds are the serial
+    sweep's: replicate by replicate, rung by rung, one row each."""
     from repro.runtime.pool import PersistentWorkerPool
     from repro.stats.replication import RungReducer
 
@@ -441,20 +444,19 @@ def test_each_shard_gets_its_next_rung_before_this_one_is_folded(
     fold = RungReducer.fold
 
     class RecordingChannel:
-        def __init__(self, channel, first):
-            self._channel, self._first = channel, first
+        def __init__(self, channel):
+            self._channel = channel
 
         def send(self, kind, *parts):
-            if kind in ("rung", "skip"):
-                events.append(("send", self._first, parts[0]))
+            if kind == "replicate":
+                events.append(("send", parts[0]))
             self._channel.send(kind, *parts)
 
         def __getattr__(self, name):
             return getattr(self._channel, name)
 
     def recording_open_task(pool, handle, payload, cfg):
-        channel = open_task(pool, handle, payload, cfg)
-        return RecordingChannel(channel, cfg["shard"][0])
+        return RecordingChannel(open_task(pool, handle, payload, cfg))
 
     def recording_fold(reducer, si, rows):
         events.append(("fold", si, len(rows[0])))
@@ -463,29 +465,31 @@ def test_each_shard_gets_its_next_rung_before_this_one_is_folded(
     monkeypatch.setattr(PersistentWorkerPool, "open_task", recording_open_task)
     monkeypatch.setattr(RungReducer, "fold", recording_fold)
     graph, partition, _ = world
+    r, w, k = 6, 2, len(LADDER)
     samples = list(
-        UniformIndependenceSampler(graph).sample_many(LADDER[-1], 6, rng=SEED)
+        UniformIndependenceSampler(graph).sample_many(LADDER[-1], r, rng=SEED)
     )
     parallel = run_nrmse_sweep_from_samples(
-        graph, partition, samples, LADDER, executor="process", workers=2
+        graph, partition, samples, LADDER, executor="process", workers=w
     )
     monkeypatch.undo()
     serial = run_nrmse_sweep_from_samples(
         graph, partition, samples, LADDER, executor="serial"
     )
-    assert_sweeps_equal(serial, parallel, "queued rungs")
+    assert_sweeps_equal(serial, parallel, "queued replicates")
 
-    firsts = sorted({first for kind, first, _ in events if kind == "send"})
-    assert firsts == [0, 3]
-    for si in range(len(LADDER)):
-        folds = [i for i, e in enumerate(events) if e[:2] == ("fold", si)]
-        # One fold per shard, in slot (= replicate) order.
-        assert [events[i][2] for i in folds] == [3, 3]
-        for slot, first in enumerate(firsts):
-            sent = events.index(("send", first, si))
-            assert sent < folds[slot]
-            if si + 1 < len(LADDER):
-                assert events.index(("send", first, si + 1)) < folds[slot]
+    assert sorted(e[1] for e in events if e[0] == "send") == list(range(r))
+    folds = [i for i, e in enumerate(events) if e[0] == "fold"]
+    assert [events[i] for i in folds] == [
+        ("fold", si, 1) for _ in range(r) for si in range(k)
+    ]
+    for replicate in range(r):
+        first, last = folds[replicate * k], folds[replicate * k + k - 1]
+        assert events.index(("send", replicate)) < first
+        if replicate + w < r:
+            assert events.index(("send", replicate + w)) < first
+        if replicate + 2 * w < r:
+            assert events.index(("send", replicate + 2 * w)) > last
 
 
 @pytest.mark.filterwarnings("error")
@@ -523,3 +527,79 @@ def test_cross_sample_sweep_is_silent_on_infinite_estimates(workers):
             assert got.tobytes() == want.tobytes(), (attr, kind)
     # NRMSE against an infinite pseudo-truth is undefined.
     assert np.isnan(result.size_nrmse["star"][:, 1]).all()
+
+
+@pytest.mark.parametrize("mode", ["fresh", "predrawn", "cross-sample"])
+def test_uneven_strided_shards_equal_serial(world, mode):
+    """Seven replicates over three shards (3, 2 and 2 each) give the
+    serial sweep's bytes in every sweep mode."""
+    graph, partition, _ = world
+    r = 7
+    if mode == "fresh":
+        def sweep(**executor):
+            return run_nrmse_sweep(
+                graph, partition, RandomWalkSampler(graph), LADDER,
+                replications=r, rng=SEED, **executor,
+            )
+    else:
+        samples = list(
+            RandomWalkSampler(graph).sample_many(LADDER[-1], r, rng=SEED)
+        )
+        truth_mode = "cross-sample" if mode == "cross-sample" else "exact"
+
+        def sweep(**executor):
+            return run_nrmse_sweep_from_samples(
+                graph, partition, samples, LADDER, truth_mode=truth_mode,
+                **executor,
+            )
+
+    serial = sweep(executor="serial")
+    parallel = sweep(executor="process", workers=3)
+    for attr in ("size_nrmse", "weight_nrmse", "size_coverage", "weight_coverage"):
+        for kind in ("induced", "star"):
+            got, want = getattr(parallel, attr)[kind], getattr(serial, attr)[kind]
+            assert got.tobytes() == want.tobytes(), (mode, attr, kind)
+
+
+def test_a_shard_task_holds_one_ladder_at_a_time(world, monkeypatch):
+    """Each shard task builds one replicate's prefix ladder at a time and
+    lets it go before the next, as the serial sweep does. The shards run
+    on threads of this process (a pool that cannot spawn), so every
+    ladder is visible here; live ones are counted per task thread."""
+    import threading
+    import weakref
+
+    from repro.runtime import faults
+    from repro.runtime.pool import reset_default_pools
+    from repro.stats.prefix import IncrementalPrefixLadder
+
+    live: dict[int, weakref.WeakSet] = {}
+    peak: dict[int, int] = {}
+    init = IncrementalPrefixLadder.__init__
+
+    def counting_init(ladder, *args, **kwargs):
+        init(ladder, *args, **kwargs)
+        thread = threading.get_ident()
+        ladders = live.setdefault(thread, weakref.WeakSet())
+        ladders.add(ladder)
+        peak[thread] = max(peak.get(thread, 0), len(ladders))
+
+    graph, partition, _ = world
+    samples = list(
+        RandomWalkSampler(graph).sample_many(LADDER[-1], REPLICATIONS, rng=SEED)
+    )
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    monkeypatch.setattr(IncrementalPrefixLadder, "__init__", counting_init)
+    reset_default_pools()
+    try:
+        with faults.inject("fail-respawn:times=8"):
+            with pytest.warns(RuntimeWarning, match="in-process serial"):
+                run_nrmse_sweep_from_samples(
+                    graph, partition, samples, LADDER,
+                    executor=ProcessSweepExecutor(workers=2),
+                )
+    finally:
+        reset_default_pools()
+    assert len(peak) == 2, "expected one task thread per shard"
+    assert sum(len(ladders) for ladders in live.values()) == 0
+    assert set(peak.values()) == {1}, peak

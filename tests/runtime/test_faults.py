@@ -1,7 +1,7 @@
 """Fault tolerance: every injected failure recovers to the same bytes.
 
 The acceptance bar of the fault-tolerant runtime: a worker SIGKILLed
-mid-rung, a task that hangs past its heartbeat deadline, a worker pool
+mid-sweep, a task that hangs past its heartbeat deadline, a worker pool
 that cannot (re)spawn, and a checkpoint cell file torn on disk must all
 degrade — never crash — and the recovered run's output must be
 byte-identical to an undisturbed serial run. Failures are *scheduled
@@ -74,9 +74,9 @@ def _sweep(world, executor):
 # Fault spec grammar
 # ----------------------------------------------------------------------
 def test_parse_faults_grammar():
-    plan = parse_faults("kill-worker:rung=1,shard=0,times=2; hang-worker")
+    plan = parse_faults("kill-worker:replicate=1,shard=0,times=2; hang-worker")
     assert [fault.kind for fault in plan] == ["kill-worker", "hang-worker"]
-    assert plan[0].params == {"rung": 1, "shard": 0}
+    assert plan[0].params == {"replicate": 1, "shard": 0}
     assert plan[0].times == 2
     assert plan[1].params == {} and plan[1].times == 1
 
@@ -88,7 +88,39 @@ def test_parse_faults_rejects_unknown_kind():
 
 def test_parse_faults_rejects_malformed_parameter():
     with pytest.raises(EstimationError, match="key=value"):
-        parse_faults("kill-worker:rung")
+        parse_faults("kill-worker:replicate")
+
+
+#: kind -> (a spec with a key that kind does not read, its allowed keys)
+BAD_KEYS = {
+    "kill-worker": ("kill-worker:shrad=0", "replicate, shard, phase, times"),
+    "hang-worker": ("hang-worker:replicate=1", "shard, times"),
+    "corrupt-checkpoint": ("corrupt-checkpoint:shard=0", "file, times"),
+    "corrupt-manifest": ("corrupt-manifest:fiel=derived", "file, times"),
+    "fail-respawn": ("fail-respawn:shard=1", "times"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_KEYS))
+def test_parse_faults_rejects_keys_the_kind_does_not_read(kind):
+    """A key the fault never reads would silently act as a wildcard."""
+    spec, allowed = BAD_KEYS[kind]
+    key = spec.partition(":")[2].partition("=")[0]
+    with pytest.raises(EstimationError) as raised:
+        parse_faults(spec)
+    assert str(raised.value) == (
+        f"fault {kind!r} takes no parameter {key!r}; use {allowed}"
+    )
+
+
+def test_parse_faults_rejects_the_retired_rung_key():
+    with pytest.raises(EstimationError, match="no parameter 'rung'"):
+        parse_faults("kill-worker:rung=1,shard=0")
+
+
+def test_parse_faults_rejects_an_unknown_kill_phase():
+    with pytest.raises(EstimationError, match="phase=sample only"):
+        parse_faults("kill-worker:phase=rung")
 
 
 def test_parse_faults_rejects_nonpositive_times():
@@ -117,13 +149,15 @@ def test_env_faults_only_arm_inside_runtime_scopes(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Shard failover: mid-rung worker death
+# Shard failover: mid-sweep worker death
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.usefixtures("no_env_faults")
 def test_mid_rung_worker_kill_recovers_bit_identically(workers, world, serial):
+    """Shard 0 dies when its second replicate is asked for, after the
+    driver folded its first."""
     executor = ProcessSweepExecutor(workers=workers)
-    with faults.inject("kill-worker:rung=1,shard=0"):
+    with faults.inject("kill-worker:replicate=1,shard=0"):
         result = _sweep(world, executor)
     assert_sweeps_equal(serial, result, f"kill recovery workers={workers}")
     assert executor.failover_log, "the injected kill never triggered failover"
@@ -135,14 +169,49 @@ def test_mid_rung_worker_kill_recovers_bit_identically(workers, world, serial):
 
 @pytest.mark.usefixtures("no_env_faults")
 def test_kill_on_the_queued_last_rung_recovers_bit_identically(world, serial):
-    """The kill strikes while the driver folds rung 1: shard 1 already
-    holds its queued rung-2 command, which the replacement re-runs."""
+    """The kill strikes on shard 1's third replicate, the sweep's last
+    (replicate 5), queued while the driver folds replicate 3; the
+    replacement computes it again."""
     executor = ProcessSweepExecutor(workers=2)
-    with faults.inject("kill-worker:rung=2,shard=1"):
+    with faults.inject("kill-worker:replicate=2,shard=1"):
         result = _sweep(world, executor)
-    assert_sweeps_equal(serial, result, "kill on the queued rung")
+    assert_sweeps_equal(serial, result, "kill on the queued replicate")
     assert [entry["slot"] for entry in executor.failover_log] == [1]
-    assert "rung 2" in executor.failover_log[0]["phase"]
+    assert "replicate 5" in executor.failover_log[0]["phase"]
+
+
+@pytest.mark.parametrize(
+    "spec, undelivered",
+    [("kill-worker:replicate=2,shard=1", [5]),
+     ("kill-worker:phase=sample,shard=1", [1, 3, 5])],
+)
+@pytest.mark.usefixtures("no_env_faults")
+def test_replacement_task_serves_only_undelivered_replicates(
+    spec, undelivered, world, serial, monkeypatch
+):
+    """Nothing is replayed: the replacement for a shard lost after it
+    delivered replicates 1 and 3 is opened for replicate 5 alone, with
+    its seed, and one lost while sampling for the whole shard."""
+    from repro.runtime.pool import PersistentWorkerPool
+
+    opened = []
+    open_task = PersistentWorkerPool.open_task
+
+    def recording_open_task(pool, handle, payload, cfg):
+        opened.append(cfg)
+        return open_task(pool, handle, payload, cfg)
+
+    monkeypatch.setattr(PersistentWorkerPool, "open_task", recording_open_task)
+    executor = ProcessSweepExecutor(workers=2)
+    with faults.inject(spec):
+        result = _sweep(world, executor)
+    monkeypatch.undo()
+    assert_sweeps_equal(serial, result, spec)
+    assert [entry["slot"] for entry in executor.failover_log] == [1]
+    assert [cfg["shard"] for cfg in opened] == [[0, 2, 4], [1, 3, 5], undelivered]
+    first, replacement = opened[1], opened[2]
+    assert replacement["seeds"] == first["seeds"][-len(undelivered):]
+    assert "faults" in first and "faults" not in replacement
 
 
 @pytest.mark.parametrize("name", ["bfs", "forest_fire"])
@@ -203,7 +272,7 @@ def test_hung_worker_times_out_and_fails_over(world, serial):
 @pytest.mark.usefixtures("no_env_faults")
 def test_retry_exhaustion_raises_structured_worker_failure(world):
     executor = ProcessSweepExecutor(workers=2, max_retries=1)
-    with faults.inject("kill-worker:rung=0,shard=0,times=10"):
+    with faults.inject("kill-worker:replicate=0,shard=0,times=10"):
         with pytest.raises(WorkerFailure) as excinfo:
             _sweep(world, executor)
     failure = excinfo.value
@@ -256,11 +325,11 @@ def test_mid_plan_worker_kill_is_byte_identical():
     from tests.runtime.test_plan import assert_results_equal
 
     serial_result = run_experiment("fig6", preset=TINY, rng=0)
-    with faults.inject("kill-worker:rung=0"), runtime_options(
+    with faults.inject("kill-worker:replicate=0"), runtime_options(
         executor="process", workers=2
     ):
         chaotic = run_experiment("fig6", preset=TINY, rng=0)
-    assert_results_equal(serial_result, chaotic, "fig6 with mid-rung kill")
+    assert_results_equal(serial_result, chaotic, "fig6 with mid-sweep kill")
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Rung rows return through shared-memory reply slots.
+"""Replicate rows return through shared-memory reply slots.
 
-Each shard of a process sweep writes rung ``si``'s rows into slot
-``si % 2`` of its own reply block, and the driver folds them from
-there. The slots are reused every other rung, so any row the reduction
-keeps past its fold (the cross-sample pseudo-truth's held blocks) must
-be copied out first: the sweeps below run enough rungs to reuse both
-slots and must equal the serial sweep byte for byte, also as the cell
-of a checkpointed plan, whose file on disk must hold those bytes too.
-The reply itself names only the rung, and every reply block is
-unlinked, on every exit path the runtime recovers from.
+Each shard of a process sweep writes its ``j``-th replicate's rows, at
+every rung, into slot ``j % 2`` of its own reply block, and the driver
+folds them from there. The slots are reused every other replicate of a
+shard, so any row the reduction keeps past its fold (the cross-sample
+pseudo-truth's held blocks) must be copied out first: the sweeps below
+give each shard enough replicates to reuse a slot and must equal the
+serial sweep byte for byte, also as the cell of a checkpointed plan,
+whose file on disk must hold those bytes too. The reply itself names
+only the replicate, and every reply block is unlinked, on every exit
+path the runtime recovers from.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from repro.runtime.pool import reset_default_pools
 from repro.sampling import RandomWalkSampler
 from repro.stats import run_nrmse_sweep, run_nrmse_sweep_from_samples
 
-#: Four rungs: rungs 2 and 3 overwrite the slots rungs 0 and 1 used.
 LADDER = (40, 120, 240, 360)
+#: Three replicates per shard at 2 workers: each shard's third
+#: overwrites the slot its first used.
 REPLICATIONS = 6
 SEED = 4321
 FIELDS = ("size_nrmse", "weight_nrmse", "size_coverage", "weight_coverage")
@@ -121,9 +123,9 @@ def test_checkpointed_fresh_draw_rungs_survive_slot_reuse(world, tmp_path):
 
 @pytest.mark.parametrize("truth_mode", ["exact", "cross-sample"])
 def test_many_rungs_on_more_shards_than_cores(world, crawls, truth_mode):
-    """Twelve rungs reuse each slot six times while six single-replicate
-    shards race the driver on a small box; a heartbeat deadline bounds
-    the run if a shard ever stalls."""
+    """Twelve rungs on six single-replicate shards racing the driver on
+    a small box; a heartbeat deadline bounds the run if a shard ever
+    stalls."""
     graph, partition = world
     ladder = tuple(range(30, LADDER[-1] + 1, 30))
     serial = run_nrmse_sweep_from_samples(
@@ -147,10 +149,10 @@ def test_rows_replies_carry_no_array(world, crawls, monkeypatch):
     replies = []
     parse_reply = pool.parse_reply
 
-    def recording_parse_reply(message, expected, rung_index):
+    def recording_parse_reply(message, expected, index):
         if message[0] == "rows":
             replies.append(message)
-        return parse_reply(message, expected, rung_index)
+        return parse_reply(message, expected, index)
 
     monkeypatch.setattr(pool, "parse_reply", recording_parse_reply)
     parallel = run_nrmse_sweep_from_samples(
@@ -161,9 +163,10 @@ def test_rows_replies_carry_no_array(world, crawls, monkeypatch):
         graph, partition, crawls, LADDER, executor="serial"
     )
     assert_bytes_equal(serial, parallel, "rows through the slots")
-    assert len(replies) == 2 * len(LADDER)
+    assert sorted(message[1:] for message in replies) == [
+        (r,) for r in range(REPLICATIONS)
+    ]
     for message in replies:
-        assert message[1:] in {(si,) for si in range(len(LADDER))}, message
         assert not any(isinstance(part, np.ndarray) for part in message)
 
 
@@ -228,11 +231,11 @@ def test_a_killed_worker_leaves_no_block(
 ):
     # A fresh budget for the environment plan, whatever ran before.
     monkeypatch.setattr(faults, "_ENV_PLANS", {})
-    monkeypatch.setenv("REPRO_FAULTS", "kill-worker:rung=2,shard=1")
+    monkeypatch.setenv("REPRO_FAULTS", "kill-worker:replicate=2,shard=1")
     executor = ProcessSweepExecutor(workers=2)
     result = predrawn_sweep(world, crawls, executor)
     assert [entry["slot"] for entry in executor.failover_log] == [1]
-    assert_bytes_equal(serial_predrawn, result, "killed at rung 2")
+    assert_bytes_equal(serial_predrawn, result, "killed at replicate 5")
     assert_no_block_left(run_blocks, 2)
 
 

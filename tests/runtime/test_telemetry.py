@@ -193,7 +193,7 @@ def test_killed_worker_leaves_failover_instant_with_rung_phase(
     metrics_path = tmp_path / "metrics.json"
     executor = ProcessSweepExecutor(workers=2)
     with telemetry_scope(trace=trace_path, metrics=metrics_path):
-        with faults.inject("kill-worker:rung=1,shard=0"):
+        with faults.inject("kill-worker:replicate=1,shard=0"):
             result = _sweep(world, executor)
     assert_sweeps_equal(serial, result, "traced kill recovery")
     assert executor.failover_log
@@ -206,8 +206,9 @@ def test_killed_worker_leaves_failover_instant_with_rung_phase(
     ), "the injected kill never reached the trace"
     recoveries = _instants(trace, name="failover", cat="failover")
     assert recoveries, "the recovery never reached the trace"
+    # Shard 0's second replicate is replicate 2 at two workers.
     assert any(
-        "rung 1" in event["args"]["phase"] for event in recoveries
+        "replicate 2" in event["args"]["phase"] for event in recoveries
     ), "failover instant lost its phase attribution"
 
     metrics = telemetry.validate_metrics_file(metrics_path)
@@ -266,7 +267,7 @@ def test_failover_log_resets_between_runs(world, monkeypatch):
     # shield it from any armed chaos environment (the CI chaos job).
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     executor = ProcessSweepExecutor(workers=2)
-    with faults.inject("kill-worker:rung=1,shard=0"):
+    with faults.inject("kill-worker:replicate=1,shard=0"):
         _sweep(world, executor)
     assert executor.failover_log
     _sweep(world, executor)  # an undisturbed run on the same instance
@@ -286,7 +287,7 @@ def test_run_from_samples_surfaces_the_failover_log(world):
     executor = ProcessSweepExecutor(workers=2)
     from repro.stats.replication import run_nrmse_sweep_from_samples
 
-    with faults.inject("kill-worker:rung=1,shard=0"):
+    with faults.inject("kill-worker:replicate=1,shard=0"):
         run_nrmse_sweep_from_samples(
             graph, partition, samples, LADDER, executor=executor
         )
@@ -324,7 +325,7 @@ def test_worker_rows_and_spans_reach_the_parent_trace(world, tmp_path):
         assert _spans(trace, name=name, cat="worker"), (
             f"worker {name!r} spans never shipped to the parent"
         )
-    assert _spans(trace, name="rung", cat="driver")
+    assert _spans(trace, name="replicate", cat="driver")
     metrics = telemetry.validate_metrics_file(metrics_path)
     assert len(metrics["workers"]) >= 2
     assert metrics["counters"]["pool.workers_spawned"] >= 2
@@ -335,7 +336,7 @@ def test_worker_rows_and_spans_reach_the_parent_trace(world, tmp_path):
 def test_fig6_plan_trace_is_output_neutral_and_nested(tmp_path):
     """The acceptance run: a 2-worker fig6 plan under ``--trace`` is
     byte-identical to the untraced run, and its trace carries per-worker
-    timeline rows with plan -> cell -> rung span nesting."""
+    timeline rows with plan -> cell -> replicate span nesting."""
     from repro.experiments import run_experiment
     from tests.experiments.test_experiments import TINY
     from tests.runtime.test_plan import assert_results_equal
@@ -353,8 +354,8 @@ def test_fig6_plan_trace_is_output_neutral_and_nested(tmp_path):
     (plan_span,) = _spans(trace, name="plan", cat="plan")
     cell_spans = _spans(trace, name="cell", cat="plan")
     assert cell_spans, "no cell spans in the plan trace"
-    rung_spans = _spans(trace, name="rung", cat="driver")
-    assert rung_spans, "no driver rung spans in the plan trace"
+    replicate_spans = _spans(trace, name="replicate", cat="driver")
+    assert replicate_spans, "no driver replicate spans in the plan trace"
 
     def contains(outer, inner):
         return (
@@ -367,9 +368,9 @@ def test_fig6_plan_trace_is_output_neutral_and_nested(tmp_path):
     )
     sweep_cells = [c for c in cell_spans if c["args"].get("kind") == "sweep"]
     assert all(
-        any(contains(cell, rung) for cell in sweep_cells)
-        for rung in rung_spans
-    ), "rung spans escape every sweep-cell span"
+        any(contains(cell, replicate) for cell in sweep_cells)
+        for replicate in replicate_spans
+    ), "replicate spans escape every sweep-cell span"
     # Worker task spans are labelled by the cell that dispatched them.
     task_labels = {
         span["args"].get("task")

@@ -251,9 +251,9 @@ class TestEstimateEquivalence:
 
 
 class TestInducedNumerator:
-    """The ladder's Eq. (8)/(15) numerator: ``np.bincount`` over one edge
-    direction, then ``np.add.at`` over the other, in place of one
-    ``np.bincount`` over the doubled edge list."""
+    """The Eq. (8)/(15) numerator of the ladder and the public estimator:
+    ``np.bincount`` over one edge direction, then ``np.add.at`` over the
+    other, in place of one ``np.bincount`` over the doubled edge list."""
 
     @staticmethod
     def _doubled(induced, size, reverse=False):
@@ -297,6 +297,21 @@ class TestInducedNumerator:
             swapped, _ = self._doubled(induced, size, reverse=True)
             order_shows |= swapped.tobytes() != numerator.tobytes()
         assert order_shows, "no rung's numerator depends on summation order"
+
+    @pytest.mark.parametrize("design", ["rw", "wrw"])
+    def test_public_estimator_matches_doubled_bincount_bit_for_bit(
+        self, model, design
+    ):
+        """``estimate_weights_induced`` counts through the ladder's
+        helper, so it too equals the doubled bincount."""
+        from repro.core.edge_weight import induced_weights
+
+        graph, partition = model
+        sample = _samples(model)[design]
+        induced = observe_induced(graph, partition, sample)
+        numerator, reweighted = self._doubled(induced, sample.size)
+        expected = induced_weights(numerator, reweighted)
+        assert estimate_weights_induced(induced).tobytes() == expected.tobytes()
 
     def test_endpoint_columns_are_views_of_induced_edges(self, model):
         graph, partition = model
