@@ -7,9 +7,9 @@ reference sweep :func:`tests.oracles.reference_sweep` (a per-replicate
 ``sample()`` loop, re-subsetting every rung — the test oracle that pins
 the fast path bit for bit), for each walk design: RW, MHRW, RWJ, S-WRW
 with both next-hop engines (exact keyed inverse-CDF search and O(1)
-alias tables), and the union-CSR multigraph walk. The BFS / Forest
-Fire traversal rows time the batched frontier kernels against the
-per-stream sequential fallback (``_stack_sequential``). A subset of designs is additionally swept through the
+alias tables). The BFS traversal row times the batched frontier kernel
+against the per-stream sequential fallback (``_stack_sequential``). A
+subset of designs is additionally swept through the
 :mod:`repro.runtime` process executor at several worker counts; every
 record self-describes its executor mode and worker count (plus the
 runner's core count in the workload), so serial and multi-worker rows
@@ -40,8 +40,8 @@ the R=64, 5-rung small-preset sweep measured: RW 3.28s -> 0.30s
 (11.0x), MHRW 3.51s -> 0.34s (10.5x), RWJ 4.06s -> 0.38s (10.8x),
 S-WRW 4.70s -> 0.78s (6.0x, then bounded by a per-step Python
 bisection loop in the weighted kernel). Those figures are recorded in
-the JSON under ``seed_baseline_at_pr_time``; the multigraph and alias
-rows have no seed entry (the seed had no batched path for them at all).
+the JSON under ``seed_baseline_at_pr_time``; the alias rows have no
+seed entry (the seed had no batched path for them at all).
 The weighted kernel has since replaced that loop with one
 ``np.searchsorted`` per step over a lexicographic ``(source, local
 cumulative)`` arc key, which keeps S-WRW search bit-identical to its
@@ -57,15 +57,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.generators import gnm
 from repro.generators.planted import PlantedModelConfig, planted_category_graph
 from repro.graph.storage import active_storage_mode
 from repro.rng import derive_rng, ensure_rng, spawn_rngs
 from repro.sampling import (
     BreadthFirstSampler,
-    ForestFireSampler,
     MetropolisHastingsSampler,
-    MultigraphRandomWalkSampler,
     RandomWalkSampler,
     RandomWalkWithJumpsSampler,
     StratifiedWeightedWalkSampler,
@@ -91,7 +88,7 @@ SEED_BASELINE = {"rw": 3.28, "mhrw": 3.51, "rwj": 4.06, "swrw": 4.70}
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_walks.json"
 
 
-def _samplers(graph, partition, relation):
+def _samplers(graph, partition):
     return {
         "rw": RandomWalkSampler(graph),
         "mhrw": MetropolisHastingsSampler(graph),
@@ -100,7 +97,6 @@ def _samplers(graph, partition, relation):
         "swrw-alias": StratifiedWeightedWalkSampler(
             graph, partition, next_hop="alias"
         ),
-        "multigraph": MultigraphRandomWalkSampler([graph, relation]),
     }
 
 
@@ -172,9 +168,6 @@ def _merge_record(scale_name: str, record: dict) -> dict:
 def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
     config = PlantedModelConfig(k=20, alpha=0.5, scale=preset.planted_scale)
     graph, partition = planted_category_graph(config, rng=derive_rng(0, 3, 4))
-    relation = gnm(
-        graph.num_nodes, max(graph.num_edges // 4, 1), rng=derive_rng(0, 3, 5)
-    )
     sizes = preset.fig3_sample_sizes
     ladder = tuple(s for s in sizes if s <= 3 * graph.num_nodes) or sizes[:5]
 
@@ -186,13 +179,12 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
             "scale": preset.name,
             "graph_nodes": graph.num_nodes,
             "graph_edges": graph.num_edges,
-            "relation_edges": relation.num_edges,
             "cpu_cores": cores,
         },
         "designs": {},
     }
     print()
-    samplers = _samplers(graph, partition, relation)
+    samplers = _samplers(graph, partition)
     fast_sweeps: dict[str, object] = {}
     for name, sampler in samplers.items():
         # executor="serial" pins the row to in-process execution even
@@ -276,55 +268,46 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
                 f"single-process {single_time:6.3f}s  ({speedup:.1f}x)"
             )
 
-    # Traversal baselines: the set-semantics frontier kernels against
-    # their per-replicate sequential twins, at the kernel level (no
-    # estimator pipeline — the rows measure exactly the vectorization
+    # Traversal baseline: the BFS set-semantics frontier kernel against
+    # its per-replicate sequential twin, at the kernel level (no
+    # estimator pipeline — the row measures exactly the vectorization
     # win of repro.sampling.traversal). Bit-equality always asserted.
     traversal_n = graph.num_nodes // 2
-    traversal = {
-        "bfs": BreadthFirstSampler(graph),
-        "forest-fire": ForestFireSampler(graph, forward_prob=0.7),
-    }
+    bfs = BreadthFirstSampler(graph)
     # Both sides take best-of: the interpreter twin's wall clock is the
     # noisier of the two (allocator/GC jitter across ~n*R pop loops),
     # and a single noisy run would distort the recorded ratio.
-    for name, sampler in traversal.items():
-        batched_time, batched = _best_of(
-            lambda: sample_streams(
-                sampler,
-                traversal_n,
-                spawn_rngs(ensure_rng(0), REPLICATIONS),
-            ),
-            repeats=2 * REPEATS,
-        )
-        twin_time, twin = _best_of(
-            lambda: _stack_sequential(
-                sampler,
-                traversal_n,
-                spawn_rngs(ensure_rng(0), REPLICATIONS),
-            ),
-        )
-        assert np.array_equal(batched.nodes, twin.nodes), (
-            f"{name}: batched frontier kernel diverged from the "
-            "sequential twin"
-        )
-        speedup = twin_time / batched_time
-        record["designs"][name] = {
-            "executor": {
-                "mode": "serial",
-                "workers": 1,
-                "storage": active_storage_mode(),
-            },
-            "kernel": "traversal-frontier",
-            "sample_size": traversal_n,
-            "batched_kernel_seconds": round(batched_time, 4),
-            "sequential_twin_seconds": round(twin_time, 4),
-            "speedup_vs_sequential_twin": round(speedup, 2),
-        }
-        print(
-            f"  {name:>11}: batched {batched_time:6.3f}s  "
-            f"sequential-twin {twin_time:6.3f}s  ({speedup:.1f}x)"
-        )
+    batched_time, batched = _best_of(
+        lambda: sample_streams(
+            bfs, traversal_n, spawn_rngs(ensure_rng(0), REPLICATIONS)
+        ),
+        repeats=2 * REPEATS,
+    )
+    twin_time, twin = _best_of(
+        lambda: _stack_sequential(
+            bfs, traversal_n, spawn_rngs(ensure_rng(0), REPLICATIONS)
+        ),
+    )
+    assert np.array_equal(batched.nodes, twin.nodes), (
+        "bfs: batched frontier kernel diverged from the sequential twin"
+    )
+    speedup = twin_time / batched_time
+    record["designs"]["bfs"] = {
+        "executor": {
+            "mode": "serial",
+            "workers": 1,
+            "storage": active_storage_mode(),
+        },
+        "kernel": "traversal-frontier",
+        "sample_size": traversal_n,
+        "batched_kernel_seconds": round(batched_time, 4),
+        "sequential_twin_seconds": round(twin_time, 4),
+        "speedup_vs_sequential_twin": round(speedup, 2),
+    }
+    print(
+        f"  {'bfs':>11}: batched {batched_time:6.3f}s  "
+        f"sequential-twin {twin_time:6.3f}s  ({speedup:.1f}x)"
+    )
 
     # Derived-plane store: S-WRW alias construction (walk cumsums +
     # alias tables) through the manifest-keyed spill path — a cold
@@ -405,11 +388,10 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
             for name in EXECUTOR_DESIGNS:
                 row = record["designs"][f"{name}@process-w2"]
                 assert row["speedup_vs_single_process"] >= 1.5, (name, row)
-        # Traversal frontier kernels: a pure NumPy-vs-interpreter win,
+        # Traversal frontier kernel: a pure NumPy-vs-interpreter win,
         # demonstrable even on a 1-core runner.
-        for name in traversal:
-            row = record["designs"][name]
-            assert row["speedup_vs_sequential_twin"] >= 3.0, (name, row)
+        row = record["designs"]["bfs"]
+        assert row["speedup_vs_sequential_twin"] >= 3.0, row
         # Derived-plane store: a warm manifest-keyed reopen skips the
         # whole derivation, so it must beat the cold chunked build.
         row = record["designs"]["swrw-alias-construction"]

@@ -1,11 +1,9 @@
 """Community detection — categories for the Section 6.3 experiments."""
 
-from repro.community.label_propagation import label_propagation_communities
 from repro.community.leading_eigenvector import leading_eigenvector_communities
 from repro.community.modularity import modularity
 
 __all__ = [
     "leading_eigenvector_communities",
-    "label_propagation_communities",
     "modularity",
 ]

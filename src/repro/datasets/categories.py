@@ -12,8 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.community.leading_eigenvector import leading_eigenvector_communities
-from repro.community.label_propagation import label_propagation_communities
-from repro.exceptions import GenerationError
 from repro.graph.adjacency import Graph
 from repro.graph.partition import CategoryPartition
 
@@ -23,7 +21,6 @@ __all__ = ["worst_case_categories"]
 def worst_case_categories(
     graph: Graph,
     top: int = 50,
-    method: str = "leading-eigenvector",
     rng: "np.random.Generator | int | None" = 0,
 ) -> CategoryPartition:
     """Categories = ``top`` largest communities + one catch-all.
@@ -35,21 +32,13 @@ def worst_case_categories(
     top:
         Number of large communities kept as individual categories
         (paper: 50).
-    method:
-        ``"leading-eigenvector"`` (the paper's [47]) or
-        ``"label-propagation"`` (faster ablation alternative).
+    rng:
+        Seed of the leading-eigenvector community finder (the paper's
+        [47]).
     """
-    if method == "leading-eigenvector":
-        communities = leading_eigenvector_communities(
-            graph, max_communities=max(2 * top, top + 10), rng=rng
-        )
-    elif method == "label-propagation":
-        communities = label_propagation_communities(graph, rng=rng)
-    else:
-        raise GenerationError(
-            f"unknown community method {method!r}; use 'leading-eigenvector' "
-            "or 'label-propagation'"
-        )
+    communities = leading_eigenvector_communities(
+        graph, max_communities=max(2 * top, top + 10), rng=rng
+    )
     if communities.num_categories <= top:
         return communities
     named = CategoryPartition(

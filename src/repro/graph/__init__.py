@@ -50,7 +50,6 @@ from repro.graph.storage import (
     storage_root,
     stream_graph,
 )
-from repro.graph.union import UnionCSR, union_csr
 
 __all__ = [
     "DerivedPlaneStore",
@@ -73,8 +72,6 @@ __all__ = [
     "GraphBuilder",
     "CategoryGraph",
     "CategoryPartition",
-    "UnionCSR",
-    "union_csr",
     "cut_matrix",
     "true_category_graph",
     "connected_components",

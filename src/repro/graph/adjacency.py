@@ -208,7 +208,7 @@ class Graph:
         ``neighbors[lengths[:i].sum() : lengths[:i].sum() + lengths[i]]``
         — and ``lengths`` is each run's degree. Repeated nodes repeat
         their runs. This is the frontier-expansion primitive of the
-        batched traversal kernels (:mod:`repro.sampling.traversal`): one
+        batched BFS kernel (:mod:`repro.sampling.traversal`): one
         fancy-indexed gather over the whole frontier instead of a
         Python-level slice per node, and it reads identically from
         in-RAM and memmap-backed planes.

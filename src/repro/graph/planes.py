@@ -3,11 +3,11 @@
 The out-of-core CSR plane (:mod:`repro.graph.storage`) bounded the
 *base* arrays, but every array derived from them — ``arc_sources``,
 the upper-edge list and neighbor-category histograms that observations
-gather, the union-multigraph merge, alias tables, per-run weight
-cumulatives — still materialized in RAM at first use, which is
-exactly the memory (and startup-time) wall of a weighted-walk sweep at
-web scale. This module closes that gap with a content-addressed store
-for derived arrays in the same plane format:
+gather, alias tables, per-run weight cumulatives — still materialized
+in RAM at first use, which is exactly the memory (and startup-time)
+wall of a weighted-walk sweep at web scale. This module closes that
+gap with a content-addressed store for derived arrays in the same
+plane format:
 
 * one directory per derived result under ``<cache>/<derivation>/<key>``
   holding raw ``.npy`` planes plus a ``manifest.json`` (dtype / shape /
@@ -630,10 +630,8 @@ def derived_arc_sources(
 ) -> np.ndarray:
     """Source node of every arc for ``indptr``, via the plane store.
 
-    Shared by :class:`~repro.graph.adjacency.Graph` and
-    :class:`~repro.graph.union.UnionCSR` — the derivation is keyed on
-    the offsets array alone, so a union CSR and a simple graph with
-    identical ``indptr`` share one plane.
+    Keyed on the offsets array alone, so two graphs with identical
+    ``indptr`` share one plane.
     """
     indptr = np.asanyarray(indptr)
     num_arcs = int(indptr[-1]) if len(indptr) else 0

@@ -43,8 +43,8 @@ Workers never copy these planes: the plane-tokenizing pickler of
 an ``mmap`` token (path + dtype + shape + offset) instead of a shared
 memory block, so each worker maps the same file.
 
-Arrays *derived* from these planes (``arc_sources``, union-CSR merges,
-alias tables, walk cumulatives) spill to the same format through the
+Arrays *derived* from these planes (``arc_sources``, alias tables,
+walk cumulatives) spill to the same format through the
 content-addressed store of :mod:`repro.graph.planes`, which reuses this
 module's manifest machinery and digests.
 """

@@ -425,7 +425,7 @@ class _FailoverDriver:
             interval = self._heartbeat_interval()
             if interval is not None:
                 extras["heartbeat"] = interval
-            handle = self.handles[run.slot % len(self.handles)]
+            handle = self._placement(run)
             try:
                 run.channel = self.pool.open_task(
                     handle, payload, dict(cfg, **extras)
@@ -437,6 +437,24 @@ class _FailoverDriver:
                 # consume the shard's retry budget.
                 directives = ()
                 self._lease()
+
+    def _placement(self, run: _ShardRun):
+        """The first leased handle hosting no other open run, else (every
+        handle busy: the degraded, multiplexed case) ``slot % len``.
+
+        A lease lists the surviving workers first and a respawned one
+        last, so a replacement placed by slot alone could land on a
+        live shard's worker while the fresh worker idled.
+        """
+        busy = {
+            other.channel.process
+            for other in self.runs
+            if other is not run and other.channel is not None
+        }
+        for handle in self.handles:
+            if handle.process not in busy:
+                return handle
+        return self.handles[run.slot % len(self.handles)]
 
     # ------------------------------------------------------------------
     def command(self, run: _ShardRun, *message) -> None:

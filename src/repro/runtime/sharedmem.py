@@ -1,8 +1,8 @@
 """Publish NumPy arrays to workers once, via POSIX shared memory.
 
 A sweep's workers all need the same read-only substrate: the graph's
-CSR ``indptr``/``indices``, the union-multigraph planes, per-arc weight
-and alias tables, partition labels. Pickling those into every worker
+CSR ``indptr``/``indices``, per-arc weight and alias tables, the
+S-WRW search key, partition labels. Pickling those into every worker
 costs O(workers x arrays) copies and, at paper scale, dominates
 executor startup. This module instead publishes each large array to a
 ``multiprocessing.shared_memory`` block exactly once and replaces it
@@ -13,7 +13,7 @@ one physical instance of the substrate regardless of worker count.
 
 The mechanism is object-agnostic: :func:`dumps` pickles any object
 graph (samplers, :class:`~repro.graph.adjacency.Graph` instances,
-:class:`~repro.graph.union.UnionCSR`, partitions) and every ndarray at
+partitions) and every ndarray at
 least ``threshold`` bytes big rides shared memory automatically, so new
 sampler designs get the treatment without registering anything.
 

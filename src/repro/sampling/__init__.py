@@ -26,9 +26,8 @@ from repro.sampling.observation import (
     observe_induced,
     observe_star,
 )
-from repro.sampling.multigraph import MultigraphRandomWalkSampler
 from repro.sampling.stratified import StratifiedWeightedWalkSampler
-from repro.sampling.traversal import BreadthFirstSampler, ForestFireSampler
+from repro.sampling.traversal import BreadthFirstSampler
 from repro.sampling.walks import (
     MetropolisHastingsSampler,
     RandomWalkSampler,
@@ -53,9 +52,7 @@ __all__ = [
     "WeightedRandomWalkSampler",
     "RandomWalkWithJumpsSampler",
     "StratifiedWeightedWalkSampler",
-    "MultigraphRandomWalkSampler",
     "BreadthFirstSampler",
-    "ForestFireSampler",
     "InducedObservation",
     "StarObservation",
     "observe_induced",

@@ -19,8 +19,8 @@ and cumulative-sum lookup mirrors the sequential kernels exactly, so the
 batched trajectory of replicate ``r`` is **bit-for-bit identical** to
 ``sampler.sample(n, rng=streams[r])``.
 ``tests/sampling/test_equivalence.py`` enforces this for *every*
-exported design — including the multigraph union-CSR walk and the
-alias-table weighted walks — and ``tests/sampling/test_batch.py`` digs
+exported design — including the alias-table weighted walks and the BFS
+traversal baseline — and ``tests/sampling/test_batch.py`` digs
 into the walk kernels specifically.
 
 The kernel registry
@@ -49,9 +49,8 @@ registration. Registering ``None`` declares an *explicit* sequential
 fallback — the design is stated to have no batched kernel (today only
 the independence designs, whose per-draw cost is a single array op
 already) and ``sample_many`` runs the per-stream loop without probing
-further. The without-replacement traversal baselines (BFS, Forest
-Fire) used to be ``None`` fallbacks too; they now register
-set-semantics frontier kernels in :mod:`repro.sampling.traversal`.
+further. The without-replacement BFS baseline registers a
+set-semantics frontier kernel in :mod:`repro.sampling.traversal`.
 Unregistered designs fall back the same way, so callers can treat every
 design uniformly; :func:`registered_kernel` reports the kernel in use
 and :func:`is_registered` distinguishes a declared fallback from a
@@ -69,7 +68,6 @@ import numpy as np
 from repro.exceptions import SamplingError
 from repro.rng import ensure_rng, spawn_rngs
 from repro.sampling.base import NodeSample, Sampler
-from repro.sampling.multigraph import MultigraphRandomWalkSampler
 from repro.sampling.walks import (
     MetropolisHastingsSampler,
     RandomWalkSampler,
@@ -250,10 +248,9 @@ def sample_many(
     """Draw ``replications`` independent samples of size ``n`` at once.
 
     Designs with a registered kernel (RW, MHRW, WRW/S-WRW with either
-    next-hop engine, RWJ, the multigraph union-CSR walk, and the BFS /
-    Forest Fire traversal baselines) advance as one vectorized
-    frontier; every other design falls back to a sequential per-stream
-    loop. Either way replicate ``r`` equals
+    next-hop engine, RWJ, and the BFS traversal baseline) advance as one
+    vectorized frontier; every other design falls back to a sequential
+    per-stream loop. Either way replicate ``r`` equals
     ``sampler.sample(n, rng=spawn_rngs(rng, R)[r])`` bit for bit.
     """
     if replications < 1:
@@ -392,7 +389,6 @@ def _frontier_setup(
     streams: list[np.random.Generator],
     blocks: int,
     total: int,
-    candidates: np.ndarray | None = None,
 ) -> tuple[np.ndarray, _FrontierVariates]:
     """Starts and windowed variates, consuming each stream sequentially.
 
@@ -402,13 +398,12 @@ def _frontier_setup(
     memory is O(blocks x window x R), not O(blocks x total x R). Per
     stream the consumption order is unchanged from the sequential
     samplers: the start draw first, then ``blocks`` consecutive
-    ``random(total)`` blocks. ``candidates`` are the valid random-start
-    nodes (default: positive-degree nodes of the sampler's graph; the
-    multigraph kernel passes positive *total*-degree nodes instead).
+    ``random(total)`` blocks. A random start is a uniform draw among
+    the positive-degree nodes of the sampler's graph.
     """
     replications = len(streams)
     starts = np.empty(replications, dtype=np.int64)
-    if sampler._start is None and candidates is None:
+    if sampler._start is None:
         candidates = np.flatnonzero(sampler._graph.degrees() > 0)
     for r, stream in enumerate(streams):
         if sampler._start is not None:
@@ -577,40 +572,7 @@ def _rwj_kernel(sampler, n, streams):
     return nodes, degrees[nodes].astype(float) + alpha
 
 
-def _multigraph_kernel(sampler, n, streams):
-    """Union-CSR frontier for the multigraph walk.
-
-    Steps on the merged multigraph CSR (:mod:`repro.graph.union`), whose
-    per-node relation-ordered arc layout resolves a stub index to the
-    same arc the sequential per-relation scan would — one gather per
-    step for the whole frontier.
-    """
-    union = sampler.union
-    indptr, indices = union.indptr, union.indices
-    degrees = union.total_degrees
-    cur, variates = _frontier_setup(
-        sampler,
-        streams,
-        1,
-        n,
-        candidates=(
-            None if sampler._start is not None else np.flatnonzero(degrees > 0)
-        ),
-    )
-    isolated = _isolated_mask(degrees)
-    out = np.empty((n, len(streams)), dtype=np.int64)
-    for i in range(n):
-        if isolated is not None:
-            _check_frontier(isolated, cur, "multigraph walk")
-        step_rand = variates.step(i)
-        cur = indices[indptr[cur] + (step_rand[0] * degrees[cur]).astype(np.int64)]
-        out[i] = cur
-    nodes = np.ascontiguousarray(out.T)
-    return nodes, degrees[nodes].astype(float)
-
-
 register_kernel(RandomWalkSampler, _rw_kernel)
 register_kernel(MetropolisHastingsSampler, _mhrw_kernel)
 register_kernel(WeightedRandomWalkSampler, _wrw_kernel)
 register_kernel(RandomWalkWithJumpsSampler, _rwj_kernel)
-register_kernel(MultigraphRandomWalkSampler, _multigraph_kernel)

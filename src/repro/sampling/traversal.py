@@ -1,23 +1,23 @@
-"""Traversal-based baselines: BFS (snowball) and Forest Fire.
+"""Traversal baseline: BFS (snowball) sampling.
 
-Both are *biased* designs without tractable inclusion probabilities (see
-the paper's Section 8 discussion of [4, 38, 43, 44]); they are included
-as baselines to demonstrate why principled probability samples matter.
-Their ``NodeSample.weights`` are all ones and ``uniform`` is **False**
+BFS is a *biased* design without tractable inclusion probabilities (see
+the paper's Section 8 discussion of [4, 38, 43, 44]); it is included as
+a baseline to demonstrate why principled probability samples matter.
+Its ``NodeSample.weights`` are all ones and ``uniform`` is **False**
 with ``design`` flagging the bias — the estimators will happily run and
 visibly mis-estimate, which is exactly the point of the ablation bench.
 
-Both designs also register *batched frontier kernels* with
+The design also registers a *batched frontier kernel* with
 :mod:`repro.sampling.batch`: all R replicate traversals advance as one
 set-semantics step — per-replicate visited bitmaps (memmap-backed when
 the active storage plane is out-of-core), one CSR neighborhood gather
 (:meth:`repro.graph.adjacency.Graph.gather_neighborhoods`) plus one
-dedup/mask pass per expansion round, and per-replicate restart/burn
-draws replayed in the sequential samplers' exact RNG order. Replicate
-``r`` of the batched output is therefore **bit-identical** to
-``sampler.sample(n, rng=streams[r])`` — the per-replicate Python loops
-below are kept as the reference twins that
-``tests/sampling/test_equivalence.py`` holds the kernels to.
+dedup/mask pass per expansion round, and per-replicate restart draws
+replayed in the sequential sampler's exact RNG order. Replicate ``r``
+of the batched output is therefore **bit-identical** to
+``sampler.sample(n, rng=streams[r])`` — the per-replicate Python loop
+below is kept as the reference twin that
+``tests/sampling/test_equivalence.py`` holds the kernel to.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.rng import ensure_rng
 from repro.sampling.base import NodeSample, Sampler
 from repro.sampling.batch import register_kernel
 
-__all__ = ["BreadthFirstSampler", "ForestFireSampler"]
+__all__ = ["BreadthFirstSampler"]
 
 
 class BreadthFirstSampler(Sampler):
@@ -100,115 +100,17 @@ class BreadthFirstSampler(Sampler):
         return NodeSample(nodes, np.ones(n), design=self.design, uniform=False)
 
 
-def _invert_burn(u: float, p: float, cap: int) -> int:
-    """Geometric(1 - p) burn size by inverse transform, capped at ``cap``.
-
-    ``ceil(ln u / ln p)`` has ``P(X = k) = p**(k-1) * (1 - p)`` for
-    ``k >= 1``. ``u == 0.0`` (probability 2**-53 per draw) maps to the
-    cap, as any draw past the cap would. The batched kernel applies the
-    same double-precision expression elementwise, so twin and kernel
-    agree bit for bit.
-    """
-    if u <= 0.0:
-        return cap
-    burn = int(np.ceil(np.log(u) / np.log(p)))
-    return burn if burn < cap else cap
-
-
-class ForestFireSampler(Sampler):
-    """Forest Fire sampling [Leskovec & Faloutsos 2006].
-
-    A hybrid of BFS and RW: from each burning node, a geometrically
-    distributed number of unvisited neighbors (mean ``p / (1 - p)``)
-    catches fire. When the fire dies out, it restarts from a fresh
-    random node. Biased like BFS; included as a related-work baseline.
-
-    RNG protocol: every popped node ``v`` consumes one
-    ``random(deg(v) + 1)`` block — the first uniform inverts to the
-    geometric burn size (``ceil(ln U / ln p)``, the standard inverse
-    transform), the rest are per-neighbor selection keys whose
-    ``argsort`` prefix *over the unvisited neighbors* is the burned
-    subset. This draws the exact same distribution as a ``geometric``
-    + ``choice`` call pair (iid uniform keys make every ordered
-    ``k``-subset equally likely; keys of visited neighbors are simply
-    unused), and the block size depends only on the popped node — never
-    on the visited state — so the batched kernel can pre-draw blocks
-    for whole stretches of its FIFO queue at once. It is the same
-    state-independent-consumption trick the RWJ twin uses by drawing a
-    jump *and* a step uniform every step whether or not it jumps.
-    """
-
-    def __init__(self, graph: Graph, forward_prob: float = 0.7):
-        super().__init__(graph)
-        if not 0.0 < forward_prob < 1.0:
-            raise SamplingError(
-                f"forward_prob must be in (0, 1), got {forward_prob}"
-            )
-        self._forward_prob = forward_prob
-
-    @property
-    def design(self) -> str:
-        return "forest_fire"
-
-    @property
-    def uniform(self) -> bool:
-        return False
-
-    def sample(
-        self, n: int, rng: np.random.Generator | int | None = None
-    ) -> NodeSample:
-        self._check_size(n)
-        if n > self._graph.num_nodes:
-            raise SamplingError(
-                f"Forest Fire cannot collect {n} distinct nodes from a graph "
-                f"of {self._graph.num_nodes}"
-            )
-        gen = ensure_rng(rng)
-        indptr, indices = self._graph.indptr, self._graph.indices
-        visited = np.zeros(self._graph.num_nodes, dtype=bool)
-        order: list[int] = []
-        frontier: collections.deque[int] = collections.deque()
-        p = self._forward_prob
-        while len(order) < n:
-            if not frontier:
-                remaining = np.flatnonzero(~visited)
-                seed = int(remaining[gen.integers(0, len(remaining))])
-                visited[seed] = True
-                order.append(seed)
-                frontier.append(seed)
-                continue
-            v = frontier.popleft()
-            run = indices[indptr[v] : indptr[v + 1]]
-            # One block per pop, sized by degree alone (see class
-            # docstring): burn uniform first, then one key per neighbor.
-            draws = gen.random(len(run) + 1)
-            fresh = ~visited[run]
-            unvisited = run[fresh]
-            if not len(unvisited):
-                continue
-            burn_count = _invert_burn(draws[0], p, len(unvisited))
-            for u in unvisited[np.argsort(draws[1:][fresh])[:burn_count]]:
-                u = int(u)
-                visited[u] = True
-                order.append(u)
-                frontier.append(u)
-                if len(order) == n:
-                    break
-        nodes = np.asarray(order[:n], dtype=np.int64)
-        return NodeSample(nodes, np.ones(n), design=self.design, uniform=False)
-
-
 # ----------------------------------------------------------------------
 # Batched frontier kernels
 # ----------------------------------------------------------------------
-# Traversal designs are without-replacement frontier processes: the
-# visited set couples every step to the whole history, so unlike the
-# walk kernels they cannot pre-draw variates. What *does* vectorize is
-# the frontier expansion itself — the per-neighbor Python loops above
-# become one concatenated CSR gather plus one dedup/mask pass per round,
-# shared by all R replicates. RNG draws (seeds, restarts, burns) stay
-# per-stream scalar calls replayed in the sequential order, which is
-# what keeps each replicate bit-identical to its reference twin.
+# BFS is a without-replacement frontier process: the visited set
+# couples every step to the whole history, so unlike the walk kernels
+# it cannot pre-draw variates. What *does* vectorize is the frontier
+# expansion itself — the per-neighbor Python loop above becomes one
+# concatenated CSR gather plus one dedup/mask pass per round, shared by
+# all R replicates. RNG draws (seeds, restarts) stay per-stream scalar
+# calls replayed in the sequential order, which is what keeps each
+# replicate bit-identical to its reference twin.
 
 
 def _telemetry():
@@ -247,7 +149,7 @@ def _visited_bitmaps(replications: int, num_nodes: int) -> np.ndarray:
 def _restart_draw(
     stream: np.random.Generator, visited_row: np.ndarray
 ) -> int:
-    """Fresh unvisited node, via the sequential twins' exact call pair."""
+    """Fresh unvisited node, via the sequential twin's exact call pair."""
     remaining = np.flatnonzero(~visited_row)
     return int(remaining[stream.integers(0, len(remaining))])
 
@@ -257,7 +159,7 @@ def _bfs_kernel(sampler, n, streams):
     """Level-synchronous batched BFS over all R replicates.
 
     Per round: emit each active replicate's current level (its FIFO pop
-    order), restart exhausted replicates with the twins' restart draw,
+    order), restart exhausted replicates with the twin's restart draw,
     then expand every frontier in one concatenated neighborhood gather.
     Within-round dedup keeps the *first* occurrence of each (replicate,
     node) pair in concatenation order — exactly the order the sequential
@@ -338,387 +240,3 @@ def _bfs_kernel(sampler, n, streams):
     tele.counter("traversal.bfs.restarts", restarts)
     tele.counter("traversal.bfs.gathered_arcs", gathered)
     return out, np.ones((replications, n))
-
-
-# How many queued-but-undrawn entries one refill covers. Blocks are
-# drawn in queue order, so any horizon yields the twin's stream order;
-# a bounded one just caps how far a stream runs ahead of its pops.
-_FF_DRAW_HORIZON = 512
-# Lookahead window cap: how many dead (no unvisited neighbors) queue
-# entries one round may skip per replicate.
-_FF_WINDOW_MAX = 16
-
-
-@register_kernel(ForestFireSampler)
-def _forest_fire_kernel(sampler, n, streams):
-    """Batched Forest Fire over pre-drawn per-pop uniform blocks.
-
-    The twin consumes one ``random(deg(v) + 1)`` block per pop, sized by
-    the popped node alone — so whenever entries sit in a replicate's
-    FIFO queue, their blocks can be drawn *now*, in queue order, with
-    one stream call (a restart draw only ever happens when the queue is
-    empty, i.e. after every pre-drawn block has been consumed, so the
-    stream-call order is exactly the twin's). Each round then advances
-    every active replicate through an adaptive window of queued entries:
-    dead entries (no unvisited neighbors — the twin's ``continue``, no
-    state change beyond consuming their block) are skipped wholesale,
-    and the first live entry burns. Neighborhood gathers, burn-size
-    inversion, bottom-k key ranking, and all visited/output/queue writes
-    are whole-round array ops; the only per-replicate Python work left
-    is block refills and restarts, both rare. Replicate ``r`` of the
-    output is bit-identical to ``sampler.sample(n, rng=streams[r])``;
-    the stream itself may finish *ahead* of the twin's final position
-    (blocks pre-drawn for entries the budget never popped) — streams
-    are single-use per sweep, exactly how the engine hands them out.
-    """
-    graph = sampler._graph
-    num_nodes = graph.num_nodes
-    if n > num_nodes:
-        raise SamplingError(
-            f"Forest Fire cannot collect {n} distinct nodes from a graph "
-            f"of {num_nodes}"
-        )
-    replications = len(streams)
-    log_p = np.log(sampler._forward_prob)
-    indptr, indices = graph.indptr, graph.indices
-    tele = _telemetry()
-    rounds = restarts = gathered = refills = 0
-    with tele.span(
-        "kernel.forest_fire", "kernel", replicates=replications, draws=n
-    ):
-        visited = _visited_bitmaps(replications, num_nodes)
-        flat = visited.reshape(-1)
-        out = np.empty((replications, n), dtype=np.int64)
-        out_flat = out.reshape(-1)
-        counts = np.zeros(replications, dtype=np.int64)
-        # Every emitted node is enqueued exactly once and in the same
-        # order, so the output row *is* the queue: out[r, heads[r]:
-        # counts[r]] holds replicate r's pending entries and counts
-        # doubles as the tail pointer.
-        heads = np.zeros(replications, dtype=np.int64)
-        # Pre-drawn uniform blocks, one growable row per replicate.
-        # ucur/uend are per-row double cursors (read/write); drawn[r] is
-        # the queue entry index blocks have been drawn up to.
-        cap = 1024
-        ubuf = np.empty((replications, cap))
-        ubuf_flat = ubuf.reshape(-1)
-        ucur = np.zeros(replications, dtype=np.int64)
-        uend = np.zeros(replications, dtype=np.int64)
-        drawn = np.zeros(replications, dtype=np.int64)
-        win = np.ones(replications, dtype=np.int64)
-        active = np.arange(replications, dtype=np.int64)
-        # wmax mirrors win.max() over live replicates: while it is 1
-        # (almost every round on well-connected substrates) each window
-        # is a single entry and the round takes the specialized path.
-        wmax = 1
-        # Cached per-replicate flat offsets into queue/out, visited, and
-        # ubuf — recomputed only when active shrinks or ubuf grows.
-        act_n = active * n
-        act_nn = active * num_nodes
-        act_cap = active * cap
-        # Conservative lower bounds on min(tails - heads) and
-        # min(drawn - heads) over live replicates: while positive, no
-        # queue can be empty and no pop can be undrawn, so the restart
-        # and refill scans are skipped outright (heads advance by one
-        # per fast round, so a decrement keeps the bounds valid).
-        qgap = dgap = 0
-        expand_span = tele.span("kernel.forest_fire.expand", "kernel")
-        with expand_span, np.errstate(divide="ignore"):
-            while active.size:
-                rounds += 1
-                h = heads[active]
-                restarted = False
-                if qgap <= 0:
-                    empty = h == counts[active]
-                    if empty.any():
-                        restarted = True
-                        finished = False
-                        for r in active[empty].tolist():
-                            restarts += 1
-                            seed = _restart_draw(streams[r], visited[r])
-                            visited[r, seed] = True
-                            c = counts[r]
-                            out[r, c] = seed
-                            counts[r] = c + 1
-                            if c + 1 == n:
-                                finished = True
-                        if finished:
-                            # A restart hit the budget: trim now and
-                            # defer this round's pops — otherwise the
-                            # completed replicate would keep popping.
-                            active = active[counts[active] < n]
-                            if active.size:
-                                act_n = active * n
-                                act_nn = active * num_nodes
-                                act_cap = active * cap
-                            continue
-                        pops = active[~empty]
-                        h = h[~empty]
-                    else:
-                        pops = active
-                    qgap = int((counts[active] - heads[active]).min())
-                else:
-                    pops = active
-                if not pops.size:
-                    active = active[counts[active] < n]
-                    if active.size:
-                        act_n = active * n
-                        act_nn = active * num_nodes
-                        act_cap = active * cap
-                    qgap = dgap = 0
-                    continue
-                if dgap <= 0:
-                    undrawn = drawn[pops] == h
-                    if undrawn.any():
-                        for r in pops[undrawn].tolist():
-                            refills += 1
-                            stop = min(
-                                counts[r], heads[r] + _FF_DRAW_HORIZON
-                            )
-                            entries = out[r, heads[r] : stop]
-                            need = (
-                                int(
-                                    (
-                                        indptr[entries + 1]
-                                        - indptr[entries]
-                                    ).sum()
-                                )
-                                + entries.size
-                            )
-                            end = uend[r] + need
-                            if end > cap:
-                                while cap < end:
-                                    cap *= 2
-                                grown = np.empty((replications, cap))
-                                grown[:, : ubuf.shape[1]] = ubuf
-                                ubuf = grown
-                                ubuf_flat = ubuf.reshape(-1)
-                                act_cap = active * cap
-                            streams[r].random(out=ubuf[r, uend[r] : end])
-                            uend[r] = end
-                            drawn[r] = stop
-                    dgap = int((drawn[pops] - h).min())
-                if restarted:
-                    # Restarted rows sit outside this round's pops with
-                    # an undrawn seed and a one-entry queue: recheck.
-                    qgap = dgap = 0
-                if wmax == 1:
-                    # Fast path: every window is one entry — pop it,
-                    # mask its run, burn where anything is unvisited.
-                    if pops is active:
-                        pn, pnn, pcap = act_n, act_nn, act_cap
-                    else:
-                        pn = pops * n
-                        pnn = pops * num_nodes
-                        pcap = pops * cap
-                    cands = out_flat[pn + h]
-                    cstarts = indptr[cands]
-                    lens = indptr[cands + 1] - cstarts
-                    total = int(lens.sum())
-                    gathered += total
-                    nstart = np.empty(pops.size + 1, dtype=np.int64)
-                    nstart[0] = 0
-                    np.cumsum(lens, out=nstart[1:])
-                    nbrs = indices[
-                        np.repeat(cstarts - nstart[:-1], lens)
-                        + np.arange(total, dtype=np.int64)
-                    ]
-                    unvis = ~flat[np.repeat(pnn, lens) + nbrs]
-                    pref = np.empty(total + 1, dtype=np.int64)
-                    pref[0] = 0
-                    np.cumsum(unvis, out=pref[1:])
-                    availc = pref[nstart[1:]] - pref[nstart[:-1]]
-                    uc = ucur[pops]
-                    ubase = pcap + uc
-                    ucur[pops] = uc + lens + 1
-                    heads[pops] = h + 1
-                    # Key indices built compressed: unvisited arc i of
-                    # segment s sits at block offset (arc position in
-                    # run) + 1, i.e. uidx shifted per segment.
-                    uidx = np.flatnonzero(unvis)
-                    if availc.all():
-                        # Every pop burns: pref at the segment starts
-                        # is exactly each burn segment's offset.
-                        keys_u = ubuf_flat[
-                            np.repeat(
-                                ubase + 1 - nstart[:-1], availc
-                            )
-                            + uidx
-                        ]
-                        done = _burn_commit(
-                            n, num_nodes, log_p, flat, out_flat,
-                            counts, ubuf_flat,
-                            pops, ubase, availc, pref[nstart[:-1]],
-                            keys_u, nbrs[uidx],
-                        )
-                    else:
-                        live = availc > 0
-                        bidx = np.flatnonzero(live)
-                        win[pops[~live]] = 2
-                        wmax = 2
-                        done = False
-                        if bidx.size:
-                            uidx = uidx[np.repeat(live, availc)]
-                            avail = availc[bidx]
-                            lo = np.empty(bidx.size, dtype=np.int64)
-                            lo[0] = 0
-                            np.cumsum(avail[:-1], out=lo[1:])
-                            keys_u = ubuf_flat[
-                                np.repeat(
-                                    (ubase + 1 - nstart[:-1])[bidx],
-                                    avail,
-                                )
-                                + uidx
-                            ]
-                            done = _burn_commit(
-                                n, num_nodes, log_p, flat, out_flat,
-                                counts, ubuf_flat,
-                                pops[bidx], ubase[bidx], avail, lo,
-                                keys_u, nbrs[uidx],
-                            )
-                    if done:
-                        active = active[counts[active] < n]
-                        if active.size:
-                            act_n = active * n
-                            act_nn = active * num_nodes
-                            act_cap = active * cap
-                    qgap -= 1
-                    dgap -= 1
-                    continue
-                # General path: adaptive dead-skip windows of up to
-                # win[r] queued entries (all drawn; refill above
-                # guarantees at least one).
-                k = np.minimum(win[pops], drawn[pops] - h)
-                totc = int(k.sum())
-                gstart = np.empty(pops.size, dtype=np.int64)
-                gstart[0] = 0
-                np.cumsum(k[:-1], out=gstart[1:])
-                ar_c = np.arange(totc, dtype=np.int64)
-                cands = out_flat[
-                    np.repeat(pops * n + h - gstart, k) + ar_c
-                ]
-                cstarts = indptr[cands]
-                lens = indptr[cands + 1] - cstarts
-                total = int(lens.sum())
-                gathered += total
-                nstart = np.empty(totc, dtype=np.int64)
-                nstart[0] = 0
-                np.cumsum(lens[:-1], out=nstart[1:])
-                nbrs = indices[
-                    np.repeat(cstarts - nstart, lens)
-                    + np.arange(total, dtype=np.int64)
-                ]
-                unvis = ~flat[
-                    np.repeat(np.repeat(pops * num_nodes, k), lens) + nbrs
-                ]
-                # Unvisited-count prefix: per-candidate liveness now,
-                # per-burn-segment offsets later, from one cumsum.
-                pref = np.empty(total + 1, dtype=np.int64)
-                pref[0] = 0
-                np.cumsum(unvis, out=pref[1:])
-                availc = pref[nstart + lens] - pref[nstart]
-                # First live entry per window: min over the window of
-                # (global index where live, totc otherwise). Dead
-                # prefixes advance the head and cursor, nothing else.
-                firstg = np.minimum.reduceat(
-                    np.where(availc > 0, ar_c, totc), gstart
-                )
-                has = firstg < gstart + k
-                adv = np.where(has, firstg - gstart + 1, k)
-                wexc = np.empty(totc + 1, dtype=np.int64)
-                wexc[0] = 0
-                np.cumsum(lens + 1, out=wexc[1:])
-                uc = ucur[pops]
-                ubase = pops * cap + uc
-                ucur[pops] = uc + wexc[gstart + adv] - wexc[gstart]
-                heads[pops] = h + adv
-                win[pops] = np.where(
-                    has, 1, np.minimum(win[pops] * 2, _FF_WINDOW_MAX)
-                )
-                done = False
-                if has.any():
-                    bidx = np.flatnonzero(has)
-                    brs = pops[bidx]
-                    eix = firstg[bidx]
-                    blen = lens[eix]
-                    bbase = ubase[bidx] + wexc[eix] - wexc[gstart[bidx]]
-                    tot3 = int(blen.sum())
-                    f3 = np.empty(bidx.size, dtype=np.int64)
-                    f3[0] = 0
-                    np.cumsum(blen[:-1], out=f3[1:])
-                    ar3 = np.arange(tot3, dtype=np.int64)
-                    src = np.repeat(nstart[eix] - f3, blen) + ar3
-                    um = unvis[src]
-                    # Selection keys sit right after each block's burn
-                    # slot, elementwise aligned with the adjacency run.
-                    keys_u = ubuf_flat[
-                        np.repeat(bbase + 1 - f3, blen) + ar3
-                    ][um]
-                    nbrs_u = nbrs[src][um]
-                    avail = availc[eix]
-                    lo = np.empty(bidx.size, dtype=np.int64)
-                    lo[0] = 0
-                    np.cumsum(avail[:-1], out=lo[1:])
-                    done = _burn_commit(
-                        n, num_nodes, log_p, flat, out_flat,
-                        counts, ubuf_flat, brs, bbase, avail, lo,
-                        keys_u, nbrs_u,
-                    )
-                if done:
-                    active = active[counts[active] < n]
-                    if active.size:
-                        act_n = active * n
-                        act_nn = active * num_nodes
-                        act_cap = active * cap
-                wmax = int(win[active].max()) if active.size else 1
-                qgap = dgap = 0
-    tele.counter("traversal.forest_fire.rounds", rounds)
-    tele.counter("traversal.forest_fire.restarts", restarts)
-    tele.counter("traversal.forest_fire.refills", refills)
-    tele.counter("traversal.forest_fire.gathered_arcs", gathered)
-    return out, np.ones((replications, n))
-
-
-def _burn_commit(
-    n, num_nodes, log_p, flat, out_flat, counts,
-    ubuf_flat, brs, bbase, avail, lo, keys_u, nbrs_u,
-):
-    """Invert burn sizes and write one round's burns for ``brs``.
-
-    ``keys_u``/``nbrs_u`` hold each burning replicate's unvisited
-    neighbors (segment ``lo[i] : lo[i] + avail[i]``, replicates in
-    ascending order) with their pre-drawn selection keys; ``bbase``
-    flat-indexes each block's burn uniform in ``ubuf_flat``. Burn-size
-    inversion, per-segment bottom-``take`` key ranking, budget
-    truncation, and the visited/output writes all land as whole-round
-    array ops; the output write doubles as the enqueue, because every
-    emitted node is enqueued in the same order (``out[r, heads[r]:
-    counts[r]]`` *is* replicate ``r``'s pending queue). Returns True
-    when any replicate hit its budget, i.e. the caller must re-trim
-    the active set.
-    """
-    burns = np.ceil(np.log(ubuf_flat[bbase]) / log_p)
-    cb = counts[brs]
-    space = n - cb
-    take = np.minimum(np.minimum(burns, avail), space).astype(np.int64)
-    nseg = brs.size
-    amax = int(avail.max())
-    # Per-segment bottom-take selection via one padded row argsort:
-    # scatter each segment's keys into its own +inf-padded row, sort
-    # rows, keep each row's first take columns. Row order == the twin's
-    # per-segment key argsort; padding never ranks (take <= avail).
-    col = np.arange(keys_u.size, dtype=np.int64) - np.repeat(
-        lo - np.arange(nseg, dtype=np.int64) * amax, avail
-    )
-    mat = np.full(nseg * amax, np.inf)
-    mat[col] = keys_u
-    sorted_cols = np.argsort(mat.reshape(nseg, amax), axis=1)
-    kept = np.arange(amax, dtype=np.int64) < take[:, None]
-    picked = nbrs_u[np.repeat(lo, take) + sorted_cols[kept]]
-    woff = np.broadcast_to(
-        np.arange(amax, dtype=np.int64), (nseg, amax)
-    )[kept]
-    flat[np.repeat(brs * num_nodes, take) + picked] = True
-    out_flat[np.repeat(brs * n + cb, take) + woff] = picked
-    counts[brs] = cb + take
-    return bool((take == space).any())

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.community import (
-    label_propagation_communities,
-    leading_eigenvector_communities,
-    modularity,
-)
+from repro.community import leading_eigenvector_communities, modularity
 from repro.exceptions import GraphError
 from repro.generators import planted_partition_graph
 from repro.graph import CategoryPartition, Graph
@@ -98,25 +94,3 @@ class TestLeadingEigenvector:
         a = leading_eigenvector_communities(two_cliques, rng=3)
         b = leading_eigenvector_communities(two_cliques, rng=3)
         assert np.array_equal(a.labels, b.labels)
-
-
-class TestLabelPropagation:
-    def test_separates_cliques(self, two_cliques):
-        partition = label_propagation_communities(two_cliques, rng=0)
-        labels = partition.labels
-        assert len(set(labels[:6].tolist())) == 1
-        assert len(set(labels[6:].tolist())) == 1
-
-    def test_planted_partition(self):
-        graph, truth = planted_partition_graph(4, 60, p_in=0.3, p_out=0.01, rng=0)
-        found = label_propagation_communities(graph, rng=1)
-        assert modularity(graph, found) > 0.8 * modularity(graph, truth)
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(GraphError):
-            label_propagation_communities(Graph.empty(0))
-
-    def test_isolated_nodes_keep_own_labels(self):
-        g = Graph.from_edges(4, [(0, 1)])
-        partition = label_propagation_communities(g, rng=0)
-        assert partition.labels[2] != partition.labels[3]

@@ -90,15 +90,11 @@ class TestWorstCaseCategories:
         if partition.num_categories == 6:
             assert partition.names[-1] == "rest"
 
-    def test_label_propagation_variant(self, graph):
-        partition = worst_case_categories(
-            graph, top=10, method="label-propagation", rng=0
-        )
-        assert partition.num_nodes == graph.num_nodes
-
     def test_unknown_method_rejected(self, graph):
-        with pytest.raises(GenerationError):
-            worst_case_categories(graph, method="banana")
+        # The leading-eigenvector finder is the only community method;
+        # there is no switch to pass another one through.
+        with pytest.raises(TypeError):
+            worst_case_categories(graph, method="label-propagation")
 
     def test_categories_align_with_structure(self, graph):
         """The top categories must be denser inside than across."""

@@ -3,8 +3,8 @@
 Three contracts are pinned here:
 
 * **Bit identity** — every chunked out-of-core builder (arc_sources,
-  upper edges, neighbor histograms, union-CSR merge, alias tables, walk cumsums, walk search
-  keys) produces the exact bytes of its one-shot in-RAM twin at any
+  upper edges, neighbor histograms, alias tables, walk cumsums, walk
+  search keys) produces the exact bytes of its one-shot in-RAM twin at any
   chunk size, and a sweep over store-backed derivations equals the RAM
   sweep cold, warm, and through the process executor.
 * **Content addressing** — keys follow source *bytes* (not identity,
@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import StorageError
-from repro.generators import gnm, planted_category_graph
+from repro.generators import planted_category_graph
 from repro.graph.adjacency import Graph
 from repro.graph.planes import (
     DerivedPlaneStore,
@@ -42,7 +42,6 @@ from repro.graph.planes import (
     source_fingerprint,
 )
 from repro.graph.storage import graph_storage, save_csr
-from repro.graph.union import UnionCSR, build_union_planes, union_csr
 from repro.runtime import faults, telemetry_scope
 from repro.runtime.sharedmem import _MMAP_TOKEN_KIND, SharedArrayPool
 from repro.sampling import StratifiedWeightedWalkSampler
@@ -324,21 +323,6 @@ def test_chunked_alias_bit_identical(indptr, seed):
             assert np.array_equal(writer.planes["alias"], one_shot.alias)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_chunked_union_merge_bit_identical(seed):
-    g1 = Graph.from_edges(25, _random_edges(25, 70, seed))
-    g2 = gnm(25, 40, rng=seed + 100)
-    g3 = gnm(25, 15, rng=seed + 200)
-    union = UnionCSR([g1, g2, g3])  # in-RAM scatter (no storage scope)
-    for chunk in CHUNKS:
-        writer = _RamWriter()
-        build_union_planes(writer, [g1, g2, g3], union.indptr, chunk)
-        assert np.array_equal(writer.planes["indices"], np.asarray(union.indices))
-        assert np.array_equal(
-            writer.planes["arc_relations"], np.asarray(union.arc_relations)
-        )
-
-
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_chunked_observation_planes_match_one_shot(chunk):
     # Isolated nodes (the edges reach 40 of 48) and a hub whose run is a
@@ -385,12 +369,9 @@ def _world(rng=5):
 def test_derivations_spill_and_match_ram(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLANE_THRESHOLD", "0")
     ram_graph, ram_part = _world()
-    ram_relation = gnm(ram_graph.num_nodes, ram_graph.num_edges // 3, rng=11)
-    ram_union = UnionCSR([ram_graph, ram_relation])
     ram_sampler = StratifiedWeightedWalkSampler(ram_graph, ram_part, next_hop="alias")
     with graph_storage("memmap", directory=tmp_path):
         graph, part = _world()
-        relation = gnm(graph.num_nodes, graph.num_edges // 3, rng=11)
         # Every derivation family: bit-identical AND file-backed.
         derived = {
             "arc_sources": graph.arc_sources,
@@ -400,10 +381,6 @@ def test_derivations_spill_and_match_ram(tmp_path, monkeypatch):
             ("indptr", "categories", "counts"), part.neighbor_histogram(graph)
         ):
             derived[f"histogram_{name}"] = plane
-        merged = union_csr([graph, relation])
-        derived["union_indices"] = merged.indices
-        derived["union_relations"] = merged.arc_relations
-        derived["union_sources"] = merged.arc_sources()
         sampler = StratifiedWeightedWalkSampler(graph, part, next_hop="alias")
         derived["cumsum"] = sampler._local_cumulative
         derived["prob"] = sampler._alias_tables.prob
@@ -418,9 +395,6 @@ def test_derivations_spill_and_match_ram(tmp_path, monkeypatch):
                     ram_part.neighbor_histogram(ram_graph),
                 )
             },
-            "union_indices": ram_union.indices,
-            "union_relations": ram_union.arc_relations,
-            "union_sources": ram_union.arc_sources(),
             "cumsum": ram_sampler._local_cumulative,
             "prob": ram_sampler._alias_tables.prob,
             "alias": ram_sampler._alias_tables.alias,
@@ -432,8 +406,6 @@ def test_derivations_spill_and_match_ram(tmp_path, monkeypatch):
             assert base is not None and str(base.filename).startswith(
                 str(tmp_path)
             ), f"{name} is not file-backed"
-        # The union's arc_sources is cached (the old per-call np.repeat).
-        assert np.shares_memory(merged.arc_sources(), merged.arc_sources())
 
 
 def test_warm_store_skips_derivation(tmp_path, monkeypatch):

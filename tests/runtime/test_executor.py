@@ -3,7 +3,7 @@
 The determinism contract of :mod:`repro.runtime`: a sweep routed
 through ``executor="process"`` is **bit-identical** to the serial
 engine for any worker count, for every design family — batched frontier
-kernels, the alias next-hop, the union-CSR multigraph walk, and the
+kernels, the alias next-hop, the BFS traversal kernel, and the
 sequential-fallback designs alike.
 """
 
@@ -20,8 +20,6 @@ from repro.graph import CategoryPartition
 from repro.runtime import ProcessSweepExecutor, runtime_options
 from repro.sampling import (
     BreadthFirstSampler,
-    ForestFireSampler,
-    MultigraphRandomWalkSampler,
     RandomWalkSampler,
     StratifiedWeightedWalkSampler,
     UniformIndependenceSampler,
@@ -34,34 +32,31 @@ REPLICATIONS = 6
 SEED = 1234
 
 DESIGNS = {
-    "rw": lambda g, p, rel: RandomWalkSampler(g),
-    "swrw-alias": lambda g, p, rel: StratifiedWeightedWalkSampler(
+    "rw": lambda g, p: RandomWalkSampler(g),
+    "swrw-alias": lambda g, p: StratifiedWeightedWalkSampler(
         g, p, next_hop="alias"
     ),
-    "multigraph": lambda g, p, rel: MultigraphRandomWalkSampler([g, rel]),
     # no batch kernel: exercises the executor's sequential fallback
-    "uis": lambda g, p, rel: UniformIndependenceSampler(g),
-    # without-replacement traversal kernels (set-semantics frontier)
-    "bfs": lambda g, p, rel: BreadthFirstSampler(g),
-    "forest_fire": lambda g, p, rel: ForestFireSampler(g),
+    "uis": lambda g, p: UniformIndependenceSampler(g),
+    # without-replacement traversal kernel (set-semantics frontier)
+    "bfs": lambda g, p: BreadthFirstSampler(g),
 }
 
 
 @pytest.fixture(scope="module")
 def world():
     graph, partition = planted_category_graph(k=6, scale=60, rng=7)
-    relation = gnm(graph.num_nodes, max(graph.num_edges // 3, 1), rng=11)
-    return graph, partition, relation
+    return graph, partition
 
 
 @pytest.fixture(scope="module")
 def serial_sweeps(world):
-    graph, partition, relation = world
+    graph, partition = world
     return {
         name: run_nrmse_sweep(
             graph,
             partition,
-            factory(graph, partition, relation),
+            factory(graph, partition),
             LADDER,
             replications=REPLICATIONS,
             rng=SEED,
@@ -90,11 +85,11 @@ def assert_sweeps_equal(a, b, context=""):
 def test_process_executor_bit_identical_for_any_worker_count(
     name, workers, world, serial_sweeps
 ):
-    graph, partition, relation = world
+    graph, partition = world
     parallel = run_nrmse_sweep(
         graph,
         partition,
-        DESIGNS[name](graph, partition, relation),
+        DESIGNS[name](graph, partition),
         LADDER,
         replications=REPLICATIONS,
         rng=SEED,
@@ -107,7 +102,7 @@ def test_process_executor_bit_identical_for_any_worker_count(
 
 
 def test_workers_beyond_replications_are_clamped(world, serial_sweeps):
-    graph, partition, relation = world
+    graph, partition = world
     parallel = run_nrmse_sweep(
         graph,
         partition,
@@ -124,7 +119,7 @@ def test_workers_beyond_replications_are_clamped(world, serial_sweeps):
 def test_runtime_options_route_sweeps_through_the_executor(
     world, serial_sweeps
 ):
-    graph, partition, relation = world
+    graph, partition = world
     with runtime_options(executor="process", workers=2):
         ambient = run_nrmse_sweep(
             graph,
@@ -140,7 +135,7 @@ def test_runtime_options_route_sweeps_through_the_executor(
 def test_environment_routes_sweeps_through_the_executor(
     world, serial_sweeps, monkeypatch
 ):
-    graph, partition, relation = world
+    graph, partition = world
     monkeypatch.setenv("REPRO_EXECUTOR", "process")
     monkeypatch.setenv("REPRO_WORKERS", "2")
     from_env = run_nrmse_sweep(
@@ -170,7 +165,7 @@ class _ExplodingSampler(Sampler):
 
 
 def test_worker_failures_surface_with_their_traceback(world):
-    graph, partition, relation = world
+    graph, partition = world
     with pytest.raises(EstimationError, match="boom inside the worker"):
         run_nrmse_sweep(
             graph,
@@ -235,7 +230,7 @@ def test_bad_sweep_inputs_fail_alike_before_any_work(executor, case, world):
     before a replicate is drawn or a worker is dispatched."""
     from repro.stats import run_nrmse_sweep_from_samples
 
-    graph, partition, relation = world
+    graph, partition = world
     mode, overrides, message = BAD_SWEEPS[case]
     if mode == "fresh":
         kwargs = dict(
@@ -258,7 +253,7 @@ def test_bad_sweep_inputs_fail_alike_before_any_work(executor, case, world):
 
 
 def test_invalid_executor_arguments_rejected(world):
-    graph, partition, relation = world
+    graph, partition = world
     with pytest.raises(EstimationError, match="unknown executor"):
         run_nrmse_sweep(
             graph,
@@ -274,7 +269,7 @@ def test_invalid_executor_arguments_rejected(world):
 
 
 def test_executor_instance_rejects_conflicting_knobs(world):
-    graph, partition, relation = world
+    graph, partition = world
     with pytest.raises(EstimationError, match="not both"):
         run_nrmse_sweep(
             graph,
@@ -308,7 +303,7 @@ def test_cli_resume_requires_checkpoint(capsys):
 
 def test_bare_process_knobs_imply_the_process_executor(world, serial_sweeps):
     """workers= without executor= must not silently run serial."""
-    graph, partition, relation = world
+    graph, partition = world
     parallel = run_nrmse_sweep(
         graph,
         partition,
@@ -464,7 +459,7 @@ def test_each_shard_gets_its_next_rung_before_this_one_is_folded(
 
     monkeypatch.setattr(PersistentWorkerPool, "open_task", recording_open_task)
     monkeypatch.setattr(RungReducer, "fold", recording_fold)
-    graph, partition, _ = world
+    graph, partition = world
     r, w, k = 6, 2, len(LADDER)
     samples = list(
         UniformIndependenceSampler(graph).sample_many(LADDER[-1], r, rng=SEED)
@@ -533,7 +528,7 @@ def test_cross_sample_sweep_is_silent_on_infinite_estimates(workers):
 def test_uneven_strided_shards_equal_serial(world, mode):
     """Seven replicates over three shards (3, 2 and 2 each) give the
     serial sweep's bytes in every sweep mode."""
-    graph, partition, _ = world
+    graph, partition = world
     r = 7
     if mode == "fresh":
         def sweep(**executor):
@@ -584,7 +579,7 @@ def test_a_shard_task_holds_one_ladder_at_a_time(world, monkeypatch):
         ladders.add(ladder)
         peak[thread] = max(peak.get(thread, 0), len(ladders))
 
-    graph, partition, _ = world
+    graph, partition = world
     samples = list(
         RandomWalkSampler(graph).sample_many(LADDER[-1], REPLICATIONS, rng=SEED)
     )

@@ -183,7 +183,8 @@ def test_kill_on_the_queued_last_rung_recovers_bit_identically(world, serial):
 @pytest.mark.parametrize(
     "spec, undelivered",
     [("kill-worker:replicate=2,shard=1", [5]),
-     ("kill-worker:phase=sample,shard=1", [1, 3, 5])],
+     ("kill-worker:phase=sample,shard=1", [1, 3, 5]),
+     ("kill-worker:replicate=1,shard=0", [2, 4])],
 )
 @pytest.mark.usefixtures("no_env_faults")
 def test_replacement_task_serves_only_undelivered_replicates(
@@ -191,14 +192,19 @@ def test_replacement_task_serves_only_undelivered_replicates(
 ):
     """Nothing is replayed: the replacement for a shard lost after it
     delivered replicates 1 and 3 is opened for replicate 5 alone, with
-    its seed, and one lost while sampling for the whole shard."""
+    its seed, and one lost while sampling for the whole shard.
+
+    The replacement runs on the respawned worker, never on the other
+    shard's live one: the re-lease lists the surviving worker first, so
+    placing shard 0 by slot alone would double up on shard 1's worker.
+    """
     from repro.runtime.pool import PersistentWorkerPool
 
     opened = []
     open_task = PersistentWorkerPool.open_task
 
     def recording_open_task(pool, handle, payload, cfg):
-        opened.append(cfg)
+        opened.append((handle.process.pid, cfg))
         return open_task(pool, handle, payload, cfg)
 
     monkeypatch.setattr(PersistentWorkerPool, "open_task", recording_open_task)
@@ -207,32 +213,33 @@ def test_replacement_task_serves_only_undelivered_replicates(
         result = _sweep(world, executor)
     monkeypatch.undo()
     assert_sweeps_equal(serial, result, spec)
-    assert [entry["slot"] for entry in executor.failover_log] == [1]
-    assert [cfg["shard"] for cfg in opened] == [[0, 2, 4], [1, 3, 5], undelivered]
-    first, replacement = opened[1], opened[2]
+    slot = undelivered[0] % 2
+    assert [entry["slot"] for entry in executor.failover_log] == [slot]
+    assert [cfg["shard"] for _, cfg in opened] == [
+        [0, 2, 4], [1, 3, 5], undelivered
+    ]
+    (_, first), (pid, replacement) = opened[slot], opened[2]
     assert replacement["seeds"] == first["seeds"][-len(undelivered):]
     assert "faults" in first and "faults" not in replacement
+    assert pid not in (opened[0][0], opened[1][0]), opened
 
 
-@pytest.mark.parametrize("name", ["bfs", "forest_fire"])
+@pytest.mark.parametrize("name", ["bfs"])
 @pytest.mark.usefixtures("no_env_faults")
 def test_mid_traversal_worker_kill_recovers_bit_identically(name, world):
     """A worker killed while running a traversal frontier kernel.
 
-    ``phase=sample`` strikes after the batched BFS / Forest Fire kernel
-    drew its shard's replicates but before the ``sampled`` reply — the
-    visited bitmaps and outputs die with the process, and the
+    ``phase=sample`` strikes after the batched BFS kernel drew its
+    shard's replicates but before the ``sampled`` reply — the visited
+    bitmaps and outputs die with the process, and the
     replacement task must redraw the same replicates from the original
     seeds. Recovery must be byte-identical to an undisturbed serial
     run.
     """
-    from repro.sampling import BreadthFirstSampler, ForestFireSampler
+    from repro.sampling import BreadthFirstSampler
 
     graph, partition = world
-    factory = {
-        "bfs": lambda: BreadthFirstSampler(graph),
-        "forest_fire": lambda: ForestFireSampler(graph),
-    }[name]
+    factory = {"bfs": lambda: BreadthFirstSampler(graph)}[name]
     kwargs = dict(replications=REPLICATIONS, rng=SEED)
     undisturbed = run_nrmse_sweep(
         graph, partition, factory(), LADDER, executor="serial", **kwargs

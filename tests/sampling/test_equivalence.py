@@ -24,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.generators import gnm, planted_category_graph
+from repro.generators import planted_category_graph
 from repro.graph import CategoryPartition, Graph
 from repro.rng import ensure_rng, spawn_rngs
 from repro.sampling import (
     BreadthFirstSampler,
-    ForestFireSampler,
     MetropolisHastingsSampler,
-    MultigraphRandomWalkSampler,
     RandomWalkSampler,
     RandomWalkWithJumpsSampler,
     Sampler,
@@ -52,16 +50,14 @@ class World:
 
     graph: Graph
     partition: CategoryPartition
-    relation: Graph  # second relation over the same node set
     arc_weights: np.ndarray
 
 
 @pytest.fixture(scope="module")
 def world() -> World:
     graph, partition = planted_category_graph(k=8, scale=40, rng=0)
-    relation = gnm(graph.num_nodes, max(graph.num_edges // 3, 1), rng=1)
     arc_weights = np.abs(np.sin(np.arange(len(graph.indices)))) + 0.5
-    return World(graph, partition, relation, arc_weights)
+    return World(graph, partition, arc_weights)
 
 
 #: name -> (factory, has_batch_kernel). Add new designs here and the
@@ -98,12 +94,7 @@ DESIGNS = {
         ),
         True,
     ),
-    "multigraph": (
-        lambda w: MultigraphRandomWalkSampler([w.graph, w.relation]),
-        True,
-    ),
     "bfs": (lambda w: BreadthFirstSampler(w.graph), True),
-    "forest_fire": (lambda w: ForestFireSampler(w.graph), True),
 }
 
 
@@ -451,9 +442,8 @@ def mapped_world(tmp_path_factory) -> World:
     root = tmp_path_factory.mktemp("memmap-world")
     with graph_storage("memmap", directory=root):
         graph, partition = planted_category_graph(k=8, scale=40, rng=0)
-        relation = gnm(graph.num_nodes, max(graph.num_edges // 3, 1), rng=1)
     arc_weights = np.abs(np.sin(np.arange(len(graph.indices)))) + 0.5
-    return World(graph, partition, relation, arc_weights)
+    return World(graph, partition, arc_weights)
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))

@@ -10,7 +10,6 @@ from repro.generators import gnm, planted_category_graph
 from repro.graph import CategoryPartition, Graph
 from repro.sampling import (
     BreadthFirstSampler,
-    ForestFireSampler,
     MetropolisHastingsSampler,
     RandomWalkSampler,
     RandomWalkWithJumpsSampler,
@@ -285,18 +284,6 @@ class TestTraversal:
         g = Graph.from_edges(6, [(0, 1), (2, 3)])
         s = BreadthFirstSampler(g, seed_node=0).sample(6, rng=0)
         assert s.num_distinct() == 6
-
-    def test_forest_fire_distinct(self, medium_graph):
-        s = ForestFireSampler(medium_graph).sample(100, rng=0)
-        assert s.num_distinct() == 100
-
-    def test_forest_fire_invalid_prob(self, medium_graph):
-        with pytest.raises(SamplingError):
-            ForestFireSampler(medium_graph, forward_prob=1.0)
-
-    def test_forest_fire_too_many(self, medium_graph):
-        with pytest.raises(SamplingError):
-            ForestFireSampler(medium_graph).sample(10_000)
 
 
 def _category_counts(sample, partition) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import CategoryPartition, Graph, union_csr
+from repro.graph import CategoryPartition, Graph
 from repro.sampling import (
     BatchNodeSample,
     BreadthFirstSampler,
@@ -206,48 +206,3 @@ def test_batch_shape_invariants(batch):
     assert batch.nodes[0].flags.c_contiguous
     assert all(s.design == batch.design for s in batch)
 
-
-# ----------------------------------------------------------------------
-# Union-CSR invariants
-# ----------------------------------------------------------------------
-@st.composite
-def relation_sets(draw, max_nodes: int = 20):
-    n = draw(st.integers(min_value=2, max_value=max_nodes))
-    num_relations = draw(st.integers(min_value=1, max_value=3))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    rng = np.random.default_rng(seed)
-    graphs = []
-    for _ in range(num_relations):
-        m = int(rng.integers(0, 2 * n))
-        edges = []
-        for _ in range(m):
-            u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-            if u != v:
-                edges.append((u, v))
-        graphs.append(
-            Graph.from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-        )
-    return tuple(graphs)
-
-
-@given(relation_sets())
-@settings(max_examples=40, deadline=None)
-def test_union_degree_sums_equal_relation_degree_sums(graphs):
-    union = union_csr(graphs)
-    assert np.array_equal(
-        union.total_degrees, sum(g.degrees() for g in graphs)
-    )
-    assert np.array_equal(np.diff(union.indptr), union.total_degrees)
-    assert union.num_arcs == sum(len(g.indices) for g in graphs)
-
-
-@given(relation_sets())
-@settings(max_examples=40, deadline=None)
-def test_union_arc_multiplicities_symmetric(graphs):
-    union = union_csr(graphs)
-    arcs, counts = union.arc_multiplicities()
-    table = {(int(u), int(v)): int(c) for (u, v), c in zip(arcs, counts)}
-    assert all(table[(v, u)] == c for (u, v), c in table.items())
-    # Multiplicity of (u, v) is the number of relations with that edge.
-    for (u, v), c in table.items():
-        assert c == sum(g.has_edge(u, v) for g in graphs)

@@ -1,7 +1,7 @@
-"""Batched traversal kernels (BFS / Forest Fire) vs their sequential twins.
+"""The batched BFS kernel vs its sequential twin.
 
-The cross-design harness in ``test_equivalence.py`` already holds both
-kernels to replicate-wise bit-equality on a well-connected world; this
+The cross-design harness in ``test_equivalence.py`` already holds the
+kernel to replicate-wise bit-equality on a well-connected world; this
 module pins the awkward corners — disconnected substrates (restart
 cascades, early frontier exhaustion, full-graph budgets), fixed BFS
 seeds, memmap-backed visited bitmaps, variate-window independence — and
@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 from repro.graph import Graph
 from repro.graph.storage import graph_storage
 from repro.rng import ensure_rng, spawn_rngs
-from repro.sampling import BreadthFirstSampler, ForestFireSampler
+from repro.sampling import BreadthFirstSampler
 from repro.sampling.batch import sample_streams
-from repro.sampling.traversal import _FF_DRAW_HORIZON
 
 
 def _assert_batched_matches_twins(sampler, n, replications, seed):
@@ -43,7 +42,6 @@ def _disconnected_graph() -> Graph:
 
 DESIGNS = {
     "bfs": lambda g: BreadthFirstSampler(g),
-    "forest_fire": lambda g: ForestFireSampler(g),
 }
 
 
@@ -80,26 +78,6 @@ def test_overfull_budget_rejected(name):
         DESIGNS[name](graph).sample_many(graph.num_nodes + 1, 2, rng=0)
 
 
-def test_disconnected_forest_fire_golden_trajectory():
-    """Literal pin: twin and kernel may only drift *together* on purpose.
-
-    PCG64 output is part of numpy's compatibility contract, so this
-    sequence is stable; it guards the restart/burn draw order against
-    both implementations changing in lockstep by accident.
-    """
-    graph = _disconnected_graph()
-    sampler = ForestFireSampler(graph, forward_prob=0.7)
-    batched = sampler.sample_many(9, 2, rng=12345)
-    expected = GOLDEN_FF_DISCONNECTED
-    assert np.array_equal(batched.nodes, np.asarray(expected)), batched.nodes
-
-
-GOLDEN_FF_DISCONNECTED = [
-    [3, 4, 5, 6, 7, 1, 0, 2, 8],
-    [7, 6, 3, 4, 5, 0, 2, 1, 8],
-]
-
-
 # ----------------------------------------------------------------------
 # Seeds, storage planes, and engine knobs
 # ----------------------------------------------------------------------
@@ -127,11 +105,11 @@ def test_memmap_visited_bitmaps_are_bit_identical(tmp_path):
 
 
 def test_variate_window_does_not_affect_traversals(monkeypatch):
-    """Traversal kernels pre-draw per-pop blocks, not windowed variates.
+    """The BFS kernel draws per-stream scalars, not windowed variates.
 
     ``REPRO_VARIATE_WINDOW`` reshapes the walk kernels' variate
-    chunking; the traversal designs must be byte-stable under any
-    setting of it (their draw order is fixed by the twins' protocol).
+    chunking; the traversal design must be byte-stable under any
+    setting of it (its draw order is fixed by the twin's protocol).
     """
     graph = _disconnected_graph()
     for name, factory in DESIGNS.items():
@@ -145,20 +123,6 @@ def test_variate_window_does_not_affect_traversals(monkeypatch):
                 window,
             )
         monkeypatch.delenv("REPRO_VARIATE_WINDOW")
-
-
-def test_forest_fire_draw_horizon_is_not_load_bearing(monkeypatch):
-    """Any refill horizon must yield the twins' stream order."""
-    import repro.sampling.traversal as traversal
-
-    graph = _disconnected_graph()
-    sampler = ForestFireSampler(graph, forward_prob=0.6)
-    baseline = sampler.sample_many(9, 4, rng=17)
-    assert _FF_DRAW_HORIZON > 1
-    for horizon in (1, 2, 3):
-        monkeypatch.setattr(traversal, "_FF_DRAW_HORIZON", horizon)
-        again = sampler.sample_many(9, 4, rng=17)
-        assert np.array_equal(baseline.nodes, again.nodes), horizon
 
 
 # ----------------------------------------------------------------------
@@ -188,22 +152,16 @@ def arbitrary_graphs(draw, max_nodes: int = 18):
     arbitrary_graphs(),
     st.integers(min_value=0, max_value=2**31 - 1),
     st.sampled_from(sorted(DESIGNS)),
-    st.floats(min_value=0.1, max_value=0.9),
 )
 @settings(max_examples=60, deadline=None)
-def test_traversals_never_revisit_and_grow_monotonically(
-    graph, seed, name, forward_prob
-):
+def test_traversals_never_revisit_and_grow_monotonically(graph, seed, name):
     """Without-replacement invariant, batched and sequential alike.
 
     No replicate ever revisits a node, and the visited count grows by
     exactly one per draw (monotone, no gaps) — equivalently every
     output prefix is duplicate-free.
     """
-    if name == "forest_fire":
-        sampler = ForestFireSampler(graph, forward_prob=forward_prob)
-    else:
-        sampler = DESIGNS[name](graph)
+    sampler = DESIGNS[name](graph)
     n = graph.num_nodes
     batched = _assert_batched_matches_twins(sampler, n, 3, seed)
     for r in range(3):

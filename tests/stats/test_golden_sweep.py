@@ -5,9 +5,8 @@ sampling, incremental prefix ladder); the seed algorithms survive as
 the test oracle :func:`tests.oracles.reference_sweep` (a per-replicate
 ``sample()`` loop, re-subsetting every rung). On a fixed seed and
 preset-sized world, the two must produce **bit-identical** NRMSE
-surfaces for every design — including the multigraph union-CSR walk
-and the alias-table S-WRW, whose kernels are exercised end-to-end
-through the full estimator stack here (the unit-level contracts live in
+surfaces for every design — including the alias-table S-WRW, whose
+kernel is exercised end-to-end through the full estimator stack here (the unit-level contracts live in
 ``tests/sampling/test_equivalence.py``).
 
 The same bar extends to the :mod:`repro.runtime` process executor:
@@ -20,10 +19,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.generators import gnm, planted_category_graph
+from repro.generators import planted_category_graph
 from repro.sampling import (
     MetropolisHastingsSampler,
-    MultigraphRandomWalkSampler,
     RandomWalkSampler,
     RandomWalkWithJumpsSampler,
     StratifiedWeightedWalkSampler,
@@ -40,31 +38,29 @@ SEED = 1234
 @pytest.fixture(scope="module")
 def world():
     graph, partition = planted_category_graph(k=6, scale=60, rng=7)
-    relation = gnm(graph.num_nodes, max(graph.num_edges // 3, 1), rng=11)
-    return graph, partition, relation
+    return graph, partition
 
 
 DESIGNS = {
-    "uis": lambda g, p, rel: UniformIndependenceSampler(g),
-    "rw": lambda g, p, rel: RandomWalkSampler(g),
-    "mhrw": lambda g, p, rel: MetropolisHastingsSampler(g),
-    "rwj": lambda g, p, rel: RandomWalkWithJumpsSampler(g, alpha=6.0),
-    "swrw": lambda g, p, rel: StratifiedWeightedWalkSampler(g, p),
-    "swrw-alias": lambda g, p, rel: StratifiedWeightedWalkSampler(
+    "uis": lambda g, p: UniformIndependenceSampler(g),
+    "rw": lambda g, p: RandomWalkSampler(g),
+    "mhrw": lambda g, p: MetropolisHastingsSampler(g),
+    "rwj": lambda g, p: RandomWalkWithJumpsSampler(g, alpha=6.0),
+    "swrw": lambda g, p: StratifiedWeightedWalkSampler(g, p),
+    "swrw-alias": lambda g, p: StratifiedWeightedWalkSampler(
         g, p, next_hop="alias"
     ),
-    "multigraph": lambda g, p, rel: MultigraphRandomWalkSampler([g, rel]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))
 def test_fast_sweep_bit_identical_to_sequential_subset(name, world):
-    graph, partition, relation = world
+    graph, partition = world
     factory = DESIGNS[name]
     fast = run_nrmse_sweep(
         graph,
         partition,
-        factory(graph, partition, relation),
+        factory(graph, partition),
         LADDER,
         replications=REPLICATIONS,
         rng=SEED,
@@ -72,7 +68,7 @@ def test_fast_sweep_bit_identical_to_sequential_subset(name, world):
     reference = reference_sweep(
         graph,
         partition,
-        factory(graph, partition, relation),
+        factory(graph, partition),
         LADDER,
         replications=REPLICATIONS,
         rng=SEED,
@@ -94,12 +90,12 @@ def test_fast_sweep_bit_identical_to_sequential_subset(name, world):
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))
 def test_process_executor_bit_identical_to_serial_sweep(name, world):
-    graph, partition, relation = world
+    graph, partition = world
     factory = DESIGNS[name]
     serial = run_nrmse_sweep(
         graph,
         partition,
-        factory(graph, partition, relation),
+        factory(graph, partition),
         LADDER,
         replications=REPLICATIONS,
         rng=SEED,
@@ -108,7 +104,7 @@ def test_process_executor_bit_identical_to_serial_sweep(name, world):
     parallel = run_nrmse_sweep(
         graph,
         partition,
-        factory(graph, partition, relation),
+        factory(graph, partition),
         LADDER,
         replications=REPLICATIONS,
         rng=SEED,
@@ -140,12 +136,12 @@ def test_sweep_bit_identical_with_telemetry_enabled(workers, world, tmp_path):
         validate_trace_file,
     )
 
-    graph, partition, relation = world
+    graph, partition = world
     factory = DESIGNS["swrw"]
     plain = run_nrmse_sweep(
         graph,
         partition,
-        factory(graph, partition, relation),
+        factory(graph, partition),
         LADDER,
         replications=REPLICATIONS,
         rng=SEED,
@@ -158,7 +154,7 @@ def test_sweep_bit_identical_with_telemetry_enabled(workers, world, tmp_path):
         traced = run_nrmse_sweep(
             graph,
             partition,
-            factory(graph, partition, relation),
+            factory(graph, partition),
             LADDER,
             replications=REPLICATIONS,
             rng=SEED,
@@ -190,8 +186,7 @@ def mapped_world(tmp_path_factory):
     root = tmp_path_factory.mktemp("memmap-golden")
     with graph_storage("memmap", directory=root):
         graph, partition = planted_category_graph(k=6, scale=60, rng=7)
-        relation = gnm(graph.num_nodes, max(graph.num_edges // 3, 1), rng=11)
-    return graph, partition, relation
+    return graph, partition
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))
@@ -199,13 +194,13 @@ def test_memmap_backed_sweep_bit_identical_to_ram(name, world, mapped_world):
     """The golden pin of the storage plane: NRMSE surfaces computed
     from disk-mapped CSR planes equal the in-RAM surfaces bit for bit
     through the full estimator stack."""
-    graph, partition, relation = world
-    m_graph, m_partition, m_relation = mapped_world
+    graph, partition = world
+    m_graph, m_partition = mapped_world
     factory = DESIGNS[name]
     ram = run_nrmse_sweep(
         graph,
         partition,
-        factory(graph, partition, relation),
+        factory(graph, partition),
         LADDER,
         replications=REPLICATIONS,
         rng=SEED,
@@ -213,7 +208,7 @@ def test_memmap_backed_sweep_bit_identical_to_ram(name, world, mapped_world):
     mapped = run_nrmse_sweep(
         m_graph,
         m_partition,
-        factory(m_graph, m_partition, m_relation),
+        factory(m_graph, m_partition),
         LADDER,
         replications=REPLICATIONS,
         rng=SEED,
@@ -246,13 +241,13 @@ def test_plane_store_sweep_bit_identical_cold_and_warm(
     from repro.graph.planes import clear_plane_memo
 
     monkeypatch.setenv("REPRO_PLANE_THRESHOLD", "0")
-    graph, partition, relation = world
-    m_graph, m_partition, m_relation = mapped_world
+    graph, partition = world
+    m_graph, m_partition = mapped_world
     factory = DESIGNS[name]
     ram = run_nrmse_sweep(
         graph,
         partition,
-        factory(graph, partition, relation),
+        factory(graph, partition),
         LADDER,
         replications=REPLICATIONS,
         rng=SEED,
@@ -262,7 +257,7 @@ def test_plane_store_sweep_bit_identical_cold_and_warm(
         surfaces[phase] = run_nrmse_sweep(
             m_graph,
             m_partition,
-            factory(m_graph, m_partition, m_relation),
+            factory(m_graph, m_partition),
             LADDER,
             replications=REPLICATIONS,
             rng=SEED,

@@ -21,7 +21,6 @@ from repro.generators import planted_category_graph
 from repro.graph import true_category_graph
 from repro.sampling import (
     MetropolisHastingsSampler,
-    MultigraphRandomWalkSampler,
     RandomWalkSampler,
     RandomWalkWithJumpsSampler,
     StratifiedWeightedWalkSampler,
@@ -49,11 +48,10 @@ def _samplers(graph, partition):
         "mhrw": MetropolisHastingsSampler(graph),
         "rwj": RandomWalkWithJumpsSampler(graph, alpha=5.0),
         "swrw": StratifiedWeightedWalkSampler(graph, partition),
-        "multigraph": MultigraphRandomWalkSampler([graph]),
     }
 
 
-DESIGNS = ("uis", "wis", "rw", "mhrw", "rwj", "swrw", "multigraph")
+DESIGNS = ("uis", "wis", "rw", "mhrw", "rwj", "swrw")
 
 
 @pytest.mark.parametrize("design", DESIGNS)
