@@ -58,7 +58,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.generators.planted import PlantedModelConfig, planted_category_graph
-from repro.graph.storage import active_storage_mode
 from repro.rng import derive_rng, ensure_rng, spawn_rngs
 from repro.sampling import (
     BreadthFirstSampler,
@@ -165,7 +164,7 @@ def _merge_record(scale_name: str, record: dict) -> dict:
     return {"seed_baseline_at_pr_time": SEED_BASELINE, "scales": scales}
 
 
-def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
+def test_batched_sweep_speedup(preset, timing_asserts):
     config = PlantedModelConfig(k=20, alpha=0.5, scale=preset.planted_scale)
     graph, partition = planted_category_graph(config, rng=derive_rng(0, 3, 4))
     sizes = preset.fig3_sample_sizes
@@ -211,14 +210,9 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
         )
         speedup = ref_time / fast_time
         record["designs"][name] = {
-            # Every entry self-describes how it executed, so rows from
-            # serial, multi-worker, and out-of-core runs stay
-            # comparable across PRs.
-            "executor": {
-                "mode": "serial",
-                "workers": 1,
-                "storage": active_storage_mode(),
-            },
+            # Every entry self-describes how it executed, so serial and
+            # multi-worker rows stay comparable across PRs.
+            "executor": {"mode": "serial", "workers": 1},
             "batched_incremental_seconds": round(fast_time, 4),
             "sequential_subset_seconds": round(ref_time, 4),
             "speedup_vs_reference": round(speedup, 2),
@@ -247,11 +241,7 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
             )
             speedup = single_time / par_time
             record["designs"][f"{name}@process-w{workers}"] = {
-                "executor": {
-                    "mode": "process",
-                    "workers": workers,
-                    "storage": active_storage_mode(),
-                },
+                "executor": {"mode": "process", "workers": workers},
                 "batched_incremental_seconds": round(par_time, 4),
                 "single_process_seconds": round(single_time, 4),
                 "speedup_vs_single_process": round(speedup, 2),
@@ -293,11 +283,7 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
     )
     speedup = twin_time / batched_time
     record["designs"]["bfs"] = {
-        "executor": {
-            "mode": "serial",
-            "workers": 1,
-            "storage": active_storage_mode(),
-        },
+        "executor": {"mode": "serial", "workers": 1},
         "kernel": "traversal-frontier",
         "sample_size": traversal_n,
         "batched_kernel_seconds": round(batched_time, 4),
@@ -307,59 +293,6 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
     print(
         f"  {'bfs':>11}: batched {batched_time:6.3f}s  "
         f"sequential-twin {twin_time:6.3f}s  ({speedup:.1f}x)"
-    )
-
-    # Derived-plane store: S-WRW alias construction (walk cumsums +
-    # alias tables) through the manifest-keyed spill path — a cold
-    # chunked out-of-core build vs a warm reopen of the committed
-    # planes vs the plain in-RAM build. The warm row is the cross-run
-    # reuse win: source hashing plus a manifest open instead of the
-    # whole derivation.
-    import tempfile
-
-    from repro.graph.planes import clear_plane_memo
-    from repro.graph.storage import graph_storage
-
-    monkeypatch.setenv("REPRO_PLANE_THRESHOLD", "0")
-    ram_time, ram_sampler = _best_of(
-        lambda: StratifiedWeightedWalkSampler(graph, partition, next_hop="alias")
-    )
-    with tempfile.TemporaryDirectory(prefix="bench-planes-") as cache:
-        with graph_storage("memmap", directory=cache):
-
-            def build_out_of_core():
-                clear_plane_memo()  # always hit disk, never the memo
-                return StratifiedWeightedWalkSampler(
-                    graph, partition, next_hop="alias"
-                )
-
-            start = time.perf_counter()  # single pass: only ever cold once
-            cold_sampler = build_out_of_core()
-            cold_time = time.perf_counter() - start
-            warm_time, warm_sampler = _best_of(build_out_of_core)
-        for store_sampler in (cold_sampler, warm_sampler):
-            for plane in ("prob", "alias"):
-                assert np.array_equal(
-                    np.asarray(getattr(store_sampler._alias_tables, plane)),
-                    getattr(ram_sampler._alias_tables, plane),
-                ), f"plane store diverged from the in-RAM {plane} table"
-            assert np.array_equal(
-                np.asarray(store_sampler._local_cumulative),
-                ram_sampler._local_cumulative,
-            ), "plane store diverged from the in-RAM cumsum"
-    monkeypatch.delenv("REPRO_PLANE_THRESHOLD")
-    record["designs"]["swrw-alias-construction"] = {
-        "executor": {"mode": "serial", "workers": 1, "storage": "memmap"},
-        "kernel": "derived-plane-store",
-        "ram_build_seconds": round(ram_time, 4),
-        "cold_store_build_seconds": round(cold_time, 4),
-        "warm_store_reopen_seconds": round(warm_time, 4),
-        "warm_speedup_vs_cold": round(cold_time / warm_time, 2),
-    }
-    print(
-        f"  alias-construction: ram {ram_time:6.3f}s  cold-store "
-        f"{cold_time:6.3f}s  warm-store {warm_time:6.3f}s  "
-        f"({cold_time / warm_time:.1f}x warm)"
     )
 
     _JSON_PATH.write_text(
@@ -392,9 +325,3 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
         # demonstrable even on a 1-core runner.
         row = record["designs"]["bfs"]
         assert row["speedup_vs_sequential_twin"] >= 3.0, row
-        # Derived-plane store: a warm manifest-keyed reopen skips the
-        # whole derivation, so it must beat the cold chunked build.
-        row = record["designs"]["swrw-alias-construction"]
-        assert (
-            row["warm_store_reopen_seconds"] < row["cold_store_build_seconds"]
-        ), row

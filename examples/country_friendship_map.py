@@ -8,11 +8,16 @@ crawl types), verify the geography signal, and export the
 geosocialmap-style JSON.
 
 Run:  python examples/country_friendship_map.py [output.json]
+
+Without an argument the JSON goes to ``country_map.json`` in the
+system temp directory, and the path is printed.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -70,7 +75,11 @@ def main() -> None:
     print("\nestimated country-to-country weight matrix:")
     print(weight_heatmap(estimate, order=order, max_categories=30))
 
-    output = sys.argv[1] if len(sys.argv) > 1 else "country_map.json"
+    output = (
+        sys.argv[1]
+        if len(sys.argv) > 1
+        else os.path.join(tempfile.gettempdir(), "country_map.json")
+    )
     payload = category_graph_to_json(estimate)
     with open(output, "w") as handle:
         handle.write(payload)

@@ -48,6 +48,18 @@ from repro.experiments import (
 
 __all__ = ["main", "build_parser"]
 
+_SCALE_HELP = (
+    f"size preset: {', '.join(SCALE_PRESETS)} (default: $REPRO_SCALE or 'small')"
+)
+
+
+def _scale_name(name: str) -> str:
+    """``--scale`` parser: a preset name, else the "unknown scale" error."""
+    try:
+        return active_preset(name).name
+    except ReproError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for tests and docs)."""
@@ -72,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", type=Path, default=Path("results"), help="output directory"
     )
     report.add_argument(
-        "--scale", choices=sorted(SCALE_PRESETS), default=None,
-        help="size preset (default: $REPRO_SCALE or 'small')",
+        "--scale", type=_scale_name, default=None,
+        help=_SCALE_HELP,
     )
     report.add_argument("--seed", type=int, default=0, help="master seed")
     _add_runtime_arguments(report)
@@ -108,10 +120,7 @@ def _add_experiment_arguments(command: argparse.ArgumentParser) -> None:
     """The shared single-experiment flags (``run`` and ``experiment``)."""
     command.add_argument("experiment", help="experiment id (see 'repro list')")
     command.add_argument(
-        "--scale",
-        choices=sorted(SCALE_PRESETS),
-        default=None,
-        help="size preset (default: $REPRO_SCALE or 'small')",
+        "--scale", type=_scale_name, default=None, help=_SCALE_HELP
     )
     command.add_argument(
         "--seed", type=int, default=0, help="master random seed (default 0)"

@@ -52,12 +52,8 @@ class GenerationError(ReproError):
 
 
 class StorageError(ReproError):
-    """Raised by the out-of-core graph storage plane.
-
-    Examples: opening a directory with no CSR manifest, a torn or
-    truncated manifest left behind by an interrupted build, or a plane
-    file whose checksum no longer matches its manifest entry.
-    """
+    """Raised by the chunked graph helpers for an invalid block size
+    (``chunk_size``/``chunk_arcs`` below 1)."""
 
 
 class ExperimentError(ReproError):

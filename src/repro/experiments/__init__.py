@@ -109,21 +109,8 @@ def run_experiment(
     preset: ScalePreset | None = None,
     rng: int = 0,
 ) -> dict[str, ExperimentResult]:
-    """Run one experiment by id; returns ``{result_id: result}``.
-
-    A preset with ``graph_storage="memmap"`` (the ``web`` tier) runs
-    the whole plan under an out-of-core storage scope: substrate CSRs
-    build straight to disk and workers map the plane files. ``"ram"``
-    presets install no scope, so the ``REPRO_GRAPH_STORAGE``
-    environment knob still applies to them.
-    """
+    """Run one experiment by id; returns ``{result_id: result}``."""
     from repro.runtime.plan import run_plan
 
     resolved = preset if preset is not None else active_preset()
-    plan = compile_experiment(experiment_id, preset=resolved, rng=rng)
-    if resolved.graph_storage != "ram":
-        from repro.graph.storage import graph_storage
-
-        with graph_storage(resolved.graph_storage):
-            return run_plan(plan)
-    return run_plan(plan)
+    return run_plan(compile_experiment(experiment_id, preset=resolved, rng=rng))

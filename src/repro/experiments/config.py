@@ -4,14 +4,8 @@ The paper's sweeps run at N = 88 850 with samples up to 1e5 and ~28
 replications — minutes per figure on a laptop. Tests and CI need
 seconds. ``ScalePreset`` bundles every size knob; the active preset
 comes from the ``REPRO_SCALE`` environment variable (``small`` default,
-``medium``, ``paper``, ``web``).
-
-``web`` is the out-of-core tier: the paper's knobs plus
-``graph_storage="memmap"``, which makes every substrate build stream
-its CSR to disk (:mod:`repro.graph.storage`) and workers map the plane
-files instead of copying them — peak RSS stays bounded however large
-the graph grows. Output is bit-identical to ``paper`` by the storage
-plane's byte-identity contract.
+``medium``, ``paper``). ``paper`` is the paper's own sizes; every
+preset builds its graphs in RAM.
 """
 
 from __future__ import annotations
@@ -54,10 +48,6 @@ class ScalePreset:
     samples_per_walk: int
     #: "Most popular" categories scored in Fig. 6 (paper: 100).
     top_categories: int
-    #: Graph storage plane: ``"ram"`` (default) builds CSR arrays in
-    #: memory; ``"memmap"`` streams them to disk and maps them back
-    #: (:mod:`repro.graph.storage`). Same bytes either way.
-    graph_storage: str = "ram"
 
 
 SCALE_PRESETS: dict[str, ScalePreset] = {
@@ -108,25 +98,6 @@ SCALE_PRESETS: dict[str, ScalePreset] = {
         walks_2010=25,
         samples_per_walk=30_000,
         top_categories=100,
-    ),
-    # Paper-scale knobs, out-of-core storage: substrates build straight
-    # to on-disk CSR planes and workers map them read-only.
-    "web": ScalePreset(
-        name="web",
-        planted_scale=1,
-        dataset_scale=1,
-        facebook_scale=1,
-        fig3_sample_sizes=(100, 300, 1000, 3000, 10_000, 30_000, 100_000),
-        fig4_sample_sizes=(1000, 3000, 10_000, 30_000, 100_000),
-        fig6_sample_sizes=(1000, 3000, 10_000, 30_000),
-        replications=28,
-        cdf_sample_size=2000,
-        community_top=50,
-        walks_2009=28,
-        walks_2010=25,
-        samples_per_walk=30_000,
-        top_categories=100,
-        graph_storage="memmap",
     ),
 }
 

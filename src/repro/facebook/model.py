@@ -38,16 +38,14 @@ from repro.exceptions import GenerationError
 from repro.generators.configuration import power_law_degree_sequence
 from repro.graph.adjacency import Graph
 from repro.graph.builder import GraphBuilder
-from repro.graph.operations import bridge_components, bridge_edges
+from repro.graph.operations import bridge_components
 from repro.graph.partition import CategoryPartition
-from repro.graph.storage import DEFAULT_CHUNK_ARCS, chunk_edges
 from repro.rng import ensure_rng
 
 __all__ = [
     "FacebookModelConfig",
     "FacebookWorld",
     "build_facebook_world",
-    "emit_arcs",
 ]
 
 #: Synthetic country codes, ordered by continent blocks (the order *is*
@@ -237,9 +235,8 @@ def _edge_blocks(
     """The world's construction edge blocks, in RNG draw order.
 
     Hierarchical stub matching (region / country / global) followed by
-    the college overlay; college assignment happens between the global
-    block and the overlay block, exactly where the one-shot build drew
-    those numbers.
+    the college overlay; college assignment draws its numbers between
+    the global block and the overlay block.
     """
     n = state.n
     region_stubs = np.rint(state.degrees * cfg.region_stub_fraction).astype(np.int64)
@@ -325,39 +322,6 @@ def build_facebook_world(
         college_country=college_country,
         config=cfg,
     )
-
-
-def emit_arcs(
-    config: FacebookModelConfig | None = None,
-    chunk_size: int = DEFAULT_CHUNK_ARCS,
-    rng: "np.random.Generator | int | None" = None,
-) -> Iterator[np.ndarray]:
-    """Stream the friendship graph's edges in blocks of ``chunk_size``.
-
-    A graph built from the emitted chunks equals
-    ``build_facebook_world(config, rng).graph`` bit-for-bit for the
-    same seed; the partitions are not part of the stream. A shadow
-    builder assembles the graph alongside the stream to locate the
-    bridge edges that connect stray components — under an active
-    ``memmap`` storage scope that shadow build spills to disk like any
-    other, keeping peak memory bounded.
-    """
-    cfg = config or FacebookModelConfig()
-    gen = ensure_rng(rng)
-    if chunk_size < 1:
-        raise GenerationError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    def stream() -> Iterator[np.ndarray]:
-        state = _world_state(cfg, gen)
-        shadow = GraphBuilder(state.n)
-        for block in _edge_blocks(cfg, gen, state):
-            shadow.add_edges(block)
-            yield from chunk_edges(block, chunk_size)
-        extra = bridge_edges(shadow.build(), gen)
-        if len(extra):
-            yield from chunk_edges(extra, chunk_size)
-
-    return stream()
 
 
 # ----------------------------------------------------------------------

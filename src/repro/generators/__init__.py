@@ -5,12 +5,10 @@ Section 6.2.1 model. The rest (ER, BA, configuration model, SBM,
 k-regular) are substrates used by the dataset stand-ins, the Facebook
 model, and the ablation benches.
 
-Every generator also exposes a chunked ``emit_*_arcs`` face that
-streams bounded edge blocks for the out-of-core CSR builders in
-:mod:`repro.graph.storage`. Both faces share one sampling core, so for
-the same seed they draw the same random numbers and describe the same
-edge set — graphs streamed to disk are bit-identical to graphs built
-in RAM.
+The ER, BA and configuration-model generators draw their edges
+through a chunked ``emit_*_arcs`` stream of bounded edge blocks, and
+the one-shot function builds its graph from that stream, so for the
+same seed both describe the same edge set.
 """
 
 from repro.generators.ba import barabasi_albert_graph, emit_ba_arcs
@@ -29,16 +27,13 @@ from repro.generators.er import (
 from repro.generators.planted import (
     PAPER_CATEGORY_SIZES,
     PlantedModelConfig,
-    emit_planted_arcs,
     planted_category_graph,
 )
 from repro.generators.regular import (
-    emit_regular_arcs,
     random_regular_edges,
     random_regular_graph,
 )
 from repro.generators.sbm import (
-    emit_sbm_arcs,
     planted_partition_graph,
     stochastic_block_model,
 )
@@ -47,10 +42,8 @@ __all__ = [
     "PAPER_CATEGORY_SIZES",
     "PlantedModelConfig",
     "planted_category_graph",
-    "emit_planted_arcs",
     "random_regular_graph",
     "random_regular_edges",
-    "emit_regular_arcs",
     "gnp",
     "gnm",
     "emit_gnp_arcs",
@@ -62,6 +55,5 @@ __all__ = [
     "emit_configuration_arcs",
     "power_law_degree_sequence",
     "stochastic_block_model",
-    "emit_sbm_arcs",
     "planted_partition_graph",
 ]

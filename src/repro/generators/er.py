@@ -2,11 +2,10 @@
 
 Each generator has two faces sharing one RNG trace: the classic
 ``gnp``/``gnm`` returning a built :class:`Graph`, and a chunked
-``emit_gnp_arcs``/``emit_gnm_arcs`` yielding bounded edge blocks for the
-out-of-core builders in :mod:`repro.graph.storage`. The one-shot
-functions are implemented *on top of* the emit paths, so for the same
-seed both faces draw the same random numbers and describe the same edge
-set — a graph streamed to disk is bit-identical to one built in RAM.
+``emit_gnp_arcs``/``emit_gnm_arcs`` yielding bounded edge blocks. The
+one-shot functions are implemented *on top of* the emit paths, so for
+the same seed both faces draw the same random numbers and describe the
+same edge set.
 """
 
 from __future__ import annotations
@@ -147,7 +146,7 @@ def _edges_from_flat(flat: np.ndarray, n: int) -> np.ndarray:
 
 
 def _consume(n: int, chunks: Iterator[np.ndarray]) -> Graph:
-    """Build a graph from an emit stream (storage-mode aware)."""
+    """Build a graph from an emit stream."""
     builder = GraphBuilder(n)
     for chunk in chunks:
         builder.add_edges(chunk)

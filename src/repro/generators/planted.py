@@ -31,15 +31,13 @@ from repro.exceptions import GenerationError
 from repro.generators.regular import random_regular_edges
 from repro.graph.adjacency import Graph
 from repro.graph.builder import GraphBuilder
-from repro.graph.operations import bridge_components, bridge_edges
+from repro.graph.operations import bridge_components
 from repro.graph.partition import CategoryPartition
-from repro.graph.storage import DEFAULT_CHUNK_ARCS, chunk_edges
 from repro.rng import ensure_rng
 
 __all__ = [
     "PAPER_CATEGORY_SIZES",
     "PlantedModelConfig",
-    "emit_planted_arcs",
     "planted_category_graph",
 ]
 
@@ -105,7 +103,7 @@ def _resolve_config(
     sizes: tuple[int, ...] | None = None,
     scale: int | None = None,
 ) -> PlantedModelConfig:
-    """Merge keyword overrides into a config (shared by both faces)."""
+    """Merge keyword overrides into a config."""
     base = config or PlantedModelConfig()
     overrides: dict = {}
     if k is not None:
@@ -151,51 +149,6 @@ def planted_category_graph(
     """
     base = _resolve_config(config, k=k, alpha=alpha, sizes=sizes, scale=scale)
     return _generate(base, ensure_rng(rng))
-
-
-def emit_planted_arcs(
-    config: PlantedModelConfig | None = None,
-    *,
-    chunk_size: int = DEFAULT_CHUNK_ARCS,
-    k: int | None = None,
-    alpha: float | None = None,
-    sizes: tuple[int, ...] | None = None,
-    scale: int | None = None,
-    rng: np.random.Generator | int | None = None,
-) -> Iterator[np.ndarray]:
-    """Stream the Section 6.2.1 model's edges in blocks of ``chunk_size``.
-
-    A graph built from the emitted chunks equals
-    ``planted_category_graph(...)[0]`` bit-for-bit for the same seed
-    (the category partition is not part of the stream — rebuild it from
-    the config when needed). When ``connect`` is set, a shadow builder
-    assembles the graph alongside the stream to locate stray components
-    and the bridge edges are appended as the final chunks; under an
-    active ``memmap`` storage scope that shadow build spills to disk
-    like any other, so peak memory stays bounded.
-    """
-    base = _resolve_config(config, k=k, alpha=alpha, sizes=sizes, scale=scale)
-    gen = ensure_rng(rng)
-    _validate(base)
-    if chunk_size < 1:
-        raise GenerationError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    def stream() -> Iterator[np.ndarray]:
-        eff = base.effective_sizes()
-        n = sum(eff)
-        starts = np.concatenate(([0], np.cumsum(eff))).astype(np.int64)
-        labels = np.repeat(np.arange(len(eff), dtype=np.int64), eff)
-        shadow = GraphBuilder(n) if base.connect else None
-        for block in _construction_blocks(base, eff, starts, labels, gen):
-            if shadow is not None:
-                shadow.add_edges(block)
-            yield from chunk_edges(block, chunk_size)
-        if shadow is not None:
-            extra = bridge_edges(shadow.build(), gen)
-            if len(extra):
-                yield from chunk_edges(extra, chunk_size)
-
-    return stream()
 
 
 def _validate(config: PlantedModelConfig) -> None:

@@ -11,15 +11,13 @@ simple k-regular graph, which is all the paper's experiments require.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.exceptions import GenerationError
 from repro.graph.adjacency import Graph
 from repro.rng import ensure_rng
 
-__all__ = ["random_regular_graph", "random_regular_edges", "emit_regular_arcs"]
+__all__ = ["random_regular_graph", "random_regular_edges"]
 
 _MAX_REPAIR_ROUNDS = 200
 
@@ -118,29 +116,6 @@ def _present(sorted_keys: np.ndarray, added: set, *keys: int) -> bool:
         if key in added or (pos < len(sorted_keys) and sorted_keys[pos] == key):
             return True
     return False
-
-
-def emit_regular_arcs(
-    n: int,
-    k: int,
-    chunk_size: int | None = None,
-    rng: np.random.Generator | int | None = None,
-) -> Iterator[np.ndarray]:
-    """Stream the edges of a random k-regular graph in bounded blocks.
-
-    The pairing model's repair phase needs the whole edge array (swaps
-    may touch any edge), so the array is materialized — O(n * k / 2)
-    rows, which is exactly the graph being built — and sliced into
-    blocks afterwards. Same RNG trace as :func:`random_regular_edges`.
-    """
-    from repro.graph.storage import DEFAULT_CHUNK_ARCS, chunk_edges
-
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_ARCS
-    if chunk_size < 1:
-        raise GenerationError(f"chunk_size must be >= 1, got {chunk_size}")
-    edges = random_regular_edges(n, k, rng)
-    return chunk_edges(edges, chunk_size)
 
 
 def random_regular_graph(

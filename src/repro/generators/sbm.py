@@ -16,10 +16,9 @@ from repro.exceptions import GenerationError
 from repro.graph.adjacency import Graph
 from repro.graph.builder import GraphBuilder
 from repro.graph.partition import CategoryPartition
-from repro.graph.storage import DEFAULT_CHUNK_ARCS, chunk_edges
 from repro.rng import ensure_rng
 
-__all__ = ["stochastic_block_model", "emit_sbm_arcs", "planted_partition_graph"]
+__all__ = ["stochastic_block_model", "planted_partition_graph"]
 
 
 def _validated_sizes_probs(
@@ -93,30 +92,6 @@ def stochastic_block_model(
         builder.add_edges(block)
     partition = CategoryPartition.from_blocks(sizes_arr, names=names)
     return builder.build(), partition
-
-
-def emit_sbm_arcs(
-    sizes: Sequence[int],
-    prob_matrix: np.ndarray,
-    chunk_size: int = DEFAULT_CHUNK_ARCS,
-    rng: np.random.Generator | int | None = None,
-) -> Iterator[np.ndarray]:
-    """Stream SBM edges in blocks of at most ``chunk_size``.
-
-    Block pairs are sampled in the same order — and with the same RNG
-    draws — as :func:`stochastic_block_model`; each block-pair edge
-    array is re-sliced to the chunk bound before being yielded.
-    """
-    gen = ensure_rng(rng)
-    sizes_arr, prob_matrix = _validated_sizes_probs(sizes, prob_matrix)
-    if chunk_size < 1:
-        raise GenerationError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    def blocks() -> Iterator[np.ndarray]:
-        for block in _sbm_blocks(sizes_arr, prob_matrix, gen):
-            yield from chunk_edges(block, chunk_size)
-
-    return blocks()
 
 
 def planted_partition_graph(

@@ -1,10 +1,11 @@
 """Graph substrate: CSR container, partitions, category graphs, I/O.
 
-The out-of-core storage plane lives in :mod:`repro.graph.storage`:
-``save_csr``/``open_csr`` persist and map CSR planes on disk,
-``StreamingCSRBuilder`` builds them from bounded edge chunks, and the
-``graph_storage("memmap")`` scope (or ``REPRO_GRAPH_STORAGE=memmap``)
-reroutes every :class:`GraphBuilder` through it.
+Every graph lives in RAM as one CSR (:class:`Graph`, built by
+:class:`GraphBuilder`). :mod:`repro.graph.planes` derives the arrays
+observation gathers from it (upper edges, neighbor-category
+histograms) in bounded node blocks, and :mod:`repro.graph.storage`
+holds the chunk helpers (``chunk_edges``, ``edge_chunks``) that the
+generators' edge streams share.
 """
 
 from repro.graph.adjacency import Graph
@@ -30,44 +31,11 @@ from repro.graph.operations import (
     largest_component,
 )
 from repro.graph.partition import CategoryPartition
-from repro.graph.planes import (
-    DerivedPlaneStore,
-    PlaneWriter,
-    clear_plane_memo,
-    plane_store_at,
-    plane_store_for,
-    source_fingerprint,
-)
-from repro.graph.storage import (
-    MemmapCSR,
-    StreamingCSRBuilder,
-    active_storage_mode,
-    chunk_edges,
-    edge_chunks,
-    graph_storage,
-    open_csr,
-    save_csr,
-    storage_root,
-    stream_graph,
-)
+from repro.graph.storage import chunk_edges, edge_chunks
 
 __all__ = [
-    "DerivedPlaneStore",
-    "MemmapCSR",
-    "PlaneWriter",
-    "StreamingCSRBuilder",
-    "clear_plane_memo",
-    "plane_store_at",
-    "plane_store_for",
-    "source_fingerprint",
-    "active_storage_mode",
     "chunk_edges",
     "edge_chunks",
-    "graph_storage",
-    "open_csr",
-    "save_csr",
-    "storage_root",
-    "stream_graph",
     "Graph",
     "GraphBuilder",
     "CategoryGraph",

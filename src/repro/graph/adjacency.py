@@ -164,11 +164,7 @@ class Graph:
 
         ``(arc_sources[i], indices[i])`` enumerates all ``2|E|`` arcs.
         Computed once and cached (the graph is immutable); validation and
-        the observation builders share it. Under ``graph_storage("memmap")``
-        the derivation goes through the plane store of
-        :mod:`repro.graph.planes` — built chunked on disk, reopened as a
-        read-only mapping, and reused by every run over a bit-identical
-        substrate. Read-only view.
+        the observation builders share it. Read-only view.
         """
         if self._arc_sources is None:
             from repro.graph.planes import derived_arc_sources
@@ -180,8 +176,8 @@ class Graph:
     def upper_edges(self) -> np.ndarray:
         """The ``u < v`` arcs in CSR order, as a ``(2, |E|)`` array ``[u, v]``.
 
-        int32 when ``N < 2**31``. Cached like :attr:`arc_sources`,
-        through the same plane store. Read-only view. Read by induced
+        int32 when ``N < 2**31``. Cached like :attr:`arc_sources`.
+        Read-only view. Read by induced
         observation, ``induced_subgraph``, ``edge_chunks`` (bridging),
         :meth:`edges` and :meth:`edge_array`; ``connected_components``
         derives the same plane without caching it here.
@@ -210,8 +206,7 @@ class Graph:
         their runs. This is the frontier-expansion primitive of the
         batched BFS kernel (:mod:`repro.sampling.traversal`): one
         fancy-indexed gather over the whole frontier instead of a
-        Python-level slice per node, and it reads identically from
-        in-RAM and memmap-backed planes.
+        Python-level slice per node.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.ndim != 1:

@@ -3,15 +3,6 @@
 :class:`GraphBuilder` accumulates edges (as chunks of int64 edge keys,
 so bulk adds are cheap), then :meth:`GraphBuilder.build` deduplicates,
 symmetrises and emits a validated CSR graph in one vectorised pass.
-
-The builder is also the library's *storage seam*: when the ambient
-storage mode (:func:`repro.graph.storage.active_storage_mode` —
-``graph_storage("memmap")`` scopes or ``REPRO_GRAPH_STORAGE=memmap``)
-selects the out-of-core plane, every added chunk is forwarded to a
-:class:`~repro.graph.storage.StreamingCSRBuilder` that spills sorted
-runs to disk, and :meth:`build` returns a graph whose CSR planes are
-``np.memmap`` views of the on-disk store — bit-identical to the in-RAM
-build, with peak RSS bounded by the chunk size instead of ``|E|``.
 """
 
 from __future__ import annotations
@@ -19,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GraphError
-from repro.graph import storage
 from repro.graph.adjacency import Graph
+from repro.graph.storage import unique_keys
 
 __all__ = ["GraphBuilder"]
 
@@ -38,9 +29,6 @@ class GraphBuilder:
     * Duplicate edges are silently merged (the result is a simple graph).
     * Self-loops raise :class:`GraphError` eagerly — they are always a
       bug in this library's domain (friendship/overlay graphs).
-    * The storage mode is captured at construction time, so a builder
-      created inside a ``graph_storage("memmap")`` scope spills its
-      chunks out-of-core even if the scope exits before ``build()``.
     """
 
     def __init__(self, num_nodes: int):
@@ -49,11 +37,6 @@ class GraphBuilder:
         self._num_nodes = int(num_nodes)
         self._keys: list[np.ndarray] = []
         self._num_added = 0
-        self._streaming = (
-            storage.StreamingCSRBuilder(self._num_nodes)
-            if storage.active_storage_mode() == "memmap"
-            else None
-        )
 
     @property
     def num_nodes(self) -> int:
@@ -80,12 +63,9 @@ class GraphBuilder:
             bad = int(arr[arr[:, 0] == arr[:, 1]][0, 0])
             raise GraphError(f"self-loop at node {bad} is not allowed")
         self._num_added += len(arr)
-        if self._streaming is not None:
-            self._streaming.add_edges(arr)
-        else:
-            # Canonical lo * n + hi keys, half the bytes of the pairs.
-            lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
-            self._keys.append(lo * np.int64(self._num_nodes) + hi)
+        # Canonical lo * n + hi keys, half the bytes of the pairs.
+        lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
+        self._keys.append(lo * np.int64(self._num_nodes) + hi)
 
     def edge_count_upper_bound(self) -> int:
         """Number of edge records added so far (before deduplication)."""
@@ -94,21 +74,17 @@ class GraphBuilder:
     def build(self) -> Graph:
         """Deduplicate, symmetrise and emit the CSR graph.
 
-        In-RAM mode :meth:`add_edges` keeps each batch as its canonical
+        :meth:`add_edges` keeps each batch as its canonical
         ``lo * n + hi`` keys, and :func:`~repro.graph.storage.unique_keys`
         deduplicates their concatenation. A row lists a node's lower
         neighbours, then its higher ones, so the sorted keys fill the
         (lo -> hi) slots and one sort of the transposed keys the
-        (hi -> lo) slots. In memmap mode the spilled runs are
-        external-merged into an on-disk CSR of read-only file mappings.
-        Both paths produce the same bytes.
+        (hi -> lo) slots.
         """
         n = self._num_nodes
-        if self._streaming is not None:
-            return self._streaming.build().graph()
         if not self._keys:
             return Graph.empty(n)
-        keys = storage.unique_keys(np.concatenate(self._keys))
+        keys = unique_keys(np.concatenate(self._keys))
         hi = keys % n
         keys //= n  # now the lo endpoints
         below, above = np.bincount(hi, minlength=n), np.bincount(keys, minlength=n)

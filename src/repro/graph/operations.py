@@ -40,7 +40,7 @@ def connected_components(graph: Graph) -> np.ndarray:
     """
     n = graph.num_nodes
     # Not graph.upper_edges: a plane cached here would ride the graph's
-    # pickle, even when the graph's own planes are file mappings.
+    # pickle.
     src, dst = derived_upper_edges(graph.indptr, graph.indices)
     parent = np.arange(n, dtype=np.int64)
     while True:
@@ -91,7 +91,7 @@ def bridge_components(graph: Graph, gen: np.random.Generator) -> Graph:
         return graph
     builder = GraphBuilder(graph.num_nodes)
     # Re-add the edges in bounded windows, not one O(|E|) edge_array, so
-    # under a memmap storage scope peak memory stays at the chunk size.
+    # no whole pair array exists beside the builder's keys.
     for chunk in edge_chunks(graph):
         builder.add_edges(chunk)
     builder.add_edges(extra)

@@ -149,8 +149,8 @@ class CategoryPartition:
         ``categories[indptr[v]:indptr[v+1]]`` (ascending) with
         multiplicities ``counts[...]``, in compact dtypes. Star
         observations and :func:`~repro.graph.category_graph.cut_matrix`
-        gather its rows. Cached for the most recent graph; derived
-        through the plane store of :mod:`repro.graph.planes`. Read-only.
+        gather its rows. Cached for the most recent graph; derived in
+        node blocks by :mod:`repro.graph.planes`. Read-only.
         """
         self._check_graph(graph)
         with _HISTOGRAM_LOCK:

@@ -35,20 +35,6 @@ string per :func:`inject` argument)::
                                                 (one finished sweep
                                                 cell's result) after
                                                 its atomic write
-    corrupt-manifest[:file=KIND][,times=N]      truncate the next
-                                                on-disk plane manifest
-                                                after its atomic write
-                                                — the torn-manifest
-                                                recovery path.
-                                                ``file=manifest``
-                                                strikes the base-CSR
-                                                store
-                                                (repro.graph.storage),
-                                                ``file=derived`` the
-                                                derived-plane store
-                                                (repro.graph.planes,
-                                                which quarantines and
-                                                rebuilds); default any
     fail-respawn[:times=N]                      make the next N worker
                                                 spawns raise
 
@@ -98,7 +84,6 @@ KINDS = {
     "kill-worker": ("replicate", "shard", "phase"),
     "hang-worker": ("shard",),
     "corrupt-checkpoint": ("file",),
-    "corrupt-manifest": ("file",),
     "fail-respawn": (),
 }
 
@@ -125,10 +110,13 @@ class Fault:
                 f"fault 'kill-worker' takes phase=sample only, "
                 f"got phase={params['phase']}"
             )
-        if times < 1:
-            raise EstimationError(
-                f"fault {kind!r} needs times >= 1, got {times}"
-            )
+        for key, least in (("replicate", 0), ("shard", 0), ("times", 1)):
+            value = times if key == "times" else params.get(key, least)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise EstimationError(
+                    f"fault {kind!r} needs an integer {key} >= {least}, "
+                    f"got {key}={value}"
+                )
         self.kind = kind
         self.params = dict(params)
         self.times = int(times)

@@ -144,8 +144,8 @@ def run_plan(
 
     outputs: dict[str, object] = {}
     # A parallel or checkpointed run is one fault-injection scope: a CI
-    # chaos job exporting REPRO_FAULTS exercises pool growth,
-    # resource-side derived planes and every cell-file write, while
+    # chaos job exporting REPRO_FAULTS exercises pool growth and
+    # every cell-file write, while
     # unit tests touching the checkpoint layer directly stay
     # undisturbed.
     armed = parallel or plan_checkpoint is not None

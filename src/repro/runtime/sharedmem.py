@@ -17,17 +17,6 @@ partitions) and every ndarray at
 least ``threshold`` bytes big rides shared memory automatically, so new
 sampler designs get the treatment without registering anything.
 
-Arrays that are already *file-backed* — views of an ``np.memmap``, the
-planes of an out-of-core CSR built by :mod:`repro.graph.storage` — are
-never copied at all: the pickler ships an ``mmap`` token (absolute
-path, dtype, shape, byte offset) alongside the ``psm_*`` shared-memory
-token kind, and each worker maps the same file read-only. Release
-semantics differ per token kind: detaching a shared-memory block
-requires that no view still exports its buffer (the block is pinned
-otherwise), while dropping a file mapping is always safe — surviving
-views keep the mapping alive through their ``base`` chain and the OS
-reclaims the pages when the last one dies.
-
 Lifecycle: the parent owns the blocks — keep the
 :class:`SharedArrayPool` alive until every worker has exited, then
 :meth:`SharedArrayPool.close` unlinks them. Workers attach untracked
@@ -47,7 +36,6 @@ into one ambient plan pool concurrently.
 
 from __future__ import annotations
 
-import os
 import pickle
 import sys
 import threading
@@ -77,33 +65,6 @@ __all__ = [
 DEFAULT_THRESHOLD_BYTES = 16_384
 
 _TOKEN_KIND = "repro-shm-ndarray"
-_MMAP_TOKEN_KIND = "repro-mmap-ndarray"
-
-
-def _memmap_source(array: np.ndarray) -> "tuple[str, int] | None":
-    """``(path, byte_offset)`` when ``array`` is a file-backed window.
-
-    Walks the ``base`` chain to an ``np.memmap`` with a real filename
-    and computes the array's byte offset into the file. Copy-on-write
-    mappings are rejected (their pages may diverge from the file), as
-    is anything non-contiguous — those fall through to the shared
-    memory path.
-    """
-    if not array.flags.c_contiguous:
-        return None
-    base = array
-    while base is not None and not isinstance(base, np.memmap):
-        base = base.base
-    if base is None or getattr(base, "filename", None) is None:
-        return None
-    if getattr(base, "mode", "r") == "c":
-        return None
-    start = array.__array_interface__["data"][0]
-    base_start = base.__array_interface__["data"][0]
-    if start < base_start or start + array.nbytes > base_start + base.nbytes:
-        return None  # view escaped its mapping; never ship that
-    offset = int(base.offset) + (start - base_start)
-    return os.fspath(base.filename), offset
 
 
 class SharedArrayPool:
@@ -118,7 +79,6 @@ class SharedArrayPool:
     def __init__(self, threshold: int = DEFAULT_THRESHOLD_BYTES):
         self.threshold = int(threshold)
         self._blocks: list[shared_memory.SharedMemory] = []
-        self._mmap_names: list[str] = []
         self._tokens: dict[int, tuple] = {}
         self._pinned: list[np.ndarray] = []
         self._published_bytes = 0
@@ -126,27 +86,10 @@ class SharedArrayPool:
         _POOLS.add(self)
 
     def publish(self, array: np.ndarray) -> tuple:
-        """The persistent-id token of ``array``, publishing on first use.
-
-        File-backed arrays (memmap planes of an on-disk CSR) are not
-        copied into shared memory at all — their token names the file,
-        and workers map it directly.
-        """
+        """The persistent-id token of ``array``, publishing on first use."""
         with self._lock:
             token = self._tokens.get(id(array))
             if token is not None:
-                return token
-            mapped = _memmap_source(array)
-            if mapped is not None:
-                path, offset = mapped
-                name = f"mmap:{path}@{offset}"
-                token = (
-                    _MMAP_TOKEN_KIND, name, path,
-                    array.dtype.str, array.shape, offset,
-                )
-                self._mmap_names.append(name)
-                self._tokens[id(array)] = token
-                self._pinned.append(array)
                 return token
             source = np.ascontiguousarray(array)
             block = shared_memory.SharedMemory(
@@ -194,28 +137,20 @@ class SharedArrayPool:
 
     @property
     def block_names(self) -> tuple[str, ...]:
-        """Every name this pool has published (shared-memory + mmap).
+        """Every block name this pool has published or allocated.
 
         The retire grain of the persistent worker pool: when a cell's
         run finishes, its run-local pool's names are broadcast so the
-        long-lived workers drop their attachments — shared-memory
-        blocks and file mappings through the same :func:`release` call.
+        long-lived workers drop their attachments through
+        :func:`release`.
         """
         with self._lock:
-            return tuple(block.name for block in self._blocks) + tuple(
-                self._mmap_names
-            )
+            return tuple(block.name for block in self._blocks)
 
     def close(self) -> None:
-        """Release and unlink every published block (parent side).
-
-        Only shared-memory blocks are unlinked; mmap tokens reference
-        files owned by whoever built the on-disk CSR, and unmapping is
-        the workers' (or the OS's) business.
-        """
+        """Release and unlink every published block (parent side)."""
         with self._lock:
             blocks, self._blocks = self._blocks, []
-            self._mmap_names = []
             self._tokens = {}
             self._pinned = []
             retired, self._published_bytes = self._published_bytes, 0
@@ -332,11 +267,9 @@ class _PlanePickler(pickle.Pickler):
         self._pool = pool
 
     def persistent_id(self, obj):
-        # Plain ndarrays and raw np.memmap planes (the derived-plane
-        # store hands out the former as views of the latter) both
-        # tokenize; fancier subclasses keep default pickling.
+        # Plain ndarrays tokenize; subclasses keep default pickling.
         if (
-            type(obj) in (np.ndarray, np.memmap)
+            type(obj) is np.ndarray
             and obj.dtype != object
             and obj.nbytes >= self._pool.threshold
         ):
@@ -398,34 +331,12 @@ def attach(token: tuple) -> np.ndarray:
 
 
 class _PlaneUnpickler(pickle.Unpickler):
-    """Unpickler resolving tokens to read-only zero-copy views.
-
-    Shared-memory tokens attach the named block; mmap tokens map the
-    named file. Both land in the same :data:`_ATTACHED` cache, so one
-    retire/:func:`release` namespace covers both kinds.
-    """
+    """Unpickler resolving tokens to read-only zero-copy views of the
+    named blocks, cached in :data:`_ATTACHED` for :func:`release`."""
 
     def persistent_load(self, pid):
-        kind = pid[0]
-        if kind == _TOKEN_KIND:
+        if pid[0] == _TOKEN_KIND:
             return _attached_view(pid, writeable=False)
-        if kind == _MMAP_TOKEN_KIND:
-            _, name, path, dtype, shape, offset = pid
-            with _ATTACHED_LOCK:
-                cached = _ATTACHED.get(name)
-                if cached is None:
-                    mapped = np.memmap(
-                        path,
-                        dtype=np.dtype(dtype),
-                        mode="r",
-                        offset=offset,
-                        shape=tuple(shape),
-                    )
-                    array = mapped.view(np.ndarray)
-                    array.flags.writeable = False
-                    cached = (mapped, array)
-                    _ATTACHED[name] = cached
-            return cached[1]
         raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
 
 
@@ -433,19 +344,12 @@ def release(names) -> None:
     """Drop this process's cached attachments for the named blocks.
 
     Called by persistent pool workers when the parent retires a
-    finished cell's run-local blocks. Release semantics are split per
-    token kind:
-
-    * *Shared memory*: unmapping requires that no live ndarray view
-      still exports the buffer; a block whose view survived the task
-      teardown (e.g. kept alive by a reference cycle awaiting GC) is
-      left pinned rather than half-released — the memory then goes back
-      with the next retire that finds it collectable, or at process
-      exit.
-    * *File mappings* (``mmap:`` tokens): dropping the cache entry is
-      always safe, refcount regardless — a surviving view keeps the
-      mapping alive through its ``base`` chain and the OS reclaims the
-      pages when the last view dies, so there is nothing to pin.
+    finished cell's run-local blocks. Unmapping requires that no live
+    ndarray view still exports the buffer; a block whose view survived
+    the task teardown (e.g. kept alive by a reference cycle awaiting GC)
+    is left pinned rather than half-released — the memory then goes
+    back with the next retire that finds it collectable, or at process
+    exit.
     """
     for name in names:
         with _ATTACHED_LOCK:
@@ -454,8 +358,6 @@ def release(names) -> None:
             continue
         block, array = cached
         del cached
-        if not isinstance(block, shared_memory.SharedMemory):
-            continue
         if sys.getrefcount(array) > 2:
             # A task still holds views into this block (the cache's
             # reference plus getrefcount's argument account for 2):

@@ -87,11 +87,6 @@ _STANDARD_COUNTERS = (
     "checkpoint.saves",
     "checkpoint.quarantined",
     "plan.cells_replayed",
-    "planes.built",
-    "planes.built_bytes",
-    "planes.hit",
-    "planes.hit_bytes",
-    "planes.quarantined",
 )
 
 

@@ -48,12 +48,7 @@ import numpy as np
 
 from repro.exceptions import SamplingError
 
-__all__ = [
-    "AliasTables",
-    "build_alias_planes",
-    "build_alias_tables",
-    "derived_alias_tables",
-]
+__all__ = ["AliasTables", "build_alias_tables"]
 
 
 @dataclass(frozen=True)
@@ -204,78 +199,3 @@ def build_alias_tables(
     # Leftover queue entries (either side, by float rounding) keep their
     # initialized probability-1 self-alias.
     return AliasTables(prob=prob, alias=alias)
-
-
-def build_alias_planes(
-    writer,
-    indptr: np.ndarray,
-    arc_weights: np.ndarray,
-    strengths: np.ndarray | None = None,
-    chunk_arcs: int | None = None,
-) -> None:
-    """Chunked out-of-core twin of :func:`build_alias_tables`.
-
-    Vose construction is per-run independent — every queue, pairing,
-    and float update touches only one adjacency run's slots — so
-    building one node block of whole runs at a time (the sub-CSR
-    ``indptr[first:stop+1] - lo``) performs the identical arithmetic,
-    and rebasing the block's alias ids by its arc offset recovers the
-    global ids bit for bit, in O(chunk) peak RAM.
-    """
-    from repro.graph.planes import DEFAULT_CHUNK_ARCS, node_blocks
-
-    if chunk_arcs is None:
-        chunk_arcs = DEFAULT_CHUNK_ARCS
-    indptr = np.asanyarray(indptr)
-    num_arcs = int(indptr[-1])
-    prob = writer.create("prob", np.float64, (num_arcs,))
-    alias = writer.create("alias", np.int64, (num_arcs,))
-    for first, stop, lo, hi in node_blocks(indptr, chunk_arcs):
-        sub_indptr = np.asarray(indptr[first : stop + 1]) - lo
-        sub_strengths = (
-            np.asarray(strengths[first:stop]) if strengths is not None else None
-        )
-        tables = build_alias_tables(
-            sub_indptr, np.asarray(arc_weights[lo:hi]), sub_strengths
-        )
-        prob[lo:hi] = tables.prob
-        alias[lo:hi] = tables.alias + lo
-
-
-def derived_alias_tables(
-    indptr: np.ndarray,
-    arc_weights: np.ndarray,
-    strengths: np.ndarray | None = None,
-) -> AliasTables:
-    """Alias tables via the derived-plane store of :mod:`repro.graph.planes`.
-
-    The drop-in spill-aware form of :func:`build_alias_tables`: RAM-mode
-    runs build in RAM like always, while under the memmap storage plane
-    the ``prob``/``alias`` planes build chunked on disk, reopen as
-    read-only mappings, and warm runs (same ``indptr`` / weights /
-    strengths bytes) skip construction entirely.
-    """
-    indptr = np.asanyarray(indptr)
-    weights = np.asanyarray(arc_weights)
-    if weights.ndim != 1 or len(weights) != int(indptr[-1]):
-        raise SamplingError(
-            "arc_weights must be one-dimensional and aligned with indptr "
-            f"(expected length {int(indptr[-1])}, got {weights.shape})"
-        )
-    store_sources: tuple = (indptr, weights)
-    if strengths is not None:
-        store_sources = store_sources + (np.asanyarray(strengths),)
-    from repro.graph.planes import plane_store_for
-
-    store = plane_store_for(*store_sources, nbytes=len(weights) * 16)
-    if store is None:
-        return build_alias_tables(indptr, arc_weights, strengths)
-    planes = store.get_or_build(
-        "alias-tables",
-        params={"strengths": strengths is not None},
-        sources=store_sources,
-        build=lambda writer: build_alias_planes(
-            writer, indptr, arc_weights, strengths
-        ),
-    )
-    return AliasTables(prob=planes["prob"], alias=planes["alias"])

@@ -9,8 +9,8 @@ visibly mis-estimate, which is exactly the point of the ablation bench.
 
 The design also registers a *batched frontier kernel* with
 :mod:`repro.sampling.batch`: all R replicate traversals advance as one
-set-semantics step — per-replicate visited bitmaps (memmap-backed when
-the active storage plane is out-of-core), one CSR neighborhood gather
+set-semantics step — per-replicate visited bitmaps, one CSR
+neighborhood gather
 (:meth:`repro.graph.adjacency.Graph.gather_neighborhoods`) plus one
 dedup/mask pass per expansion round, and per-replicate restart draws
 replayed in the sequential sampler's exact RNG order. Replicate ``r``
@@ -23,14 +23,11 @@ below is kept as the reference twin that
 from __future__ import annotations
 
 import collections
-import os
-import tempfile
 
 import numpy as np
 
 from repro.exceptions import SamplingError
 from repro.graph.adjacency import Graph
-from repro.graph.storage import active_storage_mode, storage_root
 from repro.rng import ensure_rng
 from repro.sampling.base import NodeSample, Sampler
 from repro.sampling.batch import register_kernel
@@ -123,29 +120,6 @@ def _telemetry():
     return telemetry
 
 
-def _visited_bitmaps(replications: int, num_nodes: int) -> np.ndarray:
-    """Per-replicate visited bitmap, ``(R, num_nodes)`` bool.
-
-    Storage-aware: when the active graph-storage plane is ``memmap``
-    (``REPRO_SCALE=web`` or an explicit :func:`graph_storage` scope),
-    the bitmap is backed by an anonymous file under :func:`storage_root`
-    instead of RAM, so web-scale traversals never hold O(R x N) visited
-    state in memory. The file is unlinked immediately after mapping —
-    the kernel's pages live only as long as the array does.
-    """
-    if active_storage_mode() == "memmap":
-        fd, path = tempfile.mkstemp(
-            prefix="traversal-visited-", suffix=".bool", dir=str(storage_root())
-        )
-        os.close(fd)
-        bitmap = np.memmap(
-            path, dtype=np.bool_, mode="w+", shape=(replications, num_nodes)
-        )
-        os.unlink(path)
-        return bitmap
-    return np.zeros((replications, num_nodes), dtype=np.bool_)
-
-
 def _restart_draw(
     stream: np.random.Generator, visited_row: np.ndarray
 ) -> int:
@@ -177,7 +151,7 @@ def _bfs_kernel(sampler, n, streams):
     tele = _telemetry()
     rounds = restarts = gathered = 0
     with tele.span("kernel.bfs", "kernel", replicates=replications, draws=n):
-        visited = _visited_bitmaps(replications, num_nodes)
+        visited = np.zeros((replications, num_nodes), dtype=np.bool_)
         flat = visited.reshape(-1)
         out = np.empty((replications, n), dtype=np.int64)
         counts = np.zeros(replications, dtype=np.int64)

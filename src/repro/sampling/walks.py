@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.exceptions import SamplingError
 from repro.graph.adjacency import Graph
+from repro.graph.planes import derived_arc_sources
 from repro.rng import ensure_rng
 from repro.sampling.base import NodeSample, Sampler
 
@@ -72,49 +73,6 @@ def _segmented_cumsum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_segmented_cumsum(writer, values, indptr, chunk_arcs=None) -> None:
-    """Chunked out-of-core twin of :func:`_segmented_cumsum`.
-
-    Runs the Hillis-Steele scan one node block at a time (whole runs
-    per block). The scan is per-run independent — an element only ever
-    combines with elements of its own run, and doubling iterations past
-    a run's length touch none of its elements — so the block results
-    are bit-identical to the one-shot pass, in O(chunk) peak RAM.
-    """
-    from repro.graph.planes import DEFAULT_CHUNK_ARCS, node_blocks
-
-    if chunk_arcs is None:
-        chunk_arcs = DEFAULT_CHUNK_ARCS
-    indptr = np.asanyarray(indptr)
-    out = writer.create("cumsum", np.float64, (int(indptr[-1]),))
-    for first, stop, lo, hi in node_blocks(indptr, chunk_arcs):
-        sub_indptr = np.asarray(indptr[first : stop + 1]) - lo
-        out[lo:hi] = _segmented_cumsum(np.asarray(values[lo:hi]), sub_indptr)
-
-
-def _derived_local_cumulative(
-    arc_weights: np.ndarray, indptr: np.ndarray
-) -> np.ndarray:
-    """Per-run local cumulative weights, via the derived-plane store.
-
-    RAM-mode runs compute in RAM like always; under the memmap storage
-    plane the cumsum builds chunked on disk, reopens read-only, and is
-    reused by every sampler (and every later run) over bit-identical
-    ``(indptr, arc_weights)`` inputs.
-    """
-    from repro.graph.planes import plane_store_for
-
-    store = plane_store_for(indptr, arc_weights, nbytes=len(arc_weights) * 8)
-    if store is None:
-        return _segmented_cumsum(arc_weights, indptr)
-    planes = store.get_or_build(
-        "walk-cumsum",
-        sources=(indptr, arc_weights),
-        build=lambda writer: build_segmented_cumsum(writer, arc_weights, indptr),
-    )
-    return planes["cumsum"]
-
-
 #: Node ids at or past this bound are not exact as float64, so they
 #: cannot serve as the real part of the search key.
 _KEY_EXACT_NODES = 2**53
@@ -139,45 +97,15 @@ def _arc_search_key(arc_sources: np.ndarray, cumulative: np.ndarray) -> np.ndarr
     return key
 
 
-def build_search_key(writer, arc_sources, cumulative, chunk_arcs=None) -> None:
-    """Chunked out-of-core twin of :func:`_arc_search_key`."""
-    from repro.graph.planes import DEFAULT_CHUNK_ARCS
-
-    if chunk_arcs is None:
-        chunk_arcs = DEFAULT_CHUNK_ARCS
-    out = writer.create("key", np.complex128, (len(cumulative),))
-    for lo in range(0, len(cumulative), chunk_arcs):
-        hi = min(lo + chunk_arcs, len(cumulative))
-        out[lo:hi] = _arc_search_key(arc_sources[lo:hi], cumulative[lo:hi])
-
-
-def _derived_search_key(graph: Graph, cumulative: np.ndarray) -> np.ndarray:
-    """The weighted walk's search key, via the derived-plane store.
-
-    Keyed on ``(indptr, cumulative)``, which fix the arc sources too;
-    under the memmap storage plane it builds chunked on disk and warm
-    runs reopen it, like the cumsum it extends.
-    """
-    from repro.graph.planes import derived_arc_sources, plane_store_for
-
+def _search_key(graph: Graph, cumulative: np.ndarray) -> np.ndarray:
+    """The weighted walk's search key over ``graph``'s arcs."""
     if graph.num_nodes >= _KEY_EXACT_NODES:
         raise SamplingError(
             f"next_hop='search' needs fewer than 2**53 nodes, got {graph.num_nodes}"
         )
-    # derived_arc_sources rather than graph.arc_sources: in RAM mode the
-    # sources are a temporary instead of an array pinned on the graph.
-    indptr = graph.indptr
-    store = plane_store_for(indptr, cumulative, nbytes=len(cumulative) * 16)
-    if store is None:
-        return _arc_search_key(derived_arc_sources(indptr), cumulative)
-    planes = store.get_or_build(
-        "walk-search-key",
-        sources=(indptr, cumulative),
-        build=lambda writer: build_search_key(
-            writer, derived_arc_sources(indptr), cumulative
-        ),
-    )
-    return planes["key"]
+    # derived_arc_sources rather than graph.arc_sources: the sources are
+    # a temporary instead of an array pinned on the graph.
+    return _arc_search_key(derived_arc_sources(graph.indptr), cumulative)
 
 
 class _WalkSampler(Sampler):
@@ -334,9 +262,7 @@ class WeightedRandomWalkSampler(_WalkSampler):
         # sampling. Local (not global) sums keep the inverse-CDF lookup
         # exact on graphs whose total arc weight dwarfs individual run
         # weights; see _segmented_cumsum.
-        self._local_cumulative = _derived_local_cumulative(
-            arc_weights, graph.indptr
-        )
+        self._local_cumulative = _segmented_cumsum(arc_weights, graph.indptr)
         degrees = graph.degrees()
         if len(arc_weights):
             run_ends = np.maximum(graph.indptr[1:] - 1, 0)
@@ -349,19 +275,14 @@ class WeightedRandomWalkSampler(_WalkSampler):
         self._search_key = None
         self._alias_tables = None
         if next_hop == "search":
-            # Batched next hops search this key; like the cumsum it
-            # spills to (and reopens from) the derived-plane store
-            # under the memmap storage plane.
-            self._search_key = _derived_search_key(graph, self._local_cumulative)
+            self._search_key = _search_key(graph, self._local_cumulative)
         else:
-            from repro.sampling.alias import derived_alias_tables
+            from repro.sampling.alias import build_alias_tables
 
             # Normalize by the same per-run strengths the inverse-CDF
             # search uses, so both engines encode identical
-            # probabilities. Routed through the derived-plane store:
-            # under the memmap storage plane the tables build chunked
-            # on disk and warm runs reopen them instead of rebuilding.
-            self._alias_tables = derived_alias_tables(
+            # probabilities.
+            self._alias_tables = build_alias_tables(
                 graph.indptr, arc_weights, self._strength
             )
 

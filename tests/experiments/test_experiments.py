@@ -43,34 +43,7 @@ TINY = ScalePreset(
 
 class TestConfig:
     def test_presets_exist(self):
-        assert {"small", "medium", "paper", "web"} <= set(SCALE_PRESETS)
-
-    def test_web_preset_is_paper_scale_on_disk(self):
-        web, paper = SCALE_PRESETS["web"], SCALE_PRESETS["paper"]
-        assert web.graph_storage == "memmap"
-        assert paper.graph_storage == "ram"
-        assert web.fig3_sample_sizes == paper.fig3_sample_sizes
-        assert web.replications == paper.replications
-
-    def test_run_experiment_installs_preset_storage_scope(self, tmp_path, monkeypatch):
-        from repro.graph import storage
-
-        monkeypatch.setenv("REPRO_STORAGE_DIR", str(tmp_path))
-        seen = {}
-        original = storage.graph_storage
-
-        def spying(mode, directory=None):
-            seen["mode"] = mode
-            return original(mode, directory)
-
-        # run_experiment imports the scope lazily from the storage module,
-        # so patching it at the source is what the driver sees.
-        monkeypatch.setattr(storage, "graph_storage", spying)
-        disk_tiny = ScalePreset(
-            **{**TINY.__dict__, "name": "disk-tiny", "graph_storage": "memmap"}
-        )
-        run_experiment("table1", preset=disk_tiny, rng=0)
-        assert seen.get("mode") == "memmap"
+        assert set(SCALE_PRESETS) == {"small", "medium", "paper"}
 
     def test_active_preset_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "medium")

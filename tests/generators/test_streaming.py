@@ -3,9 +3,7 @@
 Every generator's streaming face shares its sampling core with the
 one-shot face, so for the same seed the two must describe the same
 edge set — the graph assembled from the emitted chunks is bit-identical
-to the one-shot build, at any chunk size. That property is what lets
-the ``web`` scale tier swap construction paths without changing a
-single output byte.
+to the one-shot build, at any chunk size.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GenerationError
-from repro.facebook.model import FacebookModelConfig, build_facebook_world, emit_arcs
 from repro.generators import (
     barabasi_albert_graph,
     configuration_model_graph,
@@ -22,25 +19,17 @@ from repro.generators import (
     emit_configuration_arcs,
     emit_gnm_arcs,
     emit_gnp_arcs,
-    emit_planted_arcs,
-    emit_regular_arcs,
-    emit_sbm_arcs,
     gnm,
     gnp,
-    planted_category_graph,
     power_law_degree_sequence,
-    random_regular_graph,
-    stochastic_block_model,
 )
 from repro.graph.builder import GraphBuilder
-from repro.graph.storage import graph_storage
 
 CHUNK_SIZES = (7, 128, 1 << 20)
 
 _DEGREES = power_law_degree_sequence(300, 2.5, 6.0, rng=42)
-_SBM_PROBS = np.array([[0.25, 0.02], [0.02, 0.3]])
 
-#: name -> (one-shot build, emit face); both closures take (seed).
+#: name -> (one-shot build, emit face, node count).
 GENERATORS = {
     "gnp": (
         lambda seed: gnp(150, 0.06, rng=seed),
@@ -67,21 +56,6 @@ GENERATORS = {
         lambda seed, cs: emit_configuration_arcs(_DEGREES, chunk_size=cs, rng=seed),
         len(_DEGREES),
     ),
-    "regular": (
-        lambda seed: random_regular_graph(100, 6, rng=seed),
-        lambda seed, cs: emit_regular_arcs(100, 6, chunk_size=cs, rng=seed),
-        100,
-    ),
-    "sbm": (
-        lambda seed: stochastic_block_model([80, 90], _SBM_PROBS, rng=seed)[0],
-        lambda seed, cs: emit_sbm_arcs([80, 90], _SBM_PROBS, chunk_size=cs, rng=seed),
-        170,
-    ),
-    "planted": (
-        lambda seed: planted_category_graph(k=6, scale=120, rng=seed)[0],
-        lambda seed, cs: emit_planted_arcs(chunk_size=cs, k=6, scale=120, rng=seed),
-        None,  # node count taken from the one-shot graph
-    ),
 }
 
 
@@ -104,41 +78,8 @@ def _graphs_equal(a, b):
 def test_chunked_emit_matches_one_shot(name, chunk_size):
     one_shot, emit, num_nodes = GENERATORS[name]
     expected = one_shot(9)
-    n = num_nodes if num_nodes is not None else expected.num_nodes
-    streamed = _from_chunks(n, emit(9, chunk_size))
+    streamed = _from_chunks(num_nodes, emit(9, chunk_size))
     assert _graphs_equal(streamed, expected), name
-
-
-@pytest.mark.parametrize("name", sorted(GENERATORS))
-def test_emit_under_memmap_scope(name, tmp_path):
-    """The streams feed the out-of-core builder without byte drift."""
-    one_shot, emit, num_nodes = GENERATORS[name]
-    expected = one_shot(4)
-    n = num_nodes if num_nodes is not None else expected.num_nodes
-    with graph_storage("memmap", directory=tmp_path):
-        streamed = _from_chunks(n, emit(4, 64))
-    assert _graphs_equal(streamed, expected), name
-
-
-def test_facebook_emit_matches_build():
-    cfg = FacebookModelConfig(scale=50)
-    world = build_facebook_world(cfg, rng=13)
-    streamed = _from_chunks(
-        world.graph.num_nodes, emit_arcs(cfg, chunk_size=4096, rng=13)
-    )
-    assert _graphs_equal(streamed, world.graph)
-
-
-def test_facebook_one_shot_identical_under_memmap(tmp_path):
-    cfg = FacebookModelConfig(scale=50)
-    world = build_facebook_world(cfg, rng=13)
-    with graph_storage("memmap", directory=tmp_path):
-        mapped = build_facebook_world(cfg, rng=13)
-    assert _graphs_equal(mapped.graph, world.graph)
-    assert np.array_equal(mapped.regions_2009.labels, world.regions_2009.labels)
-    assert np.array_equal(
-        mapped.colleges_2010.labels, world.colleges_2010.labels
-    )
 
 
 @pytest.mark.parametrize(
@@ -150,10 +91,6 @@ def test_facebook_one_shot_identical_under_memmap(tmp_path):
         lambda: emit_configuration_arcs(
             np.array([2, 2], dtype=np.int64), chunk_size=0, rng=0
         ),
-        lambda: emit_regular_arcs(10, 2, chunk_size=0, rng=0),
-        lambda: emit_sbm_arcs([5, 5], np.full((2, 2), 0.2), chunk_size=0, rng=0),
-        lambda: emit_planted_arcs(chunk_size=0, k=3, scale=1000, rng=0),
-        lambda: emit_arcs(FacebookModelConfig(scale=60), chunk_size=0, rng=0),
     ],
 )
 def test_emit_rejects_bad_chunk_size(emit):
@@ -169,5 +106,3 @@ def test_emit_validates_eagerly():
         emit_gnm_arcs(5, 100, rng=0)
     with pytest.raises(GenerationError):
         emit_ba_arcs(3, 5, rng=0)
-    with pytest.raises(GenerationError):
-        emit_sbm_arcs([5, 5], np.full((3, 3), 0.2), rng=0)

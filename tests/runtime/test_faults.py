@@ -96,7 +96,6 @@ BAD_KEYS = {
     "kill-worker": ("kill-worker:shrad=0", "replicate, shard, phase, times"),
     "hang-worker": ("hang-worker:replicate=1", "shard, times"),
     "corrupt-checkpoint": ("corrupt-checkpoint:shard=0", "file, times"),
-    "corrupt-manifest": ("corrupt-manifest:fiel=derived", "file, times"),
     "fail-respawn": ("fail-respawn:shard=1", "times"),
 }
 
@@ -126,6 +125,29 @@ def test_parse_faults_rejects_an_unknown_kill_phase():
 def test_parse_faults_rejects_nonpositive_times():
     with pytest.raises(EstimationError, match="times"):
         parse_faults("kill-worker:times=0")
+
+
+@pytest.mark.parametrize(
+    "spec, key, least",
+    [
+        ("kill-worker:replicate=x", "replicate", 0),
+        ("kill-worker:replicate=-3", "replicate", 0),
+        ("kill-worker:shard=y", "shard", 0),
+        ("hang-worker:shard=-1", "shard", 0),
+        ("kill-worker:times=z", "times", 1),
+    ],
+)
+def test_parse_faults_rejects_non_integer_or_negative_counts(spec, key, least):
+    """A count that no replicate, shard or budget can equal is a typo:
+    it must fail by name, not arm a fault that never strikes (or crash
+    later with a stray ValueError/TypeError)."""
+    value = spec.rpartition("=")[2]
+    kind = spec.partition(":")[0]
+    with pytest.raises(EstimationError) as raised:
+        parse_faults(spec)
+    assert str(raised.value) == (
+        f"fault {kind!r} needs an integer {key} >= {least}, got {key}={value}"
+    )
 
 
 def test_fault_budgets_are_consumed_at_issue_time():

@@ -186,9 +186,7 @@ def run_blocks(monkeypatch):
         return token
 
     def recording_close(self):
-        names.update(
-            name for name in self.block_names if not name.startswith("mmap:")
-        )
+        names.update(self.block_names)
         close(self)
 
     monkeypatch.setattr(sharedmem.SharedArrayPool, "allocate", recording_allocate)

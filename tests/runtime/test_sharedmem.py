@@ -131,73 +131,3 @@ def test_close_unlinks_blocks(world):
 
     with pytest.raises(FileNotFoundError):
         shared_memory.SharedMemory(name=name)
-
-
-# ----------------------------------------------------------------------
-# Memmap-backed planes: the zero-copy mmap token path
-# ----------------------------------------------------------------------
-@pytest.fixture()
-def mapped_graph(tmp_path):
-    from repro.graph.storage import graph_storage
-
-    with graph_storage("memmap", directory=tmp_path):
-        graph, partition = planted_category_graph(k=5, scale=40, rng=3)
-    return graph, partition
-
-
-def test_memmap_planes_tokenize_without_copying(mapped_graph):
-    graph, partition = mapped_graph
-    with SharedArrayPool(threshold=1024) as pool:
-        payload = sharedmem.dumps({"graph": graph}, pool)
-        # File-backed planes never copy into POSIX shared memory.
-        assert pool.num_published == 0
-        assert any(name.startswith("mmap:") for name in pool.block_names)
-        clone = sharedmem.loads(payload)["graph"]
-        np.testing.assert_array_equal(clone.indptr, graph.indptr)
-        np.testing.assert_array_equal(clone.indices, graph.indices)
-        assert not clone.indptr.base.flags.writeable
-    sharedmem.release(pool.block_names)
-
-
-def test_memmap_release_ignores_refcount_pin(mapped_graph):
-    """The shm pin heuristic must not apply to mmap tokens.
-
-    A live consumer view keeps an shm block pinned (detaching would
-    invalidate its buffer), but an mmap entry is just a mapping of an
-    on-disk file — dropping it is always safe, and the file stays.
-    """
-    graph, partition = mapped_graph
-    with SharedArrayPool(threshold=1024) as pool:
-        payload = sharedmem.dumps({"graph": graph}, pool)
-        names = pool.block_names
-        clone = sharedmem.loads(payload)["graph"]
-        live_view = clone.indptr  # would pin an shm block
-        sharedmem.release(names)
-        # Every mmap entry is gone from the attach cache — no pinning.
-        assert not any(name in sharedmem._ATTACHED for name in names)
-        # The dropped mapping's data survives: the view still reads.
-        np.testing.assert_array_equal(live_view, graph.indptr)
-
-
-def test_pool_close_leaves_memmap_files(mapped_graph, tmp_path):
-    graph, partition = mapped_graph
-    pool = SharedArrayPool(threshold=1024)
-    sharedmem.dumps({"graph": graph}, pool)
-    assert pool.block_names
-    pool.close()
-    # close() unlinks shm blocks but never the on-disk planes.
-    graph2, _ = mapped_graph
-    np.testing.assert_array_equal(np.asarray(graph.indptr), np.asarray(graph2.indptr))
-
-
-def test_ram_and_memmap_tokens_coexist(mapped_graph, world):
-    mapped, _ = mapped_graph
-    ram_graph, partition, relation = world
-    with SharedArrayPool(threshold=1024) as pool:
-        payload = sharedmem.dumps({"ram": ram_graph, "mapped": mapped}, pool)
-        assert pool.num_published >= 2  # the RAM graph's planes
-        assert any(name.startswith("mmap:") for name in pool.block_names)
-        clones = sharedmem.loads(payload)
-        np.testing.assert_array_equal(clones["ram"].indices, ram_graph.indices)
-        np.testing.assert_array_equal(clones["mapped"].indices, mapped.indices)
-    sharedmem.release(pool.block_names)

@@ -139,7 +139,7 @@ def test_merge_remote_folds_a_worker_payload():
     remote = telemetry.TelemetryRecorder(process_label="worker test")
     with remote.span("rung", cat="worker", rung=0):
         pass
-    remote.counter("planes.hit", 3)
+    remote.counter("faults.injected", 3)
     recorder.merge_remote(remote.drain())
     recorder.merge_remote(None)  # in-process collectors ship nothing
     recorder.finish()
@@ -148,7 +148,7 @@ def test_merge_remote_folds_a_worker_payload():
         event["ph"] == "X" and event["name"] == "rung" for event in events
     )
     metrics = recorder.metrics_summary()
-    assert metrics["counters"]["planes.hit"] == 3
+    assert metrics["counters"]["faults.injected"] == 3
     pid = str(os.getpid())
     assert pid in metrics["workers"]
     assert 0.0 <= metrics["workers"][pid]["utilization"] <= 1.0

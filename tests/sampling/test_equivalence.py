@@ -429,73 +429,3 @@ class TestVectorizedAliasConstruction:
             rtol=0,
             atol=1e-12,
         )
-
-
-# ----------------------------------------------------------------------
-# Storage-plane equivalence: memmap-backed graphs sample identically
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def mapped_world(tmp_path_factory) -> World:
-    """The same world as ``world``, built through the on-disk CSR plane."""
-    from repro.graph.storage import graph_storage
-
-    root = tmp_path_factory.mktemp("memmap-world")
-    with graph_storage("memmap", directory=root):
-        graph, partition = planted_category_graph(k=8, scale=40, rng=0)
-    arc_weights = np.abs(np.sin(np.arange(len(graph.indices)))) + 0.5
-    return World(graph, partition, arc_weights)
-
-
-@pytest.mark.parametrize("name", sorted(DESIGNS))
-def test_memmap_backed_world_samples_bit_equal(name, world, mapped_world):
-    """Every design draws the same bytes from disk-mapped planes.
-
-    The storage plane's contract is that a memmap-backed CSR is
-    indistinguishable from the in-RAM build; a shared seed must
-    therefore produce identical trajectories on both.
-    """
-    factory, _ = DESIGNS[name]
-    assert np.array_equal(
-        np.asarray(mapped_world.graph.indptr), np.asarray(world.graph.indptr)
-    )
-    assert np.array_equal(
-        np.asarray(mapped_world.graph.indices), np.asarray(world.graph.indices)
-    )
-    n, replications, seed = 120, 3, sum(map(ord, name)) % 1000
-    ram = factory(world).sample_many(n, replications, rng=seed)
-    mapped = factory(mapped_world).sample_many(n, replications, rng=seed)
-    for r in range(replications):
-        assert np.array_equal(
-            ram.replicate(r).nodes, mapped.replicate(r).nodes
-        ), f"{name}: memmap trajectory diverged in replicate {r}"
-        assert np.array_equal(
-            ram.replicate(r).weights, mapped.replicate(r).weights
-        ), f"{name}: memmap weights diverged in replicate {r}"
-
-
-@pytest.mark.parametrize("name", sorted(DESIGNS))
-def test_plane_store_backed_world_samples_bit_equal(
-    name, world, mapped_world, monkeypatch
-):
-    """Derived planes spilled through the manifest-keyed store are
-    indistinguishable from their in-RAM twins: with every derivation
-    forced out of core (``REPRO_PLANE_THRESHOLD=0``), a shared seed
-    draws the same trajectories — cold (planes built chunk by chunk)
-    and warm (planes reopened from a prior commit)."""
-    from repro.graph.planes import clear_plane_memo
-
-    monkeypatch.setenv("REPRO_PLANE_THRESHOLD", "0")
-    factory, _ = DESIGNS[name]
-    n, replications, seed = 120, 3, sum(map(ord, name)) % 1000
-    ram = factory(world).sample_many(n, replications, rng=seed)
-    cold = factory(mapped_world).sample_many(n, replications, rng=seed)
-    clear_plane_memo()
-    warm = factory(mapped_world).sample_many(n, replications, rng=seed)
-    for r in range(replications):
-        for phase, got in (("cold", cold), ("warm", warm)):
-            assert np.array_equal(
-                ram.replicate(r).nodes, got.replicate(r).nodes
-            ), f"{name}: {phase} plane-store trajectory diverged in replicate {r}"
-            assert np.array_equal(
-                ram.replicate(r).weights, got.replicate(r).weights
-            ), f"{name}: {phase} plane-store weights diverged in replicate {r}"

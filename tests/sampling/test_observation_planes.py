@@ -5,19 +5,17 @@ of two per-(graph, partition) planes: the graph's upper-edge list and
 the partition's neighbor-category histogram. The arc-scan construction
 they replaced lives on as :func:`tests.oracles.reference_observe_both`;
 every field of every observation must match it in dtype, shape and
-bytes, from RAM and from memmap-backed graphs, and when several threads
-observe through one partition on different graphs. Concurrent first
+bytes, also when several threads observe through one partition on
+different graphs. Concurrent first
 use builds a partition's histogram once.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 import threading
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.graph import CategoryPartition, Graph, planes
 from repro.graph.planes import derived_neighbor_histogram
-from repro.graph.storage import graph_storage
 from repro.sampling import NodeSample, observe_both, observe_induced, observe_star
 from tests.conftest import random_test_graph
 from tests.oracles import reference_observe_both
@@ -61,7 +58,6 @@ def _sample(gen, num_nodes, draws, uniform) -> NodeSample:
     return NodeSample(nodes, node_weights[nodes], design="rw", uniform=False)
 
 
-@pytest.mark.parametrize("storage", ["ram", "memmap"])
 @settings(max_examples=40, deadline=None)
 @given(
     num_nodes=st.integers(1, 40),
@@ -73,22 +69,18 @@ def _sample(gen, num_nodes, draws, uniform) -> NodeSample:
     seed=st.integers(0, 2**16),
 )
 def test_observations_match_arc_scan_oracle(
-    tmp_path_factory, storage, num_nodes, edge_prob, num_categories, draws,
-    uniform, seed,
+    num_nodes, edge_prob, num_categories, draws, uniform, seed
 ):
     gen = np.random.default_rng(seed)
-    directory = tmp_path_factory.mktemp("csr") if storage == "memmap" else None
-    with mock.patch.dict(os.environ, {"REPRO_PLANE_THRESHOLD": "0"}), \
-            graph_storage(storage, directory=directory):
-        graph = random_test_graph(gen, num_nodes, edge_prob)
-        # Labels may leave categories empty.
-        partition = CategoryPartition(
-            gen.integers(0, num_categories, size=num_nodes),
-            num_categories=num_categories,
-        )
-        _assert_matches_oracle(
-            graph, partition, _sample(gen, num_nodes, draws, uniform)
-        )
+    graph = random_test_graph(gen, num_nodes, edge_prob)
+    # Labels may leave categories empty.
+    partition = CategoryPartition(
+        gen.integers(0, num_categories, size=num_nodes),
+        num_categories=num_categories,
+    )
+    _assert_matches_oracle(
+        graph, partition, _sample(gen, num_nodes, draws, uniform)
+    )
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])

@@ -4,7 +4,7 @@ The cross-design harness in ``test_equivalence.py`` already holds the
 kernel to replicate-wise bit-equality on a well-connected world; this
 module pins the awkward corners — disconnected substrates (restart
 cascades, early frontier exhaustion, full-graph budgets), fixed BFS
-seeds, memmap-backed visited bitmaps, variate-window independence — and
+seeds, variate-window independence — and
 adds the without-replacement property tests.
 """
 
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph
-from repro.graph.storage import graph_storage
 from repro.rng import ensure_rng, spawn_rngs
 from repro.sampling import BreadthFirstSampler
 from repro.sampling.batch import sample_streams
@@ -86,22 +85,6 @@ def test_bfs_fixed_seed_node_matches_twin():
     sampler = BreadthFirstSampler(graph, seed_node=3)
     batched = _assert_batched_matches_twins(sampler, 6, 6, seed=7)
     assert np.all(batched.nodes[:, 0] == 3)
-
-
-def test_memmap_visited_bitmaps_are_bit_identical(tmp_path):
-    """REPRO_SCALE=web routes visited state through memmap bitmaps.
-
-    The storage plane must be invisible to the trajectories: the same
-    seed yields the same bytes whether visited bitmaps live in RAM or
-    in an unlinked file under the storage root.
-    """
-    graph = _disconnected_graph()
-    for name, factory in DESIGNS.items():
-        sampler = factory(graph)
-        in_ram = sampler.sample_many(9, 4, rng=99)
-        with graph_storage("memmap", directory=tmp_path):
-            mapped = sampler.sample_many(9, 4, rng=99)
-        assert np.array_equal(in_ram.nodes, mapped.nodes), name
 
 
 def test_variate_window_does_not_affect_traversals(monkeypatch):

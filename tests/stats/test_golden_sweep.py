@@ -176,104 +176,3 @@ def test_sweep_bit_identical_with_telemetry_enabled(workers, world, tmp_path):
             ), f"{attr}[{kind}] changed with telemetry enabled"
     assert validate_trace_file(trace) > 0
     validate_metrics_file(metrics)
-
-
-@pytest.fixture(scope="module")
-def mapped_world(tmp_path_factory):
-    """The same substrate as ``world``, built out-of-core."""
-    from repro.graph.storage import graph_storage
-
-    root = tmp_path_factory.mktemp("memmap-golden")
-    with graph_storage("memmap", directory=root):
-        graph, partition = planted_category_graph(k=6, scale=60, rng=7)
-    return graph, partition
-
-
-@pytest.mark.parametrize("name", sorted(DESIGNS))
-def test_memmap_backed_sweep_bit_identical_to_ram(name, world, mapped_world):
-    """The golden pin of the storage plane: NRMSE surfaces computed
-    from disk-mapped CSR planes equal the in-RAM surfaces bit for bit
-    through the full estimator stack."""
-    graph, partition = world
-    m_graph, m_partition = mapped_world
-    factory = DESIGNS[name]
-    ram = run_nrmse_sweep(
-        graph,
-        partition,
-        factory(graph, partition),
-        LADDER,
-        replications=REPLICATIONS,
-        rng=SEED,
-    )
-    mapped = run_nrmse_sweep(
-        m_graph,
-        m_partition,
-        factory(m_graph, m_partition),
-        LADDER,
-        replications=REPLICATIONS,
-        rng=SEED,
-    )
-    assert np.array_equal(ram.sample_sizes, mapped.sample_sizes)
-    for kind in ("induced", "star"):
-        for attr in (
-            "size_nrmse",
-            "weight_nrmse",
-            "size_coverage",
-            "weight_coverage",
-        ):
-            assert np.array_equal(
-                getattr(ram, attr)[kind],
-                getattr(mapped, attr)[kind],
-                equal_nan=True,
-            ), f"{name}: {attr}[{kind}] diverged between storage planes"
-
-
-@pytest.mark.parametrize("name", sorted(DESIGNS))
-def test_plane_store_sweep_bit_identical_cold_and_warm(
-    name, world, mapped_world, monkeypatch
-):
-    """The golden pin of the *derived*-plane store: with every
-    derivation (arc_sources, upper edges, neighbor histograms, union
-    merge, alias tables, walk cumsums) forced through the manifest-keyed spill path
-    (``REPRO_PLANE_THRESHOLD=0``), the NRMSE surfaces equal the in-RAM
-    surfaces bit for bit — on the cold build and again on the warm
-    reopen after the in-process memo is dropped."""
-    from repro.graph.planes import clear_plane_memo
-
-    monkeypatch.setenv("REPRO_PLANE_THRESHOLD", "0")
-    graph, partition = world
-    m_graph, m_partition = mapped_world
-    factory = DESIGNS[name]
-    ram = run_nrmse_sweep(
-        graph,
-        partition,
-        factory(graph, partition),
-        LADDER,
-        replications=REPLICATIONS,
-        rng=SEED,
-    )
-    surfaces = {}
-    for phase in ("cold", "warm"):
-        surfaces[phase] = run_nrmse_sweep(
-            m_graph,
-            m_partition,
-            factory(m_graph, m_partition),
-            LADDER,
-            replications=REPLICATIONS,
-            rng=SEED,
-        )
-        clear_plane_memo()  # the warm pass reopens committed planes
-    for phase, mapped in surfaces.items():
-        assert np.array_equal(ram.sample_sizes, mapped.sample_sizes)
-        for kind in ("induced", "star"):
-            for attr in (
-                "size_nrmse",
-                "weight_nrmse",
-                "size_coverage",
-                "weight_coverage",
-            ):
-                assert np.array_equal(
-                    getattr(ram, attr)[kind],
-                    getattr(mapped, attr)[kind],
-                    equal_nan=True,
-                ), f"{name}/{phase}: {attr}[{kind}] diverged via plane store"

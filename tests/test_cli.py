@@ -36,6 +36,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig3a", "--scale", "huge"])
 
+    def test_retired_web_scale_is_an_unknown_scale(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig3a", "--scale", "web"])
+        assert "unknown scale 'web'; available: small, medium, paper" in (
+            capsys.readouterr().err
+        )
+
 
 class TestMain:
     def test_list_prints_all(self, capsys):
